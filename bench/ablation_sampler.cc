@@ -61,7 +61,7 @@ int main(int argc, char** argv) {
                     "ok"});
       std::string base = std::string(name) + "/" + label;
       report.Add(base + "/f1", result->quality.f1);
-      AddLoadMetrics(&report, base, result->metrics);
+      AddLoadMetrics(&report, base, result->load);
     }
   }
   table.Print();

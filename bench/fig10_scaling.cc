@@ -55,7 +55,7 @@ int main(int argc, char** argv) {
                            "/run_" + std::to_string(run);
         report.Add(base + "/total_seconds",
                    result->metrics.total_time.seconds);
-        AddLoadMetrics(&report, base, result->metrics);
+        AddLoadMetrics(&report, base, result->load);
       }
       if (ok_runs == 0) continue;
       double n = ok_runs;

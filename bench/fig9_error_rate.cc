@@ -49,7 +49,7 @@ int main(int argc, char** argv) {
                          std::to_string(static_cast<int>(error * 100)) +
                          "/run_" + std::to_string(run);
       report.Add(base + "/f1", result->quality.f1);
-      AddLoadMetrics(&report, base, result->metrics);
+      AddLoadMetrics(&report, base, result->load);
     }
     if (ok_runs == 0) continue;
     double n = ok_runs;

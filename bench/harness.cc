@@ -2,12 +2,8 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <cstdlib>
 
 #include "common/strings.h"
-#include "core/apply_matcher.h"
-#include "core/gen_fvs.h"
-#include "learn/flat_forest.h"
 
 namespace falcon {
 namespace bench {
@@ -139,21 +135,11 @@ Result<PipelineRun> RunPipeline(const GeneratedDataset& data,
   PipelineRun out;
   out.quality = EvaluateMatches(res.matches, data.truth);
   out.metrics = res.metrics;
+  out.load = RollupTaskLoad(cluster.job_history());
   out.blocking_recall = BlockingRecall(res.candidates, data.truth);
   out.sequence = res.sequence;
   out.matches = res.matches.size();
-  out.matcher = std::move(res.matcher);
-  out.candidates = std::move(res.candidates);
   return out;
-}
-
-void AddLoadMetrics(BenchReport* report, const std::string& prefix,
-                    const RunMetrics& metrics) {
-  report->Add(prefix + "/mr_tasks", static_cast<int64_t>(metrics.mr_tasks));
-  report->Add(prefix + "/task_vtime_max_s", metrics.task_vtime_max);
-  report->Add(prefix + "/task_vtime_mean_s", metrics.task_vtime_mean);
-  report->Add(prefix + "/task_vtime_p99_s", metrics.task_vtime_p99);
-  report->Add(prefix + "/straggler_ratio", metrics.straggler_ratio);
 }
 
 void AddLoadMetrics(BenchReport* report, const std::string& prefix,
@@ -163,49 +149,6 @@ void AddLoadMetrics(BenchReport* report, const std::string& prefix,
   report->Add(prefix + "/task_vtime_mean_s", load.mean_seconds);
   report->Add(prefix + "/task_vtime_p99_s", load.p99_seconds);
   report->Add(prefix + "/straggler_ratio", load.straggler_ratio);
-}
-
-MatcherStageAb AbMatcherStage(const GeneratedDataset& data,
-                              const PipelineRun& run) {
-  MatcherStageAb ab;
-  ab.pairs = run.candidates.size();
-  if (run.candidates.empty() || run.matcher.num_trees() == 0) return ab;
-  // Feature generation is deterministic, so this regenerated set has the
-  // layout the pipeline trained the forest on. Left unbound: both strategies
-  // then pay the same string-path feature cost and the comparison isolates
-  // laziness + short-circuiting.
-  FeatureSet fs = FeatureSet::Generate(data.a, data.b);
-  Cluster cluster((ClusterConfig()));
-
-  auto fvs = GenFvs(data.a, data.b, run.candidates, fs, fs.all_ids(),
-                    &cluster);
-  auto eager = ApplyMatcher(run.matcher, fvs.fvs, &cluster);
-  ab.eager_s = fvs.time.seconds + eager.time.seconds;
-
-  FlatForest flat = FlatForest::Compile(run.matcher);
-  auto fused = ApplyMatcherFused(data.a, data.b, run.candidates, fs,
-                                 fs.all_ids(), flat, &cluster);
-  ab.fused_s = fused.time.seconds;
-
-  if (fused.predictions != eager.predictions) {
-    std::fprintf(stderr,
-                 "FATAL: fused matcher predictions diverge from eager over "
-                 "%zu pairs\n",
-                 run.candidates.size());
-    std::exit(1);
-  }
-  ab.speedup = ab.fused_s > 0.0 ? ab.eager_s / ab.fused_s : 0.0;
-  const FusedMatcherWork& w = fused.work;
-  if (w.pairs > 0) {
-    ab.features_per_pair =
-        static_cast<double>(w.features_computed) / static_cast<double>(w.pairs);
-    ab.trees_per_pair =
-        static_cast<double>(w.trees_voted) / static_cast<double>(w.pairs);
-  }
-  ab.vector_width = w.vector_width;
-  ab.used_features = w.used_features;
-  ab.num_trees = w.num_trees;
-  return ab;
 }
 
 TablePrinter::TablePrinter(std::vector<std::string> headers)

@@ -53,40 +53,19 @@ SimulatedCrowdConfig BenchCrowdConfig(double error_rate, uint64_t seed);
 struct PipelineRun {
   QualityMetrics quality;
   RunMetrics metrics;
+  /// RollupTaskLoad over the run's own cluster ledger. A straggler ratio
+  /// near 1.0 means every job phase was balanced; large values flag hot
+  /// tasks the skew-aware partitioner exists to split.
+  TaskLoadStats load;
   double blocking_recall = 1.0;
   RuleSequence sequence;
   size_t matches = 0;
-  /// The learned matcher and surviving candidates, kept so benches can
-  /// re-apply the matching stage (e.g. the eager-vs-fused A/B below).
-  RandomForest matcher;
-  std::vector<CandidatePair> candidates;
 };
 
 Result<PipelineRun> RunPipeline(const GeneratedDataset& data,
                                 const FalconConfig& config,
                                 const SimulatedCrowdConfig& crowd_config,
                                 const ClusterConfig& cluster_config);
-
-/// In-process eager-vs-fused A/B of the matching stage. Re-applies `run`'s
-/// learned matcher to its candidates on a fresh cluster two ways — eager
-/// (gen_fvs materializes every vector, then apply_matcher) and fused (lazy
-/// features + short-circuit FlatForest voting) — and exits with an error if
-/// the predictions differ, so every bench that prints this comparison also
-/// re-asserts equivalence. Times are virtual work times (VDuration).
-struct MatcherStageAb {
-  double eager_s = 0.0;  ///< gen_fvs(all features) + apply_matcher
-  double fused_s = 0.0;  ///< forest compile + fused apply
-  double speedup = 0.0;  ///< eager_s / fused_s
-  size_t pairs = 0;
-  double features_per_pair = 0.0;  ///< lazily computed, of vector_width
-  double trees_per_pair = 0.0;     ///< voted before early exit, of num_trees
-  size_t vector_width = 0;
-  size_t used_features = 0;
-  size_t num_trees = 0;
-};
-
-MatcherStageAb AbMatcherStage(const GeneratedDataset& data,
-                              const PipelineRun& run);
 
 /// Fixed-width table printing.
 class TablePrinter {
@@ -125,15 +104,10 @@ class BenchReport {
   std::vector<std::pair<std::string, std::string>> entries_;
 };
 
-/// Adds the run's per-task load rollup (RunMetrics <- JobStats) to `report`
-/// under `prefix`: <prefix>/mr_tasks, /task_vtime_max_s, /task_vtime_mean_s,
-/// /task_vtime_p99_s, /straggler_ratio. A straggler ratio near 1.0 means the
-/// run's job phases were balanced; large values flag hot tasks the
-/// skew-aware partitioner exists to split.
-void AddLoadMetrics(BenchReport* report, const std::string& prefix,
-                    const RunMetrics& metrics);
-
-/// Same rollup for one job phase (e.g. the blocking apply job's reduce).
+/// Adds a per-task load distribution — one job phase's, or a whole run's
+/// RollupTaskLoad — to `report` under `prefix`: <prefix>/mr_tasks,
+/// /task_vtime_max_s, /task_vtime_mean_s, /task_vtime_p99_s,
+/// /straggler_ratio.
 void AddLoadMetrics(BenchReport* report, const std::string& prefix,
                     const TaskLoadStats& load);
 

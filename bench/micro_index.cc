@@ -1,8 +1,8 @@
 // Microbenchmarks: index build and probe paths (google-benchmark). The
-// custom main() first writes BENCH_micro_index.json with a store-path vs
-// fallback-path (tokenize + dictionary lookup, the old string behaviour)
-// probe comparison, then runs google-benchmark. FALCON_BENCH_SMOKE=1 shrinks
-// the dataset so the binary doubles as a ctest smoke test.
+// custom main() first writes BENCH_micro_index.json — token-store probe
+// cost, a keep-rule kernel A/B and index-build heap allocations — then runs
+// google-benchmark. FALCON_BENCH_SMOKE=1 shrinks the dataset so the binary
+// doubles as a ctest smoke test.
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
@@ -84,8 +84,7 @@ BENCHMARK(BM_BTreeRangeProbe);
 
 struct TokenFixture {
   Cluster cluster;
-  IndexCatalog catalog;    ///< with B-side store views: id-path probing
-  IndexCatalog fallback;   ///< indexes only: tokenize+Find fallback probing
+  IndexCatalog catalog;
   FeatureSet fs;
   Predicate pred;
 
@@ -104,7 +103,6 @@ struct TokenFixture {
     IndexBuilder builder(&d.a, &cluster);
     builder.EnsureTokenStores(d.b, fs, &catalog);
     builder.Ensure({ClassifyPredicate(pred, fs)}, &catalog);
-    builder.Ensure({ClassifyPredicate(pred, fs)}, &fallback);
   }
 };
 
@@ -139,19 +137,7 @@ void BM_PrefixFilterProbe(benchmark::State& state) {
 }
 BENCHMARK(BM_PrefixFilterProbe);
 
-void BM_PrefixFilterProbeFallback(benchmark::State& state) {
-  const auto& d = Data();
-  TokenFixture* fx = SharedFixture();
-  ClauseProber prober(&fx->fallback, &fx->fs, d.a.num_rows());
-  size_t i = 0;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(prober.ProbePredicate(
-        fx->pred, d.b, static_cast<RowId>(i++ % d.b.num_rows())));
-  }
-}
-BENCHMARK(BM_PrefixFilterProbeFallback);
-
-/// Store-path vs fallback-path comparison written to BENCH_micro_index.json.
+/// Probe, keep and build measurements written to BENCH_micro_index.json.
 void WriteComparisonReport() {
   using Clock = std::chrono::steady_clock;
   const auto& d = Data();
@@ -164,45 +150,24 @@ void WriteComparisonReport() {
   report.Add("sweeps", static_cast<int64_t>(sweeps));
   report.Add("catalog_bytes_with_store",
              static_cast<int64_t>(fx->catalog.TotalMemoryUsage()));
-  report.Add("catalog_bytes_fallback",
-             static_cast<int64_t>(fx->fallback.TotalMemoryUsage()));
 
-  // Same probing work over every B row, both paths; candidates must agree.
-  size_t candidates_store = 0;
-  size_t candidates_fallback = 0;
-  ClauseProber store_prober(&fx->catalog, &fx->fs, d.a.num_rows());
-  ClauseProber fb_prober(&fx->fallback, &fx->fs, d.a.num_rows());
+  // Token-store probing over every B row.
+  size_t candidates = 0;
+  ClauseProber prober(&fx->catalog, &fx->fs, d.a.num_rows());
   auto t0 = Clock::now();
   for (size_t s = 0; s < sweeps; ++s) {
     for (RowId b = 0; b < d.b.num_rows(); ++b) {
-      candidates_store +=
-          store_prober.ProbePredicate(fx->pred, d.b, b).rows.size();
+      candidates += prober.ProbePredicate(fx->pred, d.b, b).rows.size();
     }
   }
   auto t1 = Clock::now();
-  for (size_t s = 0; s < sweeps; ++s) {
-    for (RowId b = 0; b < d.b.num_rows(); ++b) {
-      candidates_fallback +=
-          fb_prober.ProbePredicate(fx->pred, d.b, b).rows.size();
-    }
-  }
-  auto t2 = Clock::now();
-  if (candidates_store != candidates_fallback) {
-    fprintf(stderr, "FATAL: store/fallback candidate mismatch: %zu vs %zu\n",
-            candidates_store, candidates_fallback);
-    exit(1);
-  }
   const double probes =
       static_cast<double>(sweeps) * static_cast<double>(d.b.num_rows());
-  double store_us =
-      std::chrono::duration<double, std::micro>(t1 - t0).count() / probes;
-  double fb_us =
-      std::chrono::duration<double, std::micro>(t2 - t1).count() / probes;
   report.Add("probe/candidates_per_sweep",
-             static_cast<int64_t>(candidates_store / sweeps));
-  report.Add("probe/store_us_per_row", store_us);
-  report.Add("probe/fallback_us_per_row", fb_us);
-  report.Add("probe/speedup", store_us > 0.0 ? fb_us / store_us : 0.0);
+             static_cast<int64_t>(candidates / sweeps));
+  report.Add("probe/store_us_per_row",
+             std::chrono::duration<double, std::micro>(t1 - t0).count() /
+                 probes);
 
   // Rule-application A/B: the same Keep() sweep with the adaptive
   // intersection kernels (plus the single-reader threshold fast path) on vs
@@ -281,16 +246,11 @@ void WriteComparisonReport() {
            adaptive_us > 0.0 ? scalar_us / adaptive_us : 0.0);
   }
 
-  // Index build (jobs 1-3 + store views) from a cold catalog, run twice:
-  // task arenas on (the default) and off (every engine container on the
-  // counted heap allocator). The alloc/* counters in each job's stats are
-  // real heap traffic either way — page acquisitions vs individual
-  // allocations — so their ratio is the arena win per build.
-  auto build_once = [&](bool task_arenas, double* ms, int64_t* alloc_count,
-                        int64_t* alloc_bytes) {
-    ClusterConfig cc;
-    cc.task_arenas = task_arenas;
-    Cluster cluster(cc);
+  // Index build (jobs 1-3 + store views) from a cold catalog. The alloc/*
+  // counters in each job's stats are real heap traffic: task-arena page
+  // acquisitions.
+  {
+    Cluster cluster((ClusterConfig()));
     IndexCatalog catalog;
     IndexBuilder builder(&d.a, &cluster);
     auto tA = Clock::now();
@@ -298,46 +258,24 @@ void WriteComparisonReport() {
     builder.Ensure({ClassifyPredicate(fx->pred, fx->fs)}, &catalog);
     auto tB = Clock::now();
     benchmark::DoNotOptimize(catalog.TotalMemoryUsage());
-    *ms = std::chrono::duration<double, std::milli>(tB - tA).count();
-    *alloc_count = 0;
-    *alloc_bytes = 0;
+    int64_t alloc_count = 0;
+    int64_t alloc_bytes = 0;
     for (const JobStats& js : cluster.job_history()) {
       if (auto it = js.counters.find("alloc/count"); it != js.counters.end()) {
-        *alloc_count += it->second;
+        alloc_count += it->second;
       }
       if (auto it = js.counters.find("alloc/bytes"); it != js.counters.end()) {
-        *alloc_bytes += it->second;
+        alloc_bytes += it->second;
       }
     }
-  };
-  double arena_ms = 0.0, heap_ms = 0.0;
-  int64_t arena_count = 0, arena_bytes = 0, heap_count = 0, heap_bytes = 0;
-  build_once(true, &arena_ms, &arena_count, &arena_bytes);
-  build_once(false, &heap_ms, &heap_count, &heap_bytes);
-  report.Add("build/full_ms", arena_ms);
-  report.Add("build/heap_ms", heap_ms);
-  report.Add("alloc/count", arena_count);
-  report.Add("alloc/bytes", arena_bytes);
-  report.Add("alloc/count_no_arena", heap_count);
-  report.Add("alloc/bytes_no_arena", heap_bytes);
-  double reduction = arena_count > 0
-                         ? static_cast<double>(heap_count) /
-                               static_cast<double>(arena_count)
-                         : 0.0;
-  report.Add("alloc/reduction", reduction);
-  if (!SmokeMode() && reduction < 10.0) {
-    fprintf(stderr,
-            "FATAL: task arenas cut engine heap allocs only %.1fx "
-            "(%lld -> %lld), below the 10x floor\n",
-            reduction, static_cast<long long>(heap_count),
-            static_cast<long long>(arena_count));
-    exit(1);
+    report.Add("build/full_ms",
+               std::chrono::duration<double, std::milli>(tB - tA).count());
+    report.Add("alloc/count", alloc_count);
+    report.Add("alloc/bytes", alloc_bytes);
+    printf("build allocs: %lld (%lld B)\n",
+           static_cast<long long>(alloc_count),
+           static_cast<long long>(alloc_bytes));
   }
-  printf("build allocs: arenas %lld (%lld B), heap %lld (%lld B), %.1fx\n",
-         static_cast<long long>(arena_count),
-         static_cast<long long>(arena_bytes),
-         static_cast<long long>(heap_count),
-         static_cast<long long>(heap_bytes), reduction);
 
   std::string path = report.Write();
   printf("wrote %s\n", path.c_str());

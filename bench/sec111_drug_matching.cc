@@ -17,6 +17,7 @@ namespace {
 struct DrugRun {
   QualityMetrics q;
   RunMetrics m;
+  TaskLoadStats load;
 };
 
 Result<DrugRun> Run(const GeneratedDataset& data, const FalconConfig& cfg) {
@@ -29,6 +30,7 @@ Result<DrugRun> Run(const GeneratedDataset& data, const FalconConfig& cfg) {
   DrugRun out;
   out.q = EvaluateMatches(res.matches, data.truth);
   out.m = res.metrics;
+  out.load = RollupTaskLoad(cluster.job_history());
   return out;
 }
 
@@ -70,8 +72,8 @@ int main(int argc, char** argv) {
   };
   add("masking OFF", *without);
   add("masking ON", *with);
-  AddLoadMetrics(&report, "masking_off", without->m);
-  AddLoadMetrics(&report, "masking_on", with->m);
+  AddLoadMetrics(&report, "masking_off", without->load);
+  AddLoadMetrics(&report, "masking_on", with->load);
   table.Print();
   double reduction =
       without->m.machine_unmasked.seconds > 0

@@ -6,9 +6,7 @@
 // only complete on the smallest data set and are killed elsewhere; under
 // reduced memory (2G -> 1G -> 500M) AA/AG/AC stop fitting while AP still
 // works; Falcon's selection rule usually picks the best operator.
-#include <algorithm>
 #include <cstdio>
-#include <cstdlib>
 
 #include "blocking/apply.h"
 #include "blocking/index_builder.h"
@@ -132,80 +130,6 @@ int main(int argc, char** argv) {
       fs.BindTokenStores(nullptr, nullptr);
     }
     table.Print();
-
-    // A/B: dictionary-encoded (token-store) path vs string path, SAME learned
-    // sequence, SAME process. A cross-process comparison would be invalid:
-    // rule learning spends a crowd budget credited from measured CPU time, so
-    // the learned sequence varies run to run. Here the sequence is fixed, the
-    // candidate sets must be byte-identical, and the virtual times show what
-    // the token stores buy.
-    {
-      ClusterConfig ccfg = BenchClusterConfig(threads);
-      // One node, one slot: the virtual makespan is then the undiluted
-      // serial CPU of the operator plus (identical) fixed overheads. With
-      // the default 80-slot cluster, per-slot CPU at bench scale is a few
-      // ms and disappears under per-task scheduling overhead.
-      ccfg.num_nodes = 1;
-      ccfg.map_slots_per_node = 1;
-      ccfg.reduce_slots_per_node = 1;
-      Cluster cluster(ccfg);
-      IndexCatalog with_store;  ///< store views + indexes: id-path probing
-      IndexCatalog fallback;    ///< indexes only: tokenize+Find probing
-      IndexBuilder builder(&data->a, &cluster);
-      CnfRule q = ToCnf(*seq);
-      builder.EnsureTokenStores(data->b, fs, &with_store);
-      builder.Ensure(IndexBuilder::NeedsOfCnf(q, fs), &with_store);
-      builder.Ensure(IndexBuilder::NeedsOfCnf(q, fs), &fallback);
-      ApplyMethod m =
-          SelectApplyMethod(data->a, data->b, *seq, fs, with_store, cluster);
-      ApplyOptions opts;
-      fs.BindTokenStores(with_store.store(&data->a),
-                         with_store.store(&data->b));
-      auto r_store = ApplyBlockingRules(data->a, data->b, *seq, fs,
-                                        with_store, &cluster, m, opts);
-      fs.BindTokenStores(nullptr, nullptr);
-      auto r_str = ApplyBlockingRules(data->a, data->b, *seq, fs, fallback,
-                                      &cluster, m, opts);
-      if (r_store.ok() && r_str.ok()) {
-        auto ps = r_store->pairs;
-        auto pf = r_str->pairs;
-        std::sort(ps.begin(), ps.end());
-        std::sort(pf.begin(), pf.end());
-        if (ps != pf) {
-          std::fprintf(stderr,
-                       "FATAL: %s: store/string candidate sets differ "
-                       "(%zu vs %zu pairs)\n",
-                       name, ps.size(), pf.size());
-          return 1;
-        }
-        std::string base = std::string(name) + "/ab";
-        report.Add(base + "/operator", ApplyMethodName(m));
-        report.Add(base + "/candidates", static_cast<int64_t>(ps.size()));
-        report.Add(base + "/store_virtual_seconds", r_store->time.seconds);
-        report.Add(base + "/string_virtual_seconds", r_str->time.seconds);
-        report.Add(base + "/speedup",
-                   r_store->time.seconds > 0.0
-                       ? r_str->time.seconds / r_store->time.seconds
-                       : 0.0);
-        // Work time = map + shuffle + reduce, excluding the fixed 2s job
-        // startup that dominates total time at bench scale. Startup and
-        // per-task overhead are identical by construction (same job shape),
-        // so the work-time ratio isolates what the id path buys.
-        double w_store =
-            (r_store->main_job.Total() - r_store->main_job.startup).seconds;
-        double w_str =
-            (r_str->main_job.Total() - r_str->main_job.startup).seconds;
-        report.Add(base + "/store_work_seconds", w_store);
-        report.Add(base + "/string_work_seconds", w_str);
-        report.Add(base + "/work_speedup", w_store > 0.0 ? w_str / w_store
-                                                         : 0.0);
-        std::printf("A/B (%s, %zu identical candidates): store path %s vs "
-                    "string path %s\n",
-                    ApplyMethodName(m), ps.size(),
-                    r_store->time.ToString().c_str(),
-                    r_str->time.ToString().c_str());
-      }
-    }
     std::printf("\n");
   }
   std::printf(

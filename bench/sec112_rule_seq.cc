@@ -89,6 +89,7 @@ int main(int argc, char** argv) {
         {"Variant", "Rules", "Recall(%)", "Virtual time", "Candidates"});
     IndexCatalog catalog;
     IndexBuilder builder(&data->a, &cluster);
+    builder.EnsureTokenStores(data->b, fs, &catalog);
     for (auto& v : variants) {
       CnfRule q = ToCnf(v.seq);
       builder.Ensure(IndexBuilder::NeedsOfCnf(q, fs), &catalog);

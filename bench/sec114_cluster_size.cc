@@ -57,7 +57,7 @@ int main(int argc, char** argv) {
       }
       char straggler[32];
       std::snprintf(straggler, sizeof(straggler), "%.2f",
-                    result->metrics.straggler_ratio);
+                    result->load.straggler_ratio);
       table.AddRow({wl, std::to_string(nodes),
                     result->metrics.machine_time.ToString(),
                     result->metrics.machine_unmasked.ToString(),
@@ -69,7 +69,7 @@ int main(int argc, char** argv) {
                  result->metrics.machine_time.seconds);
       report.Add(base + "/total_seconds",
                  result->metrics.total_time.seconds);
-      AddLoadMetrics(&report, base, result->metrics);
+      AddLoadMetrics(&report, base, result->load);
     }
   }
   table.Print();

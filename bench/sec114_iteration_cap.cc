@@ -44,7 +44,7 @@ int main(int argc, char** argv) {
                   result->metrics.total_time.ToString()});
     std::string base = "cap_" + std::to_string(cap);
     report.Add(base + "/f1", result->quality.f1);
-    AddLoadMetrics(&report, base, result->metrics);
+    AddLoadMetrics(&report, base, result->load);
   }
   table.Print();
   std::printf(

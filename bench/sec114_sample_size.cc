@@ -39,7 +39,7 @@ int main(int argc, char** argv) {
                   Money(result->metrics.cost)});
     std::string base = "sample_" + std::to_string(cfg.sample_size);
     report.Add(base + "/f1", result->quality.f1);
-    AddLoadMetrics(&report, base, result->metrics);
+    AddLoadMetrics(&report, base, result->load);
   }
   table.Print();
   std::printf(

@@ -50,7 +50,7 @@ int main(int argc, char** argv) {
     if (rbb.ok()) rbb_recall = Pct(rbb->blocking_recall, 2);
     if (rbb.ok()) {
       report.Add(std::string(s.name) + "/rbb_recall", rbb->blocking_recall);
-      AddLoadMetrics(&report, s.name, rbb->metrics);
+      AddLoadMetrics(&report, s.name, rbb->load);
     }
     table.AddRow({s.name, s.key, Pct(BlockingRecall(kbb.pairs, data->truth), 2),
                   Pct(BlockingRecall(kbb_soft.pairs, data->truth), 2),

@@ -68,6 +68,7 @@ struct Setup {
 
     Cluster build_cluster(BenchClusterConfig(1));
     IndexBuilder builder(&data.a, &build_cluster);
+    builder.EnsureTokenStores(data.b, fs, &catalog);
     builder.Ensure(IndexBuilder::NeedsOfCnf(ToCnf(seq), fs), &catalog);
   }
 };

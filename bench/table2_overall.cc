@@ -35,8 +35,6 @@ int main(int argc, char** argv) {
   TablePrinter per({"Dataset", "Run", "P(%)", "R(%)", "F1(%)", "Cost(#Q)",
                     "Machine", "Crowd", "Total", "Cand.Set"});
 
-  PipelineRun last_run;
-  GeneratedDataset last_data;
   for (const char* name : {"products", "songs", "citations"}) {
     double p = 0, r = 0, f1 = 0, cost = 0, brecall = 0;
     size_t questions = 0;
@@ -76,9 +74,7 @@ int main(int argc, char** argv) {
       std::string base = std::string(name) + "/run_" + std::to_string(run);
       report.Add(base + "/f1", result->quality.f1);
       report.Add(base + "/total_seconds", result->metrics.total_time.seconds);
-      AddLoadMetrics(&report, base, result->metrics);
-      last_run = std::move(*result);
-      last_data = std::move(*data);
+      AddLoadMetrics(&report, base, result->load);
     }
     double n = runs;
     avg.AddRow({name, Pct(p / n), Pct(r / n), Pct(f1 / n),
@@ -96,18 +92,6 @@ int main(int argc, char** argv) {
     per.Print();
   }
 
-  // Matching-stage strategy check: re-apply the last learned matcher to its
-  // candidates eagerly vs fused (exits on any prediction mismatch) and show
-  // how much work the pipeline's fused apply_matcher saves.
-  if (last_run.candidates.size() > 0) {
-    MatcherStageAb ab = AbMatcherStage(last_data, last_run);
-    std::printf(
-        "\nMatcher stage (last run, %zu candidates): eager %.1fs vs fused "
-        "%.1fs virtual work (%.1fx); %.1f/%zu features and %.1f/%zu trees "
-        "per pair. Predictions verified identical.\n",
-        ab.pairs, ab.eager_s, ab.fused_s, ab.speedup, ab.features_per_pair,
-        ab.vector_width, ab.trees_per_pair, ab.num_trees);
-  }
   std::printf(
       "\nShape check vs paper: crowd time >> machine time on MTurk-style\n"
       "latency; total time < crowd + machine (masking); blocking recall\n"

@@ -54,17 +54,8 @@ int main(int argc, char** argv) {
                 result->metrics.candidate_size);
     report.Add(std::string(name) + "/apply_method",
                std::string(ApplyMethodName(result->metrics.apply_method)));
-    AddLoadMetrics(&report, name, result->metrics);
-    // The apply_matcher row above is the fused strategy; quantify what it
-    // saves by re-running the stage eagerly in-process (exits on any
-    // prediction mismatch).
-    MatcherStageAb ab = AbMatcherStage(*data, *result);
-    std::printf(
-        "apply_matcher strategies: eager %.1fs vs fused %.1fs virtual work "
-        "(%.1fx); %.1f/%zu features, %.1f/%zu trees per pair; predictions "
-        "identical\n\n",
-        ab.eager_s, ab.fused_s, ab.speedup, ab.features_per_pair,
-        ab.vector_width, ab.trees_per_pair, ab.num_trees);
+    AddLoadMetrics(&report, name, result->load);
+    std::printf("\n");
   }
   report.Write();
   return 0;

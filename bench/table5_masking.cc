@@ -39,7 +39,7 @@ VDuration UnmaskedTime(const char* name, double scale, double error,
   std::string base = std::string(name) + "/" + config;
   report->Add(base + "/unmasked_seconds",
               result->metrics.machine_unmasked.seconds);
-  AddLoadMetrics(report, base, result->metrics);
+  AddLoadMetrics(report, base, result->load);
   return result->metrics.machine_unmasked;
 }
 

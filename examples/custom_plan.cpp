@@ -93,8 +93,8 @@ int main() {
   IndexCatalog catalog;
   IndexBuilder builder(&data.a, &cluster);
   CnfRule q = ToCnf(selected->sequence);
-  VDuration build_time =
-      builder.Ensure(IndexBuilder::NeedsOfCnf(q, fs), &catalog);
+  VDuration build_time = builder.EnsureTokenStores(data.b, fs, &catalog);
+  build_time += builder.Ensure(IndexBuilder::NeedsOfCnf(q, fs), &catalog);
   std::printf("index build: %s, %zu bytes resident\n",
               build_time.ToString().c_str(), catalog.TotalMemoryUsage());
 

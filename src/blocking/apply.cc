@@ -111,7 +111,6 @@ RuleApplier::RuleApplier(const RuleSequence& seq, const FeatureSet* fs,
     for (const auto& p : rule.predicates) {
       auto [it, inserted] =
           slot_of.emplace(p.feature_id, static_cast<int>(slot_of.size()));
-      if (inserted) feature_ids_.push_back(p.feature_id);
       bound.push_back(BoundPredicate{it->second, p.feature_id, p.op, p.value});
     }
     rules_.push_back(std::move(bound));
@@ -245,16 +244,9 @@ struct ShuffleVal {
   int32_t tag = 0;   // operator-specific (b_row, clause id, or -1 marker)
   uint32_t aux = 0;  // operator-specific (k_b)
   uint32_t bytes = 8;
-  /// Estimated reduce cost of this value for the skew planner (1 +
-  /// intersection work of the pair's set-based features); stays 1 unless
-  /// ClusterConfig::skew_cost_weights is on. Accounting only — never
-  /// shipped, never part of the output.
-  uint32_t cost = 1;
 };
 
 size_t EstimateBytes(const ShuffleVal& v) { return v.bytes; }
-
-size_t SkewCost(const ShuffleVal& v) { return v.cost; }
 
 std::vector<TaggedRow> InterleavedInput(size_t na, size_t nb) {
   // Interleave proportionally so every split sees the A:B ratio.
@@ -288,6 +280,29 @@ bool ClauseFilterable(const CnfClause& clause, const FeatureSet& fs,
     if (need.kind == IndexKind::kNone || !catalog.Has(need)) return false;
   }
   return true;
+}
+
+/// Token probes read each B-row's interned set from the catalog's B-side
+/// store; IndexBuilder::EnsureTokenStores builds those views. A filterable
+/// token predicate without one is a caller error, not a slower path.
+Status CheckProbeViews(const std::vector<const CnfClause*>& filterable,
+                       const FeatureSet& fs, const IndexCatalog& catalog,
+                       const Table& b) {
+  const TokenStore* store = catalog.store(&b);
+  for (const CnfClause* clause : filterable) {
+    for (const auto& pred : clause->predicates) {
+      IndexNeed need = ClassifyPredicate(pred, fs);
+      if (need.kind != IndexKind::kToken) continue;
+      const Feature& f = fs.feature(pred.feature_id);
+      if (store == nullptr || store->view(f.col_b, need.tok) == nullptr) {
+        return Status::InvalidArgument(
+            "filterable predicate on " + f.name +
+            " has no B-side token store view (IndexBuilder::"
+            "EnsureTokenStores builds it)");
+      }
+    }
+  }
+  return Status::OK();
 }
 
 uint64_t PackPair(RowId a, RowId b) {
@@ -380,30 +395,6 @@ Result<ApplyResult> RunKeyedByA(
       result.index_profile.skew >= 2.0) {
     jopts.num_splits = static_cast<size_t>(4 * cluster->total_map_slots());
   }
-  // Cost-weighted shuffle (ClusterConfig::skew_cost_weights): tag each
-  // candidate with its estimated reduce cost — 1 + the intersection work of
-  // the sequence's set-based features, sum of min(|a tokens|, |b tokens|) —
-  // so the skew planner budgets shards by work, not raw pair count. Only the
-  // features with token-store views on both sides contribute (the others
-  // cost roughly the same for every pair anyway).
-  struct CostView {
-    const TokenSetView* va;
-    const TokenSetView* vb;
-  };
-  std::vector<CostView> cost_views;
-  if (cluster->config().skew_cost_weights) {
-    const TokenStore* store_a = catalog.store(&a);
-    const TokenStore* store_b = catalog.store(&b);
-    if (store_a != nullptr && store_b != nullptr) {
-      for (int id : applier.feature_ids()) {
-        const Feature& f = fs.feature(id);
-        if (!IsSetBased(f.fn)) continue;
-        const TokenSetView* va = store_a->view(f.col_a, f.tok);
-        const TokenSetView* vb = store_b->view(f.col_b, f.tok);
-        if (va != nullptr && vb != nullptr) cost_views.push_back({va, vb});
-      }
-    }
-  }
   // Reduce partitions run concurrently; the examined-pairs tally is atomic.
   std::atomic<size_t> candidates_examined{0};
   auto input = InterleavedInput(a.num_rows(), b.num_rows());
@@ -415,23 +406,11 @@ Result<ApplyResult> RunKeyedByA(
           return;
         }
         CandidateSet cand = probe_fn(prober, b, rec.row);
-        auto emit_candidate = [&](RowId ar) {
-          ShuffleVal v{static_cast<int32_t>(rec.row), 0, b_bytes};
-          if (!cost_views.empty()) {
-            size_t c = 1;
-            for (const CostView& cv : cost_views) {
-              c += std::min(cv.va->row(ar).size(),
-                            cv.vb->row(rec.row).size());
-            }
-            v.cost = static_cast<uint32_t>(std::min<size_t>(
-                c, std::numeric_limits<uint32_t>::max()));
-          }
-          em->Emit(ar, v);
-        };
+        const ShuffleVal v{static_cast<int32_t>(rec.row), 0, b_bytes};
         if (cand.all) {
-          for (RowId ar = 0; ar < a.num_rows(); ++ar) emit_candidate(ar);
+          for (RowId ar = 0; ar < a.num_rows(); ++ar) em->Emit(ar, v);
         } else {
-          for (RowId ar : cand.rows) emit_candidate(ar);
+          for (RowId ar : cand.rows) em->Emit(ar, v);
         }
       },
       [&](const RowId& a_row, const ValueList<ShuffleVal>& vals,
@@ -712,6 +691,9 @@ Result<ApplyResult> ApplyBlockingRules(const Table& a, const Table& b,
   std::vector<const CnfClause*> filterable;
   for (const auto& clause : q.clauses) {
     if (ClauseFilterable(clause, fs, catalog)) filterable.push_back(&clause);
+  }
+  if (method != ApplyMethod::kMapSide && method != ApplyMethod::kReduceSplit) {
+    FALCON_RETURN_NOT_OK(CheckProbeViews(filterable, fs, catalog, b));
   }
 
   switch (method) {

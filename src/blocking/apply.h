@@ -93,9 +93,6 @@ class RuleApplier {
   /// True if the sequence does NOT drop (a_row, b_row).
   bool Keep(RowId a_row, RowId b_row) const;
 
-  /// Features referenced by the sequence (unique global ids).
-  const std::vector<int>& feature_ids() const { return feature_ids_; }
-
  private:
   struct BoundPredicate {
     int slot;  ///< index into the memoized value array
@@ -115,7 +112,6 @@ class RuleApplier {
     const TokenSetView* view_b = nullptr;
   };
   std::vector<std::vector<BoundPredicate>> rules_;
-  std::vector<int> feature_ids_;
   const FeatureSet* fs_;
   const Table* a_;
   const Table* b_;

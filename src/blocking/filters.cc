@@ -7,7 +7,6 @@
 #include <limits>
 
 #include "text/intersect.h"
-#include "text/tokenize.h"
 
 namespace falcon {
 namespace {
@@ -16,9 +15,9 @@ constexpr double kEps = 1e-9;
 
 /// Per-thread working state for one ClauseProber. Keeping it in TLS (instead
 /// of mutable members) makes concurrent probing race-free with zero locking:
-/// each thread owns private rank and stamp/count scratch. There is no token
-/// cache anymore — the token store already holds each B-row's interned set,
-/// so a probe only rank-sorts a handful of ids into `ranked`.
+/// each thread owns private rank and stamp/count scratch. The token store
+/// already holds each B-row's interned set, so a probe only rank-sorts a
+/// handful of ids into `ranked`.
 struct ProberScratch {
   uint64_t owner = 0;  ///< scratch_id_ of the prober this state belongs to
   std::vector<std::pair<uint32_t, TokenId>> ranked;  ///< (rank, id) per probe
@@ -310,32 +309,18 @@ ClauseProber::ProbeShape ClauseProber::RankedIdsFor(
   const TokenStore* store = catalog_->store(&b_table);
   const TokenSetView* view =
       store == nullptr ? nullptr : store->view(col_b, tok);
-  if (view != nullptr) {
-    auto ids = view->row(b);
-    shape.y = ids.size();
-    for (TokenId id : ids) {
-      uint32_t r;
-      if (ord.RankId(id, &r)) {
-        s.ranked.emplace_back(r, id);
-      } else {
-        ++shape.num_unknown;
-      }
-    }
-  } else {
-    // Fallback for catalogs without a store view (e.g. hand-built in tests):
-    // tokenize and translate through the dictionary. Tokens absent from the
-    // dictionary or unranked both count as unknown — neither has postings.
-    auto tokens = ToTokenSet(Tokenize(b_table.Get(b, col_b), tok));
-    shape.y = tokens.size();
-    const TokenDictionary* dict = catalog_->dict();
-    for (const auto& token : tokens) {
-      TokenId id;
-      uint32_t r;
-      if (dict != nullptr && dict->Find(token, &id) && ord.RankId(id, &r)) {
-        s.ranked.emplace_back(r, id);
-      } else {
-        ++shape.num_unknown;
-      }
+  // ApplyBlockingRules refuses to probe without the B-side view; a direct
+  // caller that skipped it gets an empty shape, i.e. an unfiltered probe.
+  assert(view != nullptr && "token probe without a B-side store view");
+  if (view == nullptr) return shape;
+  auto ids = view->row(b);
+  shape.y = ids.size();
+  for (TokenId id : ids) {
+    uint32_t r;
+    if (ord.RankId(id, &r)) {
+      s.ranked.emplace_back(r, id);
+    } else {
+      ++shape.num_unknown;
     }
   }
   std::sort(s.ranked.begin(), s.ranked.end());
@@ -405,7 +390,7 @@ CandidateSet ClauseProber::ProbePredicate(const Predicate& pred,
                                    fn == SimFunction::kCosine;
 
       // Stamp-based dedup across probe tokens. Unknown tokens occupy probe
-      // positions 0..num_unknown-1 (the string path put them first too) and
+      // positions 0..num_unknown-1 (they sort first, as the rarest) and
       // have no postings, so probing starts at position num_unknown.
       ProberScratch& s = ScratchFor(scratch_id_);
       if (s.stamps.size() < num_a_rows_) s.stamps.resize(num_a_rows_, 0);

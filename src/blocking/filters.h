@@ -147,9 +147,8 @@ struct CandidateSet {
 ///
 /// A ClauseProber is bound to one (catalog, feature set, |A|) and reused
 /// across B-rows. Token predicates read the B-row's interned id set straight
-/// out of the catalog's token store (falling back to tokenize+dictionary
-/// lookup when no store view was built), so the per-thread token cache the
-/// string path needed is gone.
+/// out of the catalog's B-side token store, which must hold a view for every
+/// token predicate probed (IndexBuilder::EnsureTokenStores builds them).
 ///
 /// Thread safety: probing is safe from multiple threads concurrently (map
 /// tasks share one prober). The catalog — dictionary, stores, bundles — is
@@ -187,7 +186,7 @@ class ClauseProber {
   /// Shape of the current B-row's token set for probing: the ranked ids live
   /// in this thread's scratch, sorted ascending by rank (= the global token
   /// order); unranked tokens yield no postings and occupy the first
-  /// `num_unknown` positions, exactly as the string path ordered them.
+  /// `num_unknown` positions (TokenOrdering sorts them before every rank).
   struct ProbeShape {
     size_t y = 0;            ///< total distinct tokens (unranked included)
     size_t num_unknown = 0;  ///< tokens without a rank in the ordering
@@ -200,7 +199,7 @@ class ClauseProber {
   size_t num_a_rows_;
   /// Process-unique id keying this prober's thread-local scratch. An id (not
   /// `this`) is used because stack addresses are recycled: a fresh prober at
-  /// the same address must not inherit the previous prober's token cache.
+  /// the same address must not inherit the previous prober's scratch.
   uint64_t scratch_id_;
 };
 

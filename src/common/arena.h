@@ -11,7 +11,7 @@
 //                     retains pages, so a warm arena serves an entire task
 //                     without touching the heap.
 //   ArenaAllocator  — std-allocator adapter: arena-backed when given an
-//                     Arena, counted heap otherwise (the legacy A/B path).
+//                     Arena, plain heap when default-constructed.
 //   FixedBlockPool  — single-size block recycler (intrusive freelist).
 //   ArenaPool       — mutex-guarded pool of reusable task arenas; arenas are
 //                     reset (not freed) on release, per-task reset discipline.
@@ -19,12 +19,11 @@
 //                     ad-hoc `thread_local std::vector` scratch that retains
 //                     peak capacity forever.
 //
-// Allocation accounting: Arena exposes monotonic page-acquisition counters
-// and ArenaAllocator counts heap fallbacks into an AllocStats, so the
-// MapReduce engine can report real heap traffic per task ("alloc/count",
-// "alloc/bytes") through the normal counter plumbing. These counters measure
-// the machine, not the computation: a warm arena reports zero where the heap
-// path reports thousands, which is exactly the win being measured.
+// Allocation accounting: Arena exposes monotonic page-acquisition counters,
+// so the MapReduce engine can report real heap traffic per task
+// ("alloc/count", "alloc/bytes") through the normal counter plumbing. These
+// counters measure the machine, not the computation: a warm arena reports
+// zero page acquisitions for a whole task.
 #ifndef FALCON_COMMON_ARENA_H_
 #define FALCON_COMMON_ARENA_H_
 
@@ -141,20 +140,13 @@ class Arena {
   uint64_t total_page_bytes_ = 0;
 };
 
-// --- allocation accounting ---------------------------------------------------
-
-/// Heap-allocation tally for one task's buffers (ArenaAllocator heap mode).
-struct AllocStats {
-  uint64_t count = 0;
-  uint64_t bytes = 0;
-};
+// --- std allocator adapter ---------------------------------------------------
 
 /// std-allocator adapter with two modes:
 ///   arena mode (arena != nullptr) — storage comes from the arena; the
 ///     container's deallocate is a no-op (the arena reclaims on Reset).
-///   heap mode (arena == nullptr)  — operator new/delete, with each
-///     allocation counted into `stats` when provided. This is the legacy
-///     path kept for A/B measurement (ClusterConfig::task_arenas = false).
+///   heap mode (default-constructed) — plain operator new/delete, for
+///     containers built outside the MapReduce engine (tests, direct use).
 template <typename T>
 class ArenaAllocator {
  public:
@@ -165,20 +157,15 @@ class ArenaAllocator {
   using is_always_equal = std::false_type;
 
   ArenaAllocator() noexcept = default;
-  explicit ArenaAllocator(Arena* arena, AllocStats* stats = nullptr) noexcept
-      : arena_(arena), stats_(stats) {}
+  explicit ArenaAllocator(Arena* arena) noexcept : arena_(arena) {}
   template <typename U>
   ArenaAllocator(const ArenaAllocator<U>& other) noexcept
-      : arena_(other.arena()), stats_(other.stats()) {}
+      : arena_(other.arena()) {}
 
   T* allocate(size_t n) {
     const size_t bytes = n * sizeof(T);
     if (arena_ != nullptr) {
       return static_cast<T*>(arena_->Allocate(bytes, alignof(T)));
-    }
-    if (stats_ != nullptr) {
-      ++stats_->count;
-      stats_->bytes += bytes;
     }
     return static_cast<T*>(::operator new(bytes));
   }
@@ -187,7 +174,6 @@ class ArenaAllocator {
   }
 
   Arena* arena() const { return arena_; }
-  AllocStats* stats() const { return stats_; }
 
   template <typename U>
   bool operator==(const ArenaAllocator<U>& other) const {
@@ -200,11 +186,10 @@ class ArenaAllocator {
 
  private:
   Arena* arena_ = nullptr;
-  AllocStats* stats_ = nullptr;
 };
 
-/// Vector whose buffer lives in an arena (or counted heap; see
-/// ArenaAllocator). Default-constructed instances are plain heap vectors.
+/// Vector whose buffer lives in an arena (see ArenaAllocator).
+/// Default-constructed instances are plain heap vectors.
 template <typename T>
 using ArenaVector = std::vector<T, ArenaAllocator<T>>;
 

@@ -4,24 +4,6 @@
 
 namespace falcon {
 
-ApplyMatcherResult ApplyMatcher(const RandomForest& matcher,
-                                const std::vector<FeatureVec>& fvs,
-                                Cluster* cluster) {
-  ApplyMatcherResult result;
-  result.predictions.resize(fvs.size(), 0);
-  // Input items are indices; each map task writes only its own disjoint
-  // prediction slots, so splits may run on any thread.
-  std::vector<size_t> idx(fvs.size());
-  for (size_t i = 0; i < idx.size(); ++i) idx[i] = i;
-  auto job = RunMapOnly<size_t, int>(
-      cluster, idx, {.name = "apply_matcher"},
-      [&](const size_t& i, TaskVector<int>*) {
-        result.predictions[i] = matcher.Predict(fvs[i]) ? 1 : 0;
-      });
-  result.time = job.stats.Total();
-  return result;
-}
-
 namespace {
 
 // Counter keys interned once: the fused map function runs per pair, and a

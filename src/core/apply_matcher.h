@@ -1,16 +1,10 @@
 // Operator apply_matcher (Section 9): applies a trained matcher to every
-// candidate pair with a map-only job.
-//
-// Two execution strategies:
-//   ApplyMatcher       — eager: predicts over pre-materialized feature
-//                        vectors (gen_fvs output). Used where the vectors
-//                        exist anyway (al_matcher's training/entropy path).
-//   ApplyMatcherFused  — fused: one map task per pair evaluates features
-//                        lazily (LazyPairFeatures) against a compiled
-//                        FlatForest with short-circuit voting, so features
-//                        no traversed tree tests are never computed and no
-//                        feature-vector array is materialized. Predictions
-//                        are byte-identical to the eager path.
+// candidate pair with a map-only job, fused with feature generation. Each
+// map task evaluates features lazily (LazyPairFeatures) against a compiled
+// FlatForest with short-circuit voting, so features no traversed tree tests
+// are never computed and no feature-vector array is materialized.
+// Predictions are byte-identical to RandomForest::Predict over the full
+// ComputeVector of each pair.
 #ifndef FALCON_CORE_APPLY_MATCHER_H_
 #define FALCON_CORE_APPLY_MATCHER_H_
 
@@ -24,16 +18,6 @@
 #include "rules/feature.h"
 
 namespace falcon {
-
-struct ApplyMatcherResult {
-  /// Parallel to the input vectors; 1 = predicted match.
-  std::vector<char> predictions;
-  VDuration time;
-};
-
-ApplyMatcherResult ApplyMatcher(const RandomForest& matcher,
-                                const std::vector<FeatureVec>& fvs,
-                                Cluster* cluster);
 
 /// Work actually performed by a fused apply_matcher job, aggregated from
 /// the job's per-split counters. The per-pair averages feed Table-4-style

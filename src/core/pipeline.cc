@@ -29,9 +29,8 @@ void RecordMatcherWork(const FusedMatcherWork& work, RunMetrics* m) {
   m->alloc_bytes += work.alloc_bytes;
 }
 
-/// Folds a job's engine-charged allocation counters into the run metrics.
-/// Under task arenas these are page acquisitions; with arenas disabled they
-/// are individual container allocations — either way, real heap traffic.
+/// Folds a job's engine-charged allocation counters (task-arena page
+/// acquisitions, i.e. real heap traffic) into the run metrics.
 void RecordJobAllocs(const JobStats& stats, RunMetrics* m) {
   if (auto it = stats.counters.find("alloc/count");
       it != stats.counters.end()) {
@@ -172,12 +171,10 @@ FalconPipeline::FalconPipeline(const Table* a, const Table* b,
       config_(std::move(config)), builder_(a, cluster) {
   features_ = FeatureSet::Generate(*a_, *b_);
   features_ready_ = true;
-}
-
-FalconPipeline::~FalconPipeline() {
-  // The feature set may be bound to catalog_'s token stores (O1); clear the
-  // binding so no dangling pointers survive member destruction.
-  features_.BindTokenStores(nullptr, nullptr);
+  // Bound once, for the pipeline's lifetime: the stores start empty and each
+  // view becomes visible to feature computation as soon as it is built.
+  features_.BindTokenStores(catalog_.mutable_store(a_),
+                            catalog_.mutable_store(b_));
 }
 
 bool FalconPipeline::NeedsBlocking() const {
@@ -263,30 +260,6 @@ VDuration FalconPipeline::MaskRun(VDuration d) {
 void FalconPipeline::RefreshTotalTime() {
   RunMetrics& m = state_.out.metrics;
   m.total_time = m.crowd_time + m.machine_unmasked;
-  // Per-task load rollup over the cluster's job ledger (recomputed from
-  // scratch each step, so stage retries or reuse paths never double-count).
-  m.mr_tasks = 0;
-  double vmax = 0.0;
-  double vsum = 0.0;
-  double p99 = 0.0;
-  double straggler = 1.0;
-  // Snapshot under the cluster mutex: sibling sessions sharing this cluster
-  // may be appending to the ledger concurrently.
-  for (const JobStats& job : cluster_->JobHistorySnapshot()) {
-    for (const TaskLoadStats* load : {&job.map_load, &job.reduce_load}) {
-      if (load->tasks == 0) continue;
-      m.mr_tasks += load->tasks;
-      vsum += load->mean_seconds * static_cast<double>(load->tasks);
-      vmax = std::max(vmax, load->max_seconds);
-      p99 = std::max(p99, load->p99_seconds);
-      straggler = std::max(straggler, load->straggler_ratio);
-    }
-  }
-  m.task_vtime_max = vmax;
-  m.task_vtime_mean =
-      m.mr_tasks == 0 ? 0.0 : vsum / static_cast<double>(m.mr_tasks);
-  m.task_vtime_p99 = p99;
-  m.straggler_ratio = straggler;
 }
 
 // --- (1) sample_pairs -------------------------------------------------------
@@ -350,7 +323,6 @@ Status FalconPipeline::StageBlockerAl() {
     dur += builder_.Ensure(IndexBuilder::GenericNeeds(features_), &catalog_);
     VDuration unmasked = MaskRun(dur);
     AddMachine("index_build(generic,masked)", dur, unmasked);
-    features_.BindTokenStores(catalog_.store(a_), catalog_.store(b_));
   }
   state_.next = PipelineStage::kGetRules;
   return Status::OK();
@@ -438,11 +410,12 @@ Status FalconPipeline::StageEvalRules() {
       RuleSequence single;
       single.rules.push_back(rule);
       single.selectivity = rule.selectivity;
-      // Indexes for this rule (already present if O1 ran; otherwise their
-      // build is part of the speculative work).
-      VDuration idx_dur =
-          builder_.Ensure(IndexBuilder::NeedsOfRule(rule, features_),
-                          &catalog_);
+      // Token stores and indexes for this rule (already present if O1 ran;
+      // otherwise their build is part of the speculative work, the stores'
+      // on the first rule only).
+      VDuration idx_dur = builder_.EnsureTokenStores(*b_, features_, &catalog_);
+      idx_dur += builder_.Ensure(IndexBuilder::NeedsOfRule(rule, features_),
+                                 &catalog_);
       if (idx_dur.seconds > 0.0) {
         VDuration unmasked = MaskRun(idx_dur);
         AddMachine("index_build(spec)", idx_dur, unmasked);
@@ -499,7 +472,6 @@ Status FalconPipeline::StageApplyRules() {
     VDuration dur = builder_.EnsureTokenStores(*b_, features_, &catalog_);
     dur += builder_.Ensure(IndexBuilder::NeedsOfCnf(q, features_), &catalog_);
     if (dur.seconds > 0.0) AddMachine("index_build(unmasked)", dur, dur);
-    features_.BindTokenStores(catalog_.store(a_), catalog_.store(b_));
   }
   ApplyMethod preferred = SelectApplyMethod(*a_, *b_, sequence, features_,
                                             catalog_, *cluster_);
@@ -834,7 +806,6 @@ Status FalconPipeline::Rehydrate(VDuration* rebuild_time) {
         total += builder_.Ensure(IndexBuilder::NeedsOfCnf(q, features_),
                                  &catalog_);
       }
-      features_.BindTokenStores(catalog_.store(a_), catalog_.store(b_));
     }
   }
   if (rebuild_time != nullptr) *rebuild_time = total;

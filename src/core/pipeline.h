@@ -76,10 +76,9 @@ struct RunMetrics {
   size_t matcher_num_trees = 0;
 
   /// Real heap allocations the instrumented hot-path stages performed
-  /// (blocking apply, gen_fvs, fused matcher): arena page acquisitions under
-  /// task arenas, individual container allocations otherwise, plus the
-  /// per-pair vectors gen_fvs materializes. Diagnostics only — the split
-  /// of allocations across tasks depends on scheduling, so these are not
+  /// (blocking apply, gen_fvs, fused matcher): task-arena page acquisitions
+  /// plus the per-pair vectors gen_fvs materializes. Diagnostics only — the
+  /// split of allocations across tasks depends on scheduling, so these are not
   /// part of the determinism contract and are never serialized (snapshots
   /// rebuild them on rehydrate like any other machine-side metric).
   uint64_t alloc_count = 0;
@@ -98,18 +97,6 @@ struct RunMetrics {
   uint64_t intersect_simd = 0;
   uint64_t intersect_early_exit = 0;
   uint64_t intersect_contains = 0;
-
-  /// Per-task load rollup over every MapReduce job recorded on the cluster,
-  /// refreshed after each stage (resumed runs see only this process's jobs,
-  /// like the alloc counters). The straggler ratio is the worst single
-  /// phase's max/mean task vtime — the skew headline the skew-aware
-  /// partitioner exists to push toward 1.0. Diagnostics only, never
-  /// serialized.
-  size_t mr_tasks = 0;          ///< map + reduce tasks across all jobs
-  double task_vtime_max = 0.0;  ///< hottest single task, virtual seconds
-  double task_vtime_mean = 0.0;
-  double task_vtime_p99 = 0.0;  ///< worst per-phase p99 task vtime
-  double straggler_ratio = 1.0; ///< max over job phases of max/mean
 
   /// Crowd-estimated accuracy (filled when config.estimate_accuracy is on;
   /// in a real deployment there is no ground truth, so this estimate is
@@ -131,9 +118,8 @@ struct MatchResult {
   std::vector<CandidatePair> candidates;
   /// The executed blocking-rule sequence (empty for matcher-only).
   RuleSequence sequence;
-  /// The learned matcher forest (lets callers re-apply or A/B the matching
-  /// stage — e.g. the eager-vs-fused bench comparisons — without rerunning
-  /// active learning).
+  /// The learned matcher forest (lets callers re-apply the matching stage
+  /// without rerunning active learning).
   RandomForest matcher;
   RunMetrics metrics;
 };
@@ -221,7 +207,6 @@ class FalconPipeline {
   /// `a`, `b`, `crowd`, and `cluster` must outlive the pipeline.
   FalconPipeline(const Table* a, const Table* b, CrowdPlatform* crowd,
                  Cluster* cluster, FalconConfig config);
-  ~FalconPipeline();
 
   /// Generates and executes the plan.
   Result<MatchResult> Run();

@@ -5,24 +5,6 @@
 
 namespace falcon {
 
-TokenOrdering TokenOrdering::FromFrequencies(
-    const std::unordered_map<std::string, uint64_t>& freq) {
-  std::vector<std::pair<const std::string*, uint64_t>> items;
-  items.reserve(freq.size());
-  for (const auto& [token, count] : freq) items.emplace_back(&token, count);
-  std::sort(items.begin(), items.end(),
-            [](const auto& a, const auto& b) {
-              if (a.second != b.second) return a.second < b.second;
-              return *a.first < *b.first;
-            });
-  TokenOrdering out;
-  out.rank_.reserve(items.size());
-  for (uint32_t i = 0; i < items.size(); ++i) {
-    out.rank_.emplace(*items[i].first, i);
-  }
-  return out;
-}
-
 TokenOrdering TokenOrdering::FromIdFrequencies(
     const TokenDictionary* dict, const std::vector<uint64_t>& freq) {
   std::vector<TokenId> ids;
@@ -42,30 +24,6 @@ TokenOrdering TokenOrdering::FromIdFrequencies(
   return out;
 }
 
-bool TokenOrdering::Rank(const std::string& token, uint32_t* rank) const {
-  if (dict_ != nullptr) {
-    TokenId id;
-    return dict_->Find(token, &id) && RankId(id, rank);
-  }
-  auto it = rank_.find(token);
-  if (it == rank_.end()) return false;
-  *rank = it->second;
-  return true;
-}
-
-void TokenOrdering::Sort(std::vector<std::string>* tokens) const {
-  std::sort(tokens->begin(), tokens->end(),
-            [this](const std::string& a, const std::string& b) {
-              uint32_t ra;
-              uint32_t rb;
-              bool ka = Rank(a, &ra);
-              bool kb = Rank(b, &rb);
-              if (ka != kb) return !ka;  // unknown (rarest) first
-              if (!ka) return a < b;
-              return ra < rb;
-            });
-}
-
 void TokenOrdering::SortIds(std::vector<TokenId>* ids) const {
   assert(dict_ != nullptr && "SortIds requires an id-based ordering");
   std::sort(ids->begin(), ids->end(), [this](TokenId a, TokenId b) {
@@ -80,13 +38,7 @@ void TokenOrdering::SortIds(std::vector<TokenId>* ids) const {
 }
 
 size_t TokenOrdering::MemoryUsage() const {
-  if (dict_ != nullptr) return rank_by_id_.capacity() * sizeof(uint32_t);
-  size_t bytes = rank_.size() * (sizeof(std::string) + sizeof(uint32_t) +
-                                 sizeof(void*) * 2);
-  for (const auto& [token, r] : rank_) {
-    if (token.capacity() > sizeof(std::string)) bytes += token.capacity();
-  }
-  return bytes;
+  return rank_by_id_.capacity() * sizeof(uint32_t);
 }
 
 }  // namespace falcon

@@ -5,16 +5,13 @@
 // sorts tokens by increasing frequency). Rare-first ordering makes prefixes
 // maximally selective.
 //
-// Production orderings are dictionary-encoded: ranks live in a flat vector
-// indexed by TokenId (FromIdFrequencies), so rank lookup on the probe path
-// is one array read instead of a string hash. The legacy string-keyed form
-// (FromFrequencies) remains for callers without a dictionary.
+// Orderings are dictionary-encoded: ranks live in a flat vector indexed by
+// TokenId, so rank lookup on the probe path is one array read instead of a
+// string hash.
 #ifndef FALCON_INDEX_TOKEN_ORDERING_H_
 #define FALCON_INDEX_TOKEN_ORDERING_H_
 
 #include <cstdint>
-#include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "text/token_dictionary.h"
@@ -24,47 +21,28 @@ namespace falcon {
 /// Maps tokens to ranks; rank 0 is the rarest token.
 class TokenOrdering {
  public:
-  /// Builds from (token, frequency) counts: ascending frequency, ties broken
-  /// lexicographically for determinism. String-keyed legacy form.
-  static TokenOrdering FromFrequencies(
-      const std::unordered_map<std::string, uint64_t>& freq);
-
-  /// Dictionary-encoded build: ranks every id with freq[id] > 0 by ascending
-  /// frequency, ties broken by the token's dictionary text — the same total
-  /// order FromFrequencies produces. `dict` must outlive the ordering and
-  /// every copy of it (copies share the pointer).
+  /// Ranks every id with freq[id] > 0 by ascending frequency, ties broken
+  /// by the token's dictionary text for determinism. `dict` must outlive
+  /// the ordering and every copy of it (copies share the pointer).
   static TokenOrdering FromIdFrequencies(const TokenDictionary* dict,
                                          const std::vector<uint64_t>& freq);
 
-  /// True if this ordering was built over dictionary ids (RankId/SortIds
-  /// usable).
-  bool has_ids() const { return dict_ != nullptr; }
-
-  /// Rank of `token`; unseen tokens rank before everything (treated as
-  /// rarest, rank -1 conceptually; returned as 0 with unseen flag folded in
-  /// by sorting unseen tokens lexicographically first).
-  /// Returns true and sets *rank if the token is known.
-  bool Rank(const std::string& token, uint32_t* rank) const;
-
   /// Rank of an interned token id. Returns true and sets *rank if ranked.
   bool RankId(TokenId id, uint32_t* rank) const {
-    if (dict_ == nullptr || id >= rank_by_id_.size()) return false;
+    if (id >= rank_by_id_.size()) return false;
     uint32_t r = rank_by_id_[id];
     if (r == kNoRank) return false;
     *rank = r;
     return true;
   }
 
-  size_t size() const { return dict_ != nullptr ? num_ranked_ : rank_.size(); }
-
-  /// Sorts `tokens` by this ordering. Unknown tokens (absent from the corpus
-  /// the ordering was built on) sort first — they are rarer than anything
-  /// seen — among themselves lexicographically.
-  void Sort(std::vector<std::string>* tokens) const;
+  /// Number of ranked ids.
+  size_t size() const { return num_ranked_; }
 
   /// Sorts `ids` by this ordering: ranked ids ascending by rank; unranked
-  /// ids first, among themselves by dictionary text (same order Sort gives
-  /// the equivalent strings). Requires has_ids().
+  /// ids (absent from the corpus the ordering was built on) first — they
+  /// are rarer than anything seen — among themselves by dictionary text.
+  /// Requires an ordering built by FromIdFrequencies.
   void SortIds(std::vector<TokenId>* ids) const;
 
   /// Approximate heap footprint in bytes. The shared dictionary is not
@@ -74,9 +52,6 @@ class TokenOrdering {
  private:
   static constexpr uint32_t kNoRank = UINT32_MAX;
 
-  /// Legacy string-keyed ranks (FromFrequencies only).
-  std::unordered_map<std::string, uint32_t> rank_;
-  /// Dictionary-encoded ranks (FromIdFrequencies only).
   const TokenDictionary* dict_ = nullptr;
   std::vector<uint32_t> rank_by_id_;  ///< kNoRank where unranked
   size_t num_ranked_ = 0;

@@ -1,8 +1,6 @@
 #include "mapreduce/cluster.h"
 
 #include <algorithm>
-#include <cstdio>
-#include <cstdlib>
 #include <queue>
 
 #include "common/thread_pool.h"
@@ -39,7 +37,6 @@ ThreadPool* Cluster::pool() {
 }
 
 ArenaPool* Cluster::arena_pool() {
-  if (!config_.task_arenas) return nullptr;
   std::lock_guard<std::mutex> lock(mu_);
   if (arena_pool_ == nullptr) arena_pool_ = std::make_unique<ArenaPool>();
   return arena_pool_.get();
@@ -99,14 +96,6 @@ TaskLoadStats Cluster::ComputeTaskLoad(
             config_.task_overhead.seconds;
   }
   std::sort(vt.begin(), vt.end());
-  // Diagnostic escape hatch: dump the full sorted per-task vtime
-  // distribution (not just the rollup) when chasing a load-imbalance
-  // report. One line per job phase.
-  if (std::getenv("FALCON_DUMP_TASK_LOAD") != nullptr) {
-    std::fprintf(stderr, "[task-load n=%zu]", vt.size());
-    for (double t : vt) std::fprintf(stderr, " %.4f", t);
-    std::fprintf(stderr, "\n");
-  }
   double sum = 0.0;
   for (double t : vt) sum += t;
   load.max_seconds = vt.back();
@@ -121,6 +110,25 @@ TaskLoadStats Cluster::ComputeTaskLoad(
           ? load.max_seconds / load.mean_seconds
           : 1.0;
   return load;
+}
+
+TaskLoadStats RollupTaskLoad(const std::vector<JobStats>& jobs) {
+  TaskLoadStats rollup;
+  double vsum = 0.0;
+  for (const JobStats& job : jobs) {
+    for (const TaskLoadStats* load : {&job.map_load, &job.reduce_load}) {
+      if (load->tasks == 0) continue;
+      rollup.tasks += load->tasks;
+      vsum += load->mean_seconds * static_cast<double>(load->tasks);
+      rollup.max_seconds = std::max(rollup.max_seconds, load->max_seconds);
+      rollup.p99_seconds = std::max(rollup.p99_seconds, load->p99_seconds);
+      rollup.straggler_ratio =
+          std::max(rollup.straggler_ratio, load->straggler_ratio);
+    }
+  }
+  rollup.mean_seconds =
+      rollup.tasks == 0 ? 0.0 : vsum / static_cast<double>(rollup.tasks);
+  return rollup;
 }
 
 VDuration Cluster::ShuffleTime(size_t bytes) const {

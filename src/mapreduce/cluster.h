@@ -76,22 +76,11 @@ struct ClusterConfig {
   /// measured with thread CPU time). 0 = hardware_concurrency, 1 = the exact
   /// legacy serial path (no thread pool is created).
   int local_threads = 0;
-  /// Back per-task buffers (emitter pairs, shuffle buckets, split outputs)
-  /// with pooled bump arenas that are reset — not freed — at task end.
-  /// false selects the legacy counted-heap path; outputs are byte-identical
-  /// either way (benches A/B the two via the alloc/* job counters).
-  bool task_arenas = true;
   /// Shuffle partitioning strategy; see ShufflePartitioner.
   ShufflePartitioner partitioner = ShufflePartitioner::kStableHash;
   /// Pair budget per reduce task for hot-block splitting under kSkewAware.
   /// 0 derives it from the stage's total weight (AutoPairBudget).
   size_t skew_pair_budget = 0;
-  /// Weigh skew-plan shards by estimated per-value reduce COST (each value's
-  /// SkewCost — e.g. the pair's intersection work, see apply.cc) instead of
-  /// raw value count. Splitting still cuts value ranges, so outputs are
-  /// byte-identical either way; only the shard boundaries and bin packing
-  /// move. Off by default (legacy pair-count budgets).
-  bool skew_cost_weights = false;
 };
 
 /// Per-task load distribution of one job phase, on the virtual clock
@@ -139,6 +128,12 @@ struct JobStats {
   /// reduce phase, 1 after it).
   double ReduceFractionAt(VDuration t) const;
 };
+
+/// Rolls the per-phase load distributions of a job ledger (e.g.
+/// Cluster::JobHistorySnapshot()) up into one: total tasks, the hottest
+/// single task, the task-weighted mean, and the worst phase's p99 and
+/// straggler ratio.
+TaskLoadStats RollupTaskLoad(const std::vector<JobStats>& jobs);
 
 /// A simulated cluster: configuration plus accumulated accounting.
 ///
@@ -198,8 +193,8 @@ class Cluster {
   /// when local_threads() == 1 (the legacy serial path runs inline).
   ThreadPool* pool();
 
-  /// Lazily created pool of reusable task arenas, or nullptr when
-  /// config().task_arenas is false (legacy counted-heap buffers).
+  /// Lazily created pool of reusable task arenas, shared by every job's
+  /// map, shuffle and reduce buffers.
   ArenaPool* arena_pool();
 
  private:

@@ -27,12 +27,11 @@
 // (pre-sized from the split-size hint), shuffle bucket vectors, split and
 // reduce outputs — and the arena is reset, not freed, at task end, so a warm
 // pool serves whole jobs without heap traffic. Per-task heap allocations
-// (arena page acquisitions, or every buffer allocation on the legacy
-// ClusterConfig::task_arenas=false path) are reported through the normal
-// counter plumbing as "alloc/count"/"alloc/bytes". These two counters
-// measure real memory-system behavior — pool warmth, thread scheduling — so
-// unlike user counters they are not required to be identical between serial
-// and parallel runs; job outputs still are. Worker-thread scratch
+// (arena page acquisitions) are reported through the normal counter
+// plumbing as "alloc/count"/"alloc/bytes". These two counters measure real
+// memory-system behavior — pool warmth, thread scheduling — so unlike user
+// counters they are not required to be identical between serial and
+// parallel runs; job outputs still are. Worker-thread scratch
 // (ThreadScratch) is likewise reset after every task.
 #ifndef FALCON_MAPREDUCE_JOB_H_
 #define FALCON_MAPREDUCE_JOB_H_
@@ -79,24 +78,11 @@ size_t EstimateBytes(const std::vector<T>& v) {
   return bytes;
 }
 
-// --- skew-plan cost estimation -----------------------------------------------
-
-/// Estimated reduce cost of one shuffle value for the cost-weighted skew
-/// planner (ClusterConfig::skew_cost_weights). Every value costs 1 by
-/// default — equivalent to the legacy pair-count budgets. Value types that
-/// know their reduce cost (e.g. apply.cc's ShuffleVal carrying the pair's
-/// intersection work) override this via ADL, like EstimateBytes above.
-template <typename V>
-inline size_t SkewCost(const V&) {
-  return 1;
-}
-
 // --- task-local containers ---------------------------------------------------
 
-/// Output buffer of one map/reduce task: arena-backed when the engine leases
-/// task arenas, counted heap otherwise. Map and reduce functions append to
-/// these; default-constructed instances (tests, direct use) are plain heap
-/// vectors.
+/// Output buffer of one map/reduce task, backed by the task's leased arena.
+/// Map and reduce functions append to these; default-constructed instances
+/// (tests, direct use) are plain heap vectors.
 template <typename T>
 using TaskVector = ArenaVector<T>;
 
@@ -260,39 +246,51 @@ inline void RunTasks(Cluster* cluster, bool serial, size_t n,
 }
 
 /// Per-task arena leases for one job phase. Acquires `n` arenas from the
-/// cluster's pool (all nullptr when task arenas are disabled) and returns
-/// them — reset, pages retained — on ReleaseAll/destruction. Leasing happens
-/// on the coordinating thread; each leased arena is then touched by exactly
-/// one task.
+/// cluster's pool and returns them — reset, pages retained — on
+/// ReleaseAll/destruction. Leasing happens on the coordinating thread; each
+/// leased arena is then touched by exactly one task.
 class ArenaLease {
  public:
-  ArenaLease(Cluster* cluster, size_t n)
-      : pool_(cluster->arena_pool()), arenas_(n, nullptr) {
-    if (pool_ != nullptr) {
-      for (auto& arena : arenas_) arena = pool_->Acquire();
+  ArenaLease(Cluster* cluster, size_t n) : pool_(cluster->arena_pool()) {
+    leases_.reserve(n);
+    for (size_t i = 0; i < n; ++i) {
+      Arena* arena = pool_->Acquire();
+      leases_.push_back({arena, arena->total_pages_acquired(),
+                         arena->total_page_bytes_acquired()});
     }
   }
   ~ArenaLease() { ReleaseAll(); }
   ArenaLease(const ArenaLease&) = delete;
   ArenaLease& operator=(const ArenaLease&) = delete;
 
-  Arena* operator[](size_t i) const { return arenas_[i]; }
-  bool enabled() const { return pool_ != nullptr; }
+  Arena* operator[](size_t i) const { return leases_[i].arena; }
+
+  /// Charges the heap allocations of task `i` — the pages its arena
+  /// acquired since the lease began — to `c` as "alloc/count"/"alloc/bytes".
+  void AddAllocCounters(size_t i, Counters* c) const {
+    const Lease& l = leases_[i];
+    (*c)["alloc/count"] +=
+        static_cast<int64_t>(l.arena->total_pages_acquired() - l.base_pages);
+    (*c)["alloc/bytes"] += static_cast<int64_t>(
+        l.arena->total_page_bytes_acquired() - l.base_bytes);
+  }
 
   /// Callers must destroy (or finish reading) everything allocated from the
   /// leased arenas before releasing them back to the pool.
   void ReleaseAll() {
-    if (pool_ != nullptr) {
-      for (auto& arena : arenas_) {
-        pool_->Release(arena);
-        arena = nullptr;
-      }
-    }
+    for (const Lease& l : leases_) pool_->Release(l.arena);
+    leases_.clear();
   }
 
  private:
+  struct Lease {
+    Arena* arena;
+    uint64_t base_pages;
+    uint64_t base_bytes;
+  };
+
   ArenaPool* pool_;
-  std::vector<Arena*> arenas_;
+  std::vector<Lease> leases_;
 };
 
 /// Folds the intersection-kernel activity since `base` into the job's
@@ -312,22 +310,6 @@ inline void AddIntersectDelta(const IntersectCounts& base, Counters* c) {
   if (d.contains > 0) {
     (*c)["intersect/contains"] += static_cast<int64_t>(d.contains);
   }
-}
-
-/// Heap allocations attributable to task `t`: page acquisitions of its
-/// leased arena, or the counted allocator calls on the legacy heap path.
-inline std::pair<int64_t, int64_t> TaskHeapAllocs(const ArenaLease& lease,
-                                                  size_t t,
-                                                  uint64_t base_pages,
-                                                  uint64_t base_bytes,
-                                                  const AllocStats& stats) {
-  if (lease.enabled()) {
-    return {static_cast<int64_t>(lease[t]->total_pages_acquired() -
-                                 base_pages),
-            static_cast<int64_t>(lease[t]->total_page_bytes_acquired() -
-                                 base_bytes)};
-  }
-  return {static_cast<int64_t>(stats.count), static_cast<int64_t>(stats.bytes)};
 }
 
 }  // namespace internal
@@ -371,24 +353,13 @@ JobOutput<OutT> RunMapReduce(
   // Each split writes only its own Emitter and seconds slot, so tasks can run
   // on any thread in any order; everything order-sensitive happens in the
   // split-index-order merge below. Each emitter's pair buffer draws from the
-  // split's leased arena (or counted heap) and is pre-sized to the split.
+  // split's leased arena and is pre-sized to the split.
   internal::ArenaLease map_arenas(cluster, splits.size());
-  std::vector<AllocStats> map_allocs(splits.size());
-  std::vector<uint64_t> base_pages(splits.size(), 0);
-  std::vector<uint64_t> base_page_bytes(splits.size(), 0);
   std::vector<Emitter<K, V>> emitters;
   emitters.reserve(splits.size());
   for (size_t t = 0; t < splits.size(); ++t) {
-    Arena* arena = map_arenas[t];
-    if (arena != nullptr) {
-      base_pages[t] = arena->total_pages_acquired();
-      base_page_bytes[t] = arena->total_page_bytes_acquired();
-    }
-    emitters.emplace_back(
-        ArenaAllocator<std::pair<K, V>>(arena,
-                                        arena == nullptr ? &map_allocs[t]
-                                                         : nullptr),
-        splits[t].second - splits[t].first);
+    emitters.emplace_back(ArenaAllocator<std::pair<K, V>>(map_arenas[t]),
+                          splits[t].second - splits[t].first);
   }
   std::vector<double> map_task_seconds(splits.size());
   internal::RunTasks(cluster, opts.serial, splits.size(), [&](size_t t) {
@@ -400,24 +371,14 @@ JobOutput<OutT> RunMapReduce(
     map_task_seconds[t] += opts.map_setup_seconds;
   });
   for (size_t t = 0; t < splits.size(); ++t) {
-    const auto [n, b] = internal::TaskHeapAllocs(
-        map_arenas, t, base_pages[t], base_page_bytes[t], map_allocs[t]);
-    emitters[t].Increment("alloc/count", n);
-    emitters[t].Increment("alloc/bytes", b);
+    map_arenas.AddAllocCounters(t, &emitters[t].counters());
   }
 
   // Merge in split-index order: counters, byte counts, and the shuffle all
   // see the same sequence a serial run produces. Bucket vectors live in a
   // per-job shuffle arena that outlives the reduce phase.
-  ArenaPool* arena_pool = cluster->arena_pool();
-  Arena* shuffle_arena = arena_pool != nullptr ? arena_pool->Acquire() : nullptr;
-  AllocStats shuffle_allocs;
-  const uint64_t shuffle_base_pages =
-      shuffle_arena != nullptr ? shuffle_arena->total_pages_acquired() : 0;
-  const uint64_t shuffle_base_bytes =
-      shuffle_arena != nullptr ? shuffle_arena->total_page_bytes_acquired() : 0;
-  const ArenaAllocator<V> bucket_alloc(
-      shuffle_arena, shuffle_arena == nullptr ? &shuffle_allocs : nullptr);
+  internal::ArenaLease shuffle_arena(cluster, 1);
+  const ArenaAllocator<V> bucket_alloc(shuffle_arena[0]);
   std::vector<std::unordered_map<K, ValueList<V>>> partitions(num_reducers);
   size_t intermediate_records = 0;
   size_t intermediate_bytes = 0;
@@ -433,15 +394,7 @@ JobOutput<OutT> RunMapReduce(
       it->second.push_back(std::move(v));
     }
   }
-  if (shuffle_arena != nullptr) {
-    stats.counters["alloc/count"] += static_cast<int64_t>(
-        shuffle_arena->total_pages_acquired() - shuffle_base_pages);
-    stats.counters["alloc/bytes"] += static_cast<int64_t>(
-        shuffle_arena->total_page_bytes_acquired() - shuffle_base_bytes);
-  } else {
-    stats.counters["alloc/count"] += static_cast<int64_t>(shuffle_allocs.count);
-    stats.counters["alloc/bytes"] += static_cast<int64_t>(shuffle_allocs.bytes);
-  }
+  shuffle_arena.AddAllocCounters(0, &stats.counters);
   // Map buffers are fully consumed; destroy them before their arenas return
   // to the pool (use-after-reset discipline).
   emitters.clear();
@@ -470,19 +423,10 @@ JobOutput<OutT> RunMapReduce(
       if (!partitions[p].empty()) active.push_back(p);
     }
     internal::ArenaLease reduce_arenas(cluster, active.size());
-    std::vector<AllocStats> reduce_allocs(active.size());
     std::vector<TaskVector<OutT>> reduce_outputs;
     reduce_outputs.reserve(active.size());
-    std::vector<uint64_t> rbase_pages(active.size(), 0);
-    std::vector<uint64_t> rbase_page_bytes(active.size(), 0);
     for (size_t t = 0; t < active.size(); ++t) {
-      Arena* arena = reduce_arenas[t];
-      if (arena != nullptr) {
-        rbase_pages[t] = arena->total_pages_acquired();
-        rbase_page_bytes[t] = arena->total_page_bytes_acquired();
-      }
-      reduce_outputs.emplace_back(ArenaAllocator<OutT>(
-          arena, arena == nullptr ? &reduce_allocs[t] : nullptr));
+      reduce_outputs.emplace_back(ArenaAllocator<OutT>(reduce_arenas[t]));
     }
     reduce_task_seconds.assign(active.size(), 0.0);
     internal::RunTasks(cluster, opts.serial, active.size(), [&](size_t t) {
@@ -493,11 +437,7 @@ JobOutput<OutT> RunMapReduce(
       });
     });
     for (size_t t = 0; t < active.size(); ++t) {
-      const auto [n, b] = internal::TaskHeapAllocs(
-          reduce_arenas, t, rbase_pages[t], rbase_page_bytes[t],
-          reduce_allocs[t]);
-      stats.counters["alloc/count"] += n;
-      stats.counters["alloc/bytes"] += b;
+      reduce_arenas.AddAllocCounters(t, &stats.counters);
     }
     for (auto& out : reduce_outputs) {
       result.output.insert(result.output.end(),
@@ -523,21 +463,14 @@ JobOutput<OutT> RunMapReduce(
     };
     std::vector<BlockRef> blocks;
     std::vector<size_t> weights;
-    std::vector<size_t> costs;
-    const bool cost_weighted = cluster->config().skew_cost_weights;
     for (auto& groups : partitions) {
       for (auto& [key, values] : groups) {
         blocks.push_back(BlockRef{&key, &values});
         weights.push_back(values.size());
-        if (cost_weighted) {
-          size_t c = 0;
-          for (const V& v : values) c += SkewCost(v);
-          costs.push_back(c);
-        }
       }
     }
     const ShardPlan plan =
-        PlanReduceShards(weights, costs, num_reducers,
+        PlanReduceShards(weights, num_reducers,
                          cluster->config().skew_pair_budget,
                          opts.splittable_reduce);
     size_t split_blocks = 0;
@@ -565,25 +498,13 @@ JobOutput<OutT> RunMapReduce(
       }
     }
     internal::ArenaLease reduce_arenas(cluster, active.size());
-    std::vector<AllocStats> reduce_allocs(active.size());
-    std::vector<uint64_t> rbase_pages(active.size(), 0);
-    std::vector<uint64_t> rbase_page_bytes(active.size(), 0);
-    for (size_t t = 0; t < active.size(); ++t) {
-      Arena* arena = reduce_arenas[t];
-      if (arena != nullptr) {
-        rbase_pages[t] = arena->total_pages_acquired();
-        rbase_page_bytes[t] = arena->total_page_bytes_acquired();
-      }
-    }
     // One output fragment per shard, drawing from the owning task's arena;
     // fragments are only ever touched by that one task.
     std::vector<TaskVector<OutT>> fragments;
     fragments.reserve(plan.shards.size());
     for (size_t s = 0; s < plan.shards.size(); ++s) {
-      const size_t t = task_of_bin[plan.bin_of[s]];
-      Arena* arena = reduce_arenas[t];
-      fragments.emplace_back(ArenaAllocator<OutT>(
-          arena, arena == nullptr ? &reduce_allocs[t] : nullptr));
+      fragments.emplace_back(
+          ArenaAllocator<OutT>(reduce_arenas[task_of_bin[plan.bin_of[s]]]));
     }
     reduce_task_seconds.assign(active.size(), 0.0);
     internal::RunTasks(cluster, opts.serial, active.size(), [&](size_t t) {
@@ -600,8 +521,7 @@ JobOutput<OutT> RunMapReduce(
             // this task's arena. The copy is charged to the task — it models
             // the extra shuffle traffic a real engine pays to fan a hot
             // block out across reducers.
-            ValueList<V> slice(ArenaAllocator<V>(
-                arena, arena == nullptr ? &reduce_allocs[t] : nullptr));
+            ValueList<V> slice{ArenaAllocator<V>(arena)};
             slice.reserve(shard.end - shard.begin);
             for (size_t i = shard.begin; i < shard.end; ++i) {
               slice.push_back((*block.values)[i]);
@@ -612,11 +532,7 @@ JobOutput<OutT> RunMapReduce(
       });
     });
     for (size_t t = 0; t < active.size(); ++t) {
-      const auto [n, b] = internal::TaskHeapAllocs(
-          reduce_arenas, t, rbase_pages[t], rbase_page_bytes[t],
-          reduce_allocs[t]);
-      stats.counters["alloc/count"] += n;
-      stats.counters["alloc/bytes"] += b;
+      reduce_arenas.AddAllocCounters(t, &stats.counters);
     }
     // Canonical shard order == the hash path's (block, pair-range) order.
     for (auto& frag : fragments) {
@@ -634,7 +550,7 @@ JobOutput<OutT> RunMapReduce(
   stats.reduce_load = cluster->ComputeTaskLoad(reduce_task_seconds);
   stats.output_records = result.output.size();
   partitions.clear();
-  if (shuffle_arena != nullptr) arena_pool->Release(shuffle_arena);
+  shuffle_arena.ReleaseAll();
 
   internal::AddIntersectDelta(isect_base, &stats.counters);
   cluster->RecordJob(stats);
@@ -666,19 +582,10 @@ JobOutput<OutT> RunMapOnly(
   stats.num_map_tasks = splits.size();
 
   internal::ArenaLease arenas(cluster, splits.size());
-  std::vector<AllocStats> split_allocs(splits.size());
-  std::vector<uint64_t> base_pages(splits.size(), 0);
-  std::vector<uint64_t> base_page_bytes(splits.size(), 0);
   std::vector<TaskVector<OutT>> split_outputs;
   split_outputs.reserve(splits.size());
   for (size_t t = 0; t < splits.size(); ++t) {
-    Arena* arena = arenas[t];
-    if (arena != nullptr) {
-      base_pages[t] = arena->total_pages_acquired();
-      base_page_bytes[t] = arena->total_page_bytes_acquired();
-    }
-    split_outputs.emplace_back(ArenaAllocator<OutT>(
-        arena, arena == nullptr ? &split_allocs[t] : nullptr));
+    split_outputs.emplace_back(ArenaAllocator<OutT>(arenas[t]));
     split_outputs.back().reserve(splits[t].second - splits[t].first);
   }
   std::vector<Counters> split_counters(splits.size());
@@ -693,10 +600,7 @@ JobOutput<OutT> RunMapOnly(
     task_seconds[t] += opts.map_setup_seconds;
   });
   for (size_t t = 0; t < splits.size(); ++t) {
-    const auto [n, b] = internal::TaskHeapAllocs(
-        arenas, t, base_pages[t], base_page_bytes[t], split_allocs[t]);
-    split_counters[t]["alloc/count"] += n;
-    split_counters[t]["alloc/bytes"] += b;
+    arenas.AddAllocCounters(t, &split_counters[t]);
   }
   for (auto& out : split_outputs) {
     result.output.insert(result.output.end(),

@@ -38,46 +38,19 @@ size_t AutoPairBudget(size_t total_weight, size_t bins,
 
 ShardPlan PlanReduceShards(const std::vector<size_t>& weights, size_t bins,
                            size_t budget, bool splittable) {
-  return PlanReduceShards(weights, {}, bins, budget, splittable);
-}
-
-ShardPlan PlanReduceShards(const std::vector<size_t>& weights,
-                           const std::vector<size_t>& costs, size_t bins,
-                           size_t budget, bool splittable) {
-  // With no (or mismatched) cost vector, every value costs 1 and this is the
-  // legacy pair-count plan: load == weights makes the piece counts, range
-  // cuts, shard loads, and packing below reproduce it exactly.
-  const std::vector<size_t>& load =
-      costs.size() == weights.size() ? costs : weights;
   ShardPlan plan;
   bins = std::max<size_t>(bins, 1);
-  const size_t total = std::accumulate(load.begin(), load.end(), size_t{0});
+  const size_t total =
+      std::accumulate(weights.begin(), weights.end(), size_t{0});
   if (budget == 0) budget = AutoPairBudget(total, bins, /*oversubscribe=*/4);
   plan.budget = budget;
 
-  // Canonical (block, range) order by construction. A block over cost
-  // budget splits into even VALUE ranges — never finer than one value each —
-  // whose costs are spread as evenly as the integer split allows (per-value
-  // costs inside a block are not tracked; uniformity is the estimate).
-  std::vector<size_t> shard_loads;
+  // Canonical (block, range) order by construction; only splittable jobs
+  // cut blocks heavier than the budget.
   for (size_t b = 0; b < weights.size(); ++b) {
-    const size_t w = weights[b];
-    const size_t c = load[b];
-    if (w == 0) continue;
-    size_t pieces = 1;
-    if (splittable && c > budget) {
-      pieces = std::min((c + budget - 1) / budget, w);
-    }
-    const size_t base = w / pieces;
-    const size_t rem = w % pieces;
-    const size_t cbase = c / pieces;
-    const size_t crem = c % pieces;
-    size_t begin = 0;
-    for (size_t i = 0; i < pieces; ++i) {
-      const size_t len = base + (i < rem ? 1 : 0);
-      plan.shards.push_back(ReduceShard{b, begin, begin + len});
-      shard_loads.push_back(cbase + (i < crem ? 1 : 0));
-      begin += len;
+    for (const ReduceShard& shard :
+         SplitBlock(b, weights[b], splittable ? budget : 0)) {
+      plan.shards.push_back(shard);
     }
   }
   plan.bin_of.assign(plan.shards.size(), 0);
@@ -89,7 +62,7 @@ ShardPlan PlanReduceShards(const std::vector<size_t>& weights,
   std::vector<size_t> order(plan.shards.size());
   std::iota(order.begin(), order.end(), size_t{0});
   std::stable_sort(order.begin(), order.end(), [&](size_t a, size_t b) {
-    return shard_loads[a] > shard_loads[b];
+    return plan.shards[a].weight() > plan.shards[b].weight();
   });
   using Bin = std::pair<size_t, size_t>;  // (load, bin index)
   std::priority_queue<Bin, std::vector<Bin>, std::greater<Bin>> heap;
@@ -99,7 +72,7 @@ ShardPlan PlanReduceShards(const std::vector<size_t>& weights,
     auto [bin_load, bin] = heap.top();
     heap.pop();
     plan.bin_of[s] = bin;
-    loads[bin] = bin_load + shard_loads[s];
+    loads[bin] = bin_load + plan.shards[s].weight();
     heap.push({loads[bin], bin});
   }
   for (size_t bin_load : loads) {

@@ -86,18 +86,6 @@ size_t AutoPairBudget(size_t total_weight, size_t bins, size_t oversubscribe);
 ShardPlan PlanReduceShards(const std::vector<size_t>& weights, size_t bins,
                            size_t budget, bool splittable);
 
-/// Cost-weighted variant (ClusterConfig::skew_cost_weights): `weights` stays
-/// the per-block VALUE count — ranges are still cut over values — but the
-/// budget, split decision, and bin packing operate on `costs`, the per-block
-/// estimated reduce cost (sum of the block's per-value SkewCost). A block is
-/// split into ceil(cost / budget) even value ranges (capped at one value per
-/// range) whose costs are assumed uniform within the block. Empty `costs`
-/// degrades to exactly the unweighted overload above; the two produce
-/// identical plans whenever costs == weights.
-ShardPlan PlanReduceShards(const std::vector<size_t>& weights,
-                           const std::vector<size_t>& costs, size_t bins,
-                           size_t budget, bool splittable);
-
 /// max/mean load ratio of the plan's bins (1.0 when perfectly balanced or
 /// when the plan is empty). The straggler ratio the bench reports.
 double PlanStragglerRatio(const ShardPlan& plan,

@@ -165,6 +165,60 @@ bool ReadRulesAndCoverage(BinaryReader* r, std::vector<Rule>* rules,
   return rules->size() == coverage->size();
 }
 
+/// Rejects indices later stages dereference unchecked. Section CRCs only
+/// prove the bytes are the ones written, not that they index into these
+/// tables, this sample and this feature set.
+Status ValidateIndices(const PipelineState& s, const Table& a, const Table& b,
+                       const FeatureSet& fs) {
+  auto rows_in_tables = [&](const auto& pairs) {
+    for (const auto& [ra, rb] : pairs) {
+      if (ra >= a.num_rows() || rb >= b.num_rows()) return false;
+    }
+    return true;
+  };
+  if (!rows_in_tables(s.sample) || !rows_in_tables(s.out.candidates)) {
+    return Status::InvalidArgument(
+        "snapshot sample or candidates reference rows outside the tables");
+  }
+  if (s.blocker_labels.size() != s.blocker_labeled_indices.size()) {
+    return Status::InvalidArgument(
+        "snapshot blocker labels do not match its labeled indices");
+  }
+  for (uint32_t i : s.blocker_labeled_indices) {
+    if (i >= s.sample.size()) {
+      return Status::InvalidArgument(
+          "snapshot blocker label index is outside the sample");
+    }
+  }
+  // Rule predicates index the blocking feature-vector layout (feature_pos)
+  // and the feature set (feature_id).
+  const size_t layout = fs.blocking_ids().size();
+  for (const auto* rules :
+       {&s.candidate_rules, &s.retained_rules, &s.out.sequence.rules}) {
+    for (const Rule& rule : *rules) {
+      for (const Predicate& p : rule.predicates) {
+        if (p.feature_id < 0 ||
+            static_cast<size_t>(p.feature_id) >= fs.size() ||
+            p.feature_pos < 0 ||
+            static_cast<size_t>(p.feature_pos) >= layout) {
+          return Status::InvalidArgument(
+              "snapshot rule predicate references a feature outside the "
+              "blocking layout");
+        }
+      }
+    }
+  }
+  for (const auto* coverage : {&s.candidate_coverage, &s.retained_coverage}) {
+    for (const Bitmap& cov : *coverage) {
+      if (cov.size() != s.sample.size()) {
+        return Status::InvalidArgument(
+            "snapshot rule coverage width differs from the sample size");
+      }
+    }
+  }
+  return Status::OK();
+}
+
 std::string BadSection(uint32_t tag) {
   return "snapshot section " + std::to_string(tag) +
          " is structurally malformed";
@@ -575,6 +629,7 @@ Status LoadSnapshot(std::string_view blob, const Table& a, const Table& b,
       s.predictions[i] = preds.Get(i) ? 1 : 0;
     }
   }
+  FALCON_RETURN_NOT_OK(ValidateIndices(s, a, b, fs));
   {  // CROWD
     FALCON_ASSIGN_OR_RETURN(std::string payload, ReadSection(&r, kSecCrowd));
     BinaryReader pr(payload);

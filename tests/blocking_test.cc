@@ -188,6 +188,7 @@ struct ApplyFixture {
 
     IndexBuilder builder(&data.a, &cluster);
     CnfRule q = ToCnf(seq);
+    builder.EnsureTokenStores(data.b, fs, &catalog);
     VDuration t =
         builder.Ensure(IndexBuilder::NeedsOfCnf(q, fs), &catalog);
     EXPECT_GT(t.seconds, 0.0);
@@ -314,6 +315,32 @@ TEST(ApplyTest, TimeLimitKillsBaselines) {
                          ApplyMethod::kReduceSplit, opts);
   ASSERT_FALSE(res.ok());
   EXPECT_EQ(res.status().code(), StatusCode::kCancelled);
+}
+
+// Every token probe reads the B-side store view; a catalog without one is
+// refused up front instead of probing a slower way.
+TEST(ApplyTest, TokenProbeWithoutBStoreViewIsRejected) {
+  ApplyFixture fixture;
+  IndexCatalog no_b_views;
+  IndexBuilder builder(&fixture.data.a, &fixture.cluster);
+  builder.Ensure(IndexBuilder::NeedsOfCnf(ToCnf(fixture.seq), fixture.fs),
+                 &no_b_views);
+  for (ApplyMethod m :
+       {ApplyMethod::kApplyAll, ApplyMethod::kApplyGreedy,
+        ApplyMethod::kApplyConjunct, ApplyMethod::kApplyPredicate}) {
+    auto res = ApplyBlockingRules(fixture.data.a, fixture.data.b, fixture.seq,
+                                  fixture.fs, no_b_views, &fixture.cluster, m,
+                                  ApplyOptions{});
+    ASSERT_FALSE(res.ok()) << ApplyMethodName(m);
+    EXPECT_EQ(res.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_NE(res.status().message().find("(title,title)"), std::string::npos)
+        << res.status().ToString();
+  }
+  // The enumerating baselines probe nothing and still run.
+  auto map_side = ApplyBlockingRules(
+      fixture.data.a, fixture.data.b, fixture.seq, fixture.fs, no_b_views,
+      &fixture.cluster, ApplyMethod::kMapSide, ApplyOptions{});
+  EXPECT_TRUE(map_side.ok()) << map_side.status().ToString();
 }
 
 TEST(ApplyTest, EmptySequenceRejected) {

@@ -4,7 +4,6 @@
 #include <gtest/gtest.h>
 
 #include "core/al_matcher.h"
-#include "core/apply_matcher.h"
 #include "core/eval_rules.h"
 #include "core/gen_fvs.h"
 #include "core/get_rules.h"
@@ -367,27 +366,6 @@ TEST(GetRulesTest, ProducesRankedRulesWithMetadata) {
       EXPECT_TRUE(fx.fs.feature(p.feature_id).usable_for_blocking);
     }
   }
-}
-
-// --- apply_matcher -------------------------------------------------------------------
-
-TEST(ApplyMatcherTest, MatchesForestPredictions) {
-  Rng rng(5);
-  std::vector<FeatureVec> x;
-  std::vector<char> y;
-  for (int i = 0; i < 300; ++i) {
-    double v = rng.NextDouble();
-    x.push_back({v});
-    y.push_back(v > 0.5 ? 1 : 0);
-  }
-  auto forest = RandomForest::Train(x, y, ForestOptions{}, &rng);
-  Cluster cluster(FastCluster());
-  auto r = ApplyMatcher(forest, x, &cluster);
-  ASSERT_EQ(r.predictions.size(), x.size());
-  for (size_t i = 0; i < x.size(); ++i) {
-    EXPECT_EQ(r.predictions[i] != 0, forest.Predict(x[i]));
-  }
-  EXPECT_GT(r.time.seconds, 0.0);
 }
 
 }  // namespace

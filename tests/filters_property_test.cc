@@ -49,6 +49,7 @@ struct ProbeFixture {
     IndexBuilder builder(&data.a, &cluster);
     IndexNeed need = ClassifyPredicate(pred, fs);
     ASSERT_NE(need.kind, IndexKind::kNone);
+    builder.EnsureTokenStores(data.b, fs, &catalog);
     builder.Ensure({need}, &catalog);
   }
 
@@ -270,6 +271,7 @@ TEST(ApplyEquivalenceWideRules, AllOperatorsMatchBruteForce) {
   Cluster cluster{ClusterConfig{}};
   IndexCatalog catalog;
   IndexBuilder builder(&data.a, &cluster);
+  builder.EnsureTokenStores(data.b, fs, &catalog);
   builder.Ensure(IndexBuilder::NeedsOfCnf(ToCnf(seq), fs), &catalog);
 
   RuleApplier applier(seq, &fs, &data.a, &data.b);
@@ -301,86 +303,6 @@ TEST(ApplyEquivalenceWideRules, AllOperatorsMatchBruteForce) {
 }
 
 // --- Dictionary-encoded path equivalence ---------------------------------------
-//
-// The token-store probe path must be byte-identical to the string path: same
-// candidate rows, in the same order, for every predicate and every B row.
-// Two catalogs are built over the same tables — one with B-side store views
-// (store probing) and one without (tokenize + dictionary-lookup fallback) —
-// and their ProbePredicate outputs compared exactly.
-TEST(DictEncodedEquivalence, StoreAndFallbackProbesAreByteIdentical) {
-  WorkloadOptions opt;
-  opt.size_a = 220;
-  opt.size_b = 150;
-  opt.seed = 9;
-  opt.missing_rate = 0.06;
-  auto data = GenerateProducts(opt);
-  auto fs = FeatureSet::Generate(data.a, data.b);
-
-  struct Case {
-    SimFunction fn;
-    const char* attr;
-    Tokenization tok;
-    PredOp op;
-    double t;
-  };
-  const Case cases[] = {
-      {SimFunction::kJaccard, "(title,title)", Tokenization::kWord,
-       PredOp::kGt, 0.4},
-      {SimFunction::kDice, "(title,title)", Tokenization::kWord, PredOp::kGe,
-       0.5},
-      {SimFunction::kCosine, "(title,title)", Tokenization::kWord,
-       PredOp::kGe, 0.45},
-      {SimFunction::kOverlap, "(descr,descr)", Tokenization::kWord,
-       PredOp::kGt, 0.6},
-      {SimFunction::kJaccard, "(brand,brand)", Tokenization::kQgram3,
-       PredOp::kGe, 0.6},
-      {SimFunction::kLevenshtein, "(brand,brand)", Tokenization::kQgram3,
-       PredOp::kGe, 0.7},
-  };
-
-  auto find = [&](const Case& c) {
-    for (const auto& f : fs.features()) {
-      if (f.fn == c.fn && f.name.find(c.attr) != std::string::npos &&
-          (!IsSetBased(c.fn) || f.tok == c.tok)) {
-        return f.id;
-      }
-    }
-    return -1;
-  };
-
-  Cluster cluster{ClusterConfig{}};
-  // with_store: full build including B-side views. fallback: indexes only —
-  // its catalog still interns A's tokens (BuildOrdering builds the A store),
-  // but has no view for table B, forcing the tokenize+Find fallback.
-  IndexCatalog with_store;
-  IndexCatalog fallback;
-  IndexBuilder builder(&data.a, &cluster);
-  builder.EnsureTokenStores(data.b, fs, &with_store);
-  ASSERT_NE(with_store.store(&data.b), nullptr);
-  for (const Case& c : cases) {
-    int f = find(c);
-    ASSERT_GE(f, 0) << c.attr;
-    Predicate pred{f, f, c.op, c.t};
-    IndexNeed need = ClassifyPredicate(pred, fs);
-    builder.Ensure({need}, &with_store);
-    builder.Ensure({need}, &fallback);
-  }
-  ASSERT_EQ(fallback.store(&data.b), nullptr);
-
-  ClauseProber store_prober(&with_store, &fs, data.a.num_rows());
-  ClauseProber fb_prober(&fallback, &fs, data.a.num_rows());
-  for (const Case& c : cases) {
-    Predicate pred{find(c), find(c), c.op, c.t};
-    for (RowId b = 0; b < data.b.num_rows(); ++b) {
-      CandidateSet via_store = store_prober.ProbePredicate(pred, data.b, b);
-      CandidateSet via_fb = fb_prober.ProbePredicate(pred, data.b, b);
-      ASSERT_EQ(via_store.all, via_fb.all)
-          << c.attr << " b=" << b << " t=" << c.t;
-      ASSERT_EQ(via_store.rows, via_fb.rows)
-          << c.attr << " b=" << b << " t=" << c.t;
-    }
-  }
-}
 
 // Set-based features computed through bound token stores must equal the
 // string-path values exactly — including NaN for missing values.

@@ -1,6 +1,10 @@
 #include <algorithm>
+#include <cstdint>
 #include <map>
 #include <set>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -17,92 +21,105 @@ namespace {
 
 // --- TokenOrdering -------------------------------------------------------------
 
+/// Builds an ordering over `dict` from (token text, frequency) pairs; tokens
+/// absent from `freq` stay interned but unranked.
+TokenOrdering OrderingOf(
+    TokenDictionary* dict,
+    const std::vector<std::pair<std::string, uint64_t>>& freq) {
+  std::vector<uint64_t> by_id;
+  for (const auto& [text, count] : freq) {
+    TokenId id = dict->Intern(text);
+    if (by_id.size() <= id) by_id.resize(id + 1, 0);
+    by_id[id] = count;
+  }
+  by_id.resize(dict->size(), 0);
+  return TokenOrdering::FromIdFrequencies(dict, by_id);
+}
+
+uint32_t RankOf(const TokenOrdering& ord, const TokenDictionary& dict,
+                const std::string& text) {
+  TokenId id = 0;
+  uint32_t rank = UINT32_MAX;
+  EXPECT_TRUE(dict.Find(text, &id)) << text;
+  EXPECT_TRUE(ord.RankId(id, &rank)) << text;
+  return rank;
+}
+
 TEST(TokenOrderingTest, RareFirst) {
-  std::unordered_map<std::string, uint64_t> freq = {
-      {"common", 100}, {"mid", 10}, {"rare", 1}};
-  auto ord = TokenOrdering::FromFrequencies(freq);
-  uint32_t r_rare, r_mid, r_common;
-  ASSERT_TRUE(ord.Rank("rare", &r_rare));
-  ASSERT_TRUE(ord.Rank("mid", &r_mid));
-  ASSERT_TRUE(ord.Rank("common", &r_common));
-  EXPECT_LT(r_rare, r_mid);
-  EXPECT_LT(r_mid, r_common);
-  uint32_t dummy;
-  EXPECT_FALSE(ord.Rank("unseen", &dummy));
+  TokenDictionary dict;
+  auto ord = OrderingOf(&dict, {{"common", 100}, {"mid", 10}, {"rare", 1}});
+  EXPECT_EQ(ord.size(), 3u);
+  EXPECT_EQ(RankOf(ord, dict, "rare"), 0u);
+  EXPECT_EQ(RankOf(ord, dict, "mid"), 1u);
+  EXPECT_EQ(RankOf(ord, dict, "common"), 2u);
 }
 
 TEST(TokenOrderingTest, TiesBrokenLexicographically) {
-  std::unordered_map<std::string, uint64_t> freq = {{"b", 5}, {"a", 5}};
-  auto ord = TokenOrdering::FromFrequencies(freq);
-  uint32_t ra, rb;
-  ASSERT_TRUE(ord.Rank("a", &ra));
-  ASSERT_TRUE(ord.Rank("b", &rb));
-  EXPECT_LT(ra, rb);
-}
-
-TEST(TokenOrderingTest, SortPutsUnknownFirst) {
-  std::unordered_map<std::string, uint64_t> freq = {{"x", 1}, {"y", 2}};
-  auto ord = TokenOrdering::FromFrequencies(freq);
-  std::vector<std::string> tokens = {"y", "zz_unseen", "x"};
-  ord.Sort(&tokens);
-  EXPECT_EQ(tokens[0], "zz_unseen");
-  EXPECT_EQ(tokens[1], "x");
-  EXPECT_EQ(tokens[2], "y");
-}
-
-// The id-based ordering must reproduce the string ordering exactly: rank
-// ascending by frequency, frequency ties broken by token text.
-TEST(TokenOrderingTest, FromIdFrequenciesMatchesStringOrdering) {
   TokenDictionary dict;
-  // Interning order scrambled relative to both frequency and lex order.
-  TokenId common = dict.Intern("common");
-  TokenId b = dict.Intern("b_tie");
-  TokenId rare = dict.Intern("rare");
-  TokenId a = dict.Intern("a_tie");
-  std::vector<uint64_t> freq(dict.size(), 0);
-  freq[common] = 100;
-  freq[rare] = 1;
-  freq[a] = 5;
-  freq[b] = 5;
-  auto ord = TokenOrdering::FromIdFrequencies(&dict, freq);
-  EXPECT_TRUE(ord.has_ids());
-  EXPECT_EQ(ord.size(), 4u);
+  auto ord = OrderingOf(&dict, {{"b", 5}, {"a", 5}});
+  EXPECT_EQ(RankOf(ord, dict, "a"), 0u);
+  EXPECT_EQ(RankOf(ord, dict, "b"), 1u);
+}
 
-  auto ord_str = TokenOrdering::FromFrequencies(
-      {{"common", 100}, {"rare", 1}, {"a_tie", 5}, {"b_tie", 5}});
-  for (TokenId id : {common, b, rare, a}) {
-    uint32_t via_id, via_str;
-    ASSERT_TRUE(ord.RankId(id, &via_id));
-    ASSERT_TRUE(ord_str.Rank(std::string(dict.Text(id)), &via_str));
-    EXPECT_EQ(via_id, via_str) << dict.Text(id);
-    // The string-keyed Rank() on an id-based ordering dispatches through the
-    // dictionary and must agree.
-    ASSERT_TRUE(ord.Rank(std::string(dict.Text(id)), &via_str));
-    EXPECT_EQ(via_id, via_str) << dict.Text(id);
-  }
+// Exact ranks: ascending frequency, frequency ties broken by token text,
+// independent of the order the dictionary assigned ids in.
+TEST(TokenOrderingTest, FromIdFrequenciesGoldenRanks) {
+  TokenDictionary dict;
+  // Interning order scrambled relative to both frequency and text order.
+  auto ord = OrderingOf(&dict, {{"common", 100},
+                                {"b_tie", 5},
+                                {"rare", 1},
+                                {"a_tie", 5},
+                                {"c_tie", 5}});
+  EXPECT_EQ(ord.size(), 5u);
+  EXPECT_EQ(RankOf(ord, dict, "rare"), 0u);
+  EXPECT_EQ(RankOf(ord, dict, "a_tie"), 1u);
+  EXPECT_EQ(RankOf(ord, dict, "b_tie"), 2u);
+  EXPECT_EQ(RankOf(ord, dict, "c_tie"), 3u);
+  EXPECT_EQ(RankOf(ord, dict, "common"), 4u);
   // Zero-frequency ids (interned but absent from the indexed column) and
   // out-of-range ids are unranked.
   TokenId ghost = dict.Intern("ghost");
-  std::vector<uint64_t> freq2 = freq;
-  freq2.push_back(0);
-  auto ord2 = TokenOrdering::FromIdFrequencies(&dict, freq2);
+  std::vector<uint64_t> freq(dict.size(), 0);
+  for (const char* t : {"common", "b_tie", "rare", "a_tie", "c_tie"}) {
+    TokenId id = 0;
+    ASSERT_TRUE(dict.Find(t, &id));
+    freq[id] = 1;
+  }
+  auto ord2 = TokenOrdering::FromIdFrequencies(&dict, freq);
+  EXPECT_EQ(ord2.size(), 5u);
   uint32_t dummy;
   EXPECT_FALSE(ord2.RankId(ghost, &dummy));
   EXPECT_FALSE(ord2.RankId(999, &dummy));
 }
 
-TEST(TokenOrderingTest, SortIdsMatchesStringSort) {
+TEST(TokenOrderingTest, SortPutsUnknownFirst) {
   TokenDictionary dict;
-  TokenId x = dict.Intern("x");
-  TokenId y = dict.Intern("y");
-  TokenId zz = dict.Intern("zz_unseen");
-  std::vector<uint64_t> freq(dict.size(), 0);
-  freq[x] = 1;
-  freq[y] = 2;  // zz_unseen stays frequency 0 -> unranked
-  auto ord = TokenOrdering::FromIdFrequencies(&dict, freq);
-  std::vector<TokenId> ids = {y, zz, x};
+  auto ord = OrderingOf(&dict, {{"x", 1}, {"y", 2}});
+  TokenId x = 0, y = 0;
+  ASSERT_TRUE(dict.Find("x", &x));
+  ASSERT_TRUE(dict.Find("y", &y));
+  TokenId unseen = dict.Intern("zz_unseen");
+  std::vector<TokenId> ids = {y, unseen, x};
   ord.SortIds(&ids);
-  EXPECT_EQ(ids, (std::vector<TokenId>{zz, x, y}));
+  EXPECT_EQ(ids, (std::vector<TokenId>{unseen, x, y}));
+}
+
+// Unranked ids sort first, among themselves by token text (not by id), then
+// ranked ids by rank.
+TEST(TokenOrderingTest, SortIdsGoldenOrder) {
+  TokenDictionary dict;
+  auto ord = OrderingOf(&dict, {{"m", 3}, {"k", 1}, {"l", 3}});
+  // Unranked, interned in reverse text order.
+  TokenId zz = dict.Intern("zz");
+  TokenId aa = dict.Intern("aa");
+  TokenId k = 0, l = 0, m = 0;
+  ASSERT_TRUE(dict.Find("k", &k));
+  ASSERT_TRUE(dict.Find("l", &l));
+  ASSERT_TRUE(dict.Find("m", &m));
+  std::vector<TokenId> ids = {m, zz, l, k, aa};
+  ord.SortIds(&ids);
+  EXPECT_EQ(ids, (std::vector<TokenId>{aa, zz, k, l, m}));
 }
 
 // --- HashIndex ------------------------------------------------------------------

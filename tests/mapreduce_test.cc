@@ -68,6 +68,64 @@ TEST(ClusterTest, ShuffleTimeProportional) {
   EXPECT_NEAR(t2, 2 * t1, 1e-12);
 }
 
+// --- per-task load distribution -------------------------------------------
+
+TEST(ComputeTaskLoadTest, EmptyInputIsNeutral) {
+  Cluster cluster(FastConfig());
+  TaskLoadStats load = cluster.ComputeTaskLoad({});
+  EXPECT_EQ(load.tasks, 0u);
+  EXPECT_EQ(load.max_seconds, 0.0);
+  EXPECT_EQ(load.mean_seconds, 0.0);
+  EXPECT_EQ(load.p99_seconds, 0.0);
+  EXPECT_EQ(load.straggler_ratio, 1.0);
+}
+
+TEST(ComputeTaskLoadTest, MaxMeanAndStragglerRatio) {
+  Cluster cluster(FastConfig());  // 0.05 s overhead per task
+  TaskLoadStats load = cluster.ComputeTaskLoad({3.0, 1.0, 2.0});
+  EXPECT_EQ(load.tasks, 3u);
+  EXPECT_NEAR(load.max_seconds, 3.05, 1e-12);
+  EXPECT_NEAR(load.mean_seconds, 2.05, 1e-12);
+  // Nearest-rank p99 is the max below 100 tasks.
+  EXPECT_EQ(load.p99_seconds, load.max_seconds);
+  EXPECT_NEAR(load.straggler_ratio, 3.05 / 2.05, 1e-12);
+}
+
+TEST(ComputeTaskLoadTest, SingleTaskIsNeverAStraggler) {
+  Cluster cluster(FastConfig());
+  TaskLoadStats load = cluster.ComputeTaskLoad({5.0});
+  EXPECT_EQ(load.tasks, 1u);
+  EXPECT_NEAR(load.max_seconds, 5.05, 1e-12);
+  EXPECT_EQ(load.mean_seconds, load.max_seconds);
+  EXPECT_EQ(load.p99_seconds, load.max_seconds);
+  EXPECT_EQ(load.straggler_ratio, 1.0);
+}
+
+TEST(ComputeTaskLoadTest, NearestRankP99FromHundredsOfTasks) {
+  Cluster cluster(FastConfig());
+  // Tasks of 1..200 s: rank floor(0.99 * 200) = 198 of the sorted vtimes,
+  // i.e. the 199 s task, one below the max.
+  std::vector<double> tasks(200);
+  std::iota(tasks.rbegin(), tasks.rend(), 1.0);
+  TaskLoadStats load = cluster.ComputeTaskLoad(tasks);
+  EXPECT_EQ(load.tasks, 200u);
+  EXPECT_NEAR(load.max_seconds, 200.05, 1e-9);
+  EXPECT_NEAR(load.p99_seconds, 199.05, 1e-9);
+  EXPECT_NEAR(load.mean_seconds, 100.55, 1e-9);
+}
+
+TEST(ComputeTaskLoadTest, CoreSpeedFactorScalesBeforeOverhead) {
+  ClusterConfig config = FastConfig();
+  config.core_speed_factor = 2.0;
+  config.task_overhead = VDuration::Seconds(0.5);
+  Cluster cluster(config);
+  // vtime = measured * 2 + 0.5 -> {2.5, 6.5}.
+  TaskLoadStats load = cluster.ComputeTaskLoad({1.0, 3.0});
+  EXPECT_NEAR(load.max_seconds, 6.5, 1e-12);
+  EXPECT_NEAR(load.mean_seconds, 4.5, 1e-12);
+  EXPECT_NEAR(load.straggler_ratio, 6.5 / 4.5, 1e-12);
+}
+
 TEST(JobStatsTest, PhaseTimeline) {
   JobStats s;
   s.startup = VDuration::Seconds(2);

@@ -26,10 +26,18 @@ std::string RandomString(Rng* rng, size_t max_len) {
 
 using StringSimFn = double (*)(std::string_view, std::string_view);
 
-class StringSimProperty : public ::testing::TestWithParam<StringSimFn> {};
+// Each case prints as its name, so the test names are the same in every run;
+// a bare function pointer would print as its (address-randomized) value.
+struct StringSimCase {
+  const char* name;
+  StringSimFn fn;
+};
+void PrintTo(const StringSimCase& c, std::ostream* os) { *os << c.name; }
+
+class StringSimProperty : public ::testing::TestWithParam<StringSimCase> {};
 
 TEST_P(StringSimProperty, SymmetricBoundedAndReflexive) {
-  StringSimFn f = GetParam();
+  StringSimFn f = GetParam().fn;
   Rng rng(101);
   for (int trial = 0; trial < 500; ++trial) {
     std::string a = RandomString(&rng, 12);
@@ -43,12 +51,15 @@ TEST_P(StringSimProperty, SymmetricBoundedAndReflexive) {
   }
 }
 
-INSTANTIATE_TEST_SUITE_P(AllStringSims, StringSimProperty,
-                         ::testing::Values(&LevenshteinSim, &JaroSim,
-                                           &JaroWinklerSim,
-                                           &NeedlemanWunschSim,
-                                           &SmithWatermanSim,
-                                           &SmithWatermanGotohSim));
+INSTANTIATE_TEST_SUITE_P(
+    AllStringSims, StringSimProperty,
+    ::testing::Values(StringSimCase{"Levenshtein", &LevenshteinSim},
+                      StringSimCase{"Jaro", &JaroSim},
+                      StringSimCase{"JaroWinkler", &JaroWinklerSim},
+                      StringSimCase{"NeedlemanWunsch", &NeedlemanWunschSim},
+                      StringSimCase{"SmithWaterman", &SmithWatermanSim},
+                      StringSimCase{"SmithWatermanGotoh",
+                                    &SmithWatermanGotohSim}));
 
 TEST(LevenshteinProperty, TriangleInequality) {
   Rng rng(7);

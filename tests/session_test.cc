@@ -294,5 +294,102 @@ TEST(SessionManagerTest, ResumeThroughManager) {
   ExpectSameOutcome(ref.result, r.value(), "manager resume");
 }
 
+// --- snapshot index validation ----------------------------------------------
+//
+// Section CRCs prove only that the bytes are the ones written. Each test
+// mutates one index of a real state, writes it (CRCs stay valid) and
+// requires the loader to refuse it, since later stages dereference these
+// indices unchecked.
+
+/// A blocking-plan pipeline stepped to the gen_fvs(C) boundary, where the
+/// sample, blocker labels, rules with coverage, the selected sequence and
+/// the candidates are all populated.
+struct ValidationFixture {
+  GeneratedDataset data = BlockingData(7);
+  FalconConfig cfg = BlockingConfig();
+  Cluster cluster{FastCluster(1)};
+  SimulatedCrowd crowd{CrowdConfig(cfg.seed), data.truth.MakeOracle()};
+  FalconPipeline pipeline{&data.a, &data.b, &crowd, &cluster, cfg};
+
+  ValidationFixture() {
+    EXPECT_TRUE(pipeline.Start().ok());
+    while (pipeline.state().next != PipelineStage::kGenFvsCand) {
+      Status st = pipeline.Step();
+      EXPECT_TRUE(st.ok()) << st.ToString();
+      if (!st.ok() || pipeline.done()) break;
+    }
+    const PipelineState& s = pipeline.state();
+    EXPECT_FALSE(s.sample.empty());
+    EXPECT_FALSE(s.blocker_labeled_indices.empty());
+    EXPECT_FALSE(s.candidate_rules.empty());
+    EXPECT_FALSE(s.out.sequence.rules.empty());
+    EXPECT_FALSE(s.out.candidates.empty());
+  }
+
+  PipelineState& state() { return pipeline.state(); }
+
+  /// Writes the (mutated) state and loads it into a fresh pipeline.
+  Status Reload() {
+    std::string blob =
+        WriteSnapshot("validate", pipeline, data.a, data.b, crowd, cfg);
+    Cluster fresh_cluster{FastCluster(1)};
+    SimulatedCrowd fresh_crowd(CrowdConfig(cfg.seed), data.truth.MakeOracle());
+    FalconPipeline fresh(&data.a, &data.b, &fresh_crowd, &fresh_cluster, cfg);
+    return LoadSnapshot(blob, data.a, data.b, &fresh_crowd, &fresh, nullptr);
+  }
+};
+
+TEST(SnapshotValidationTest, UnmutatedStateLoads) {
+  ValidationFixture fx;
+  Status st = fx.Reload();
+  EXPECT_TRUE(st.ok()) << st.ToString();
+}
+
+TEST(SnapshotValidationTest, RejectsSampleRowOutsideTable) {
+  ValidationFixture fx;
+  fx.state().sample[0].first = static_cast<RowId>(fx.data.a.num_rows());
+  EXPECT_FALSE(fx.Reload().ok());
+}
+
+TEST(SnapshotValidationTest, RejectsCandidateRowOutsideTable) {
+  ValidationFixture fx;
+  fx.state().out.candidates.back().second =
+      static_cast<RowId>(fx.data.b.num_rows());
+  EXPECT_FALSE(fx.Reload().ok());
+}
+
+TEST(SnapshotValidationTest, RejectsBlockerLabelIndexOutsideSample) {
+  ValidationFixture fx;
+  fx.state().blocker_labeled_indices[0] =
+      static_cast<uint32_t>(fx.state().sample.size());
+  EXPECT_FALSE(fx.Reload().ok());
+}
+
+TEST(SnapshotValidationTest, RejectsBlockerLabelCountMismatch) {
+  ValidationFixture fx;
+  fx.state().blocker_labels.push_back(1);
+  EXPECT_FALSE(fx.Reload().ok());
+}
+
+TEST(SnapshotValidationTest, RejectsPredicateFeatureIdOutsideFeatureSet) {
+  ValidationFixture fx;
+  fx.state().candidate_rules[0].predicates[0].feature_id =
+      static_cast<int>(fx.pipeline.features().size());
+  EXPECT_FALSE(fx.Reload().ok());
+}
+
+TEST(SnapshotValidationTest, RejectsPredicateFeaturePosOutsideLayout) {
+  ValidationFixture fx;
+  fx.state().out.sequence.rules[0].predicates[0].feature_pos =
+      static_cast<int>(fx.pipeline.features().blocking_ids().size());
+  EXPECT_FALSE(fx.Reload().ok());
+}
+
+TEST(SnapshotValidationTest, RejectsCoverageWidthOtherThanSample) {
+  ValidationFixture fx;
+  fx.state().candidate_coverage[0] = Bitmap(fx.state().sample.size() + 1);
+  EXPECT_FALSE(fx.Reload().ok());
+}
+
 }  // namespace
 }  // namespace falcon

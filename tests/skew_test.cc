@@ -156,58 +156,6 @@ TEST(PlanReduceShardsTest, PlanIsAPureFunctionOfItsInputs) {
   EXPECT_EQ(a.max_bin_weight, b.max_bin_weight);
 }
 
-// --- cost-weighted planner --------------------------------------------------
-
-void ExpectSamePlan(const ShardPlan& a, const ShardPlan& b) {
-  EXPECT_EQ(a.shards, b.shards);
-  EXPECT_EQ(a.bin_of, b.bin_of);
-  EXPECT_EQ(a.budget, b.budget);
-  EXPECT_EQ(a.max_bin_weight, b.max_bin_weight);
-  EXPECT_EQ(a.active_bins, b.active_bins);
-}
-
-TEST(PlanReduceShardsCostTest, EmptyCostsMatchLegacyPlan) {
-  std::vector<size_t> weights = {40, 9, 200, 3, 77, 77, 1};
-  ExpectSamePlan(PlanReduceShards(weights, {}, 5, 0, true),
-                 PlanReduceShards(weights, 5, 0, true));
-}
-
-TEST(PlanReduceShardsCostTest, CostsEqualToWeightsMatchLegacyPlan) {
-  std::vector<size_t> weights = {40, 9, 200, 3, 77, 77, 1};
-  ExpectSamePlan(PlanReduceShards(weights, weights, 5, 0, true),
-                 PlanReduceShards(weights, 5, 0, true));
-}
-
-TEST(PlanReduceShardsCostTest, HotCostBlockSplitsUnderCostBudget) {
-  // Equal VALUE counts but block 1 is 10x the reduce cost: the unweighted
-  // planner keeps both whole, the cost planner splits only the hot one.
-  std::vector<size_t> weights = {10, 10};
-  std::vector<size_t> costs = {10, 100};
-  ShardPlan plan = PlanReduceShards(weights, costs, 2, 20, true);
-  ASSERT_EQ(plan.shards.size(), 6u);
-  EXPECT_EQ(plan.shards[0], (ReduceShard{0, 0, 10}));
-  size_t pos = 0;
-  for (size_t i = 1; i < plan.shards.size(); ++i) {
-    EXPECT_EQ(plan.shards[i].block, 1u);
-    EXPECT_EQ(plan.shards[i].begin, pos);
-    EXPECT_EQ(plan.shards[i].weight(), 2u);  // 10 values over 5 pieces
-    pos = plan.shards[i].end;
-  }
-  EXPECT_EQ(pos, 10u);
-  // Packing balanced the COST (110 total over 2 bins), not the value count.
-  EXPECT_LE(plan.max_bin_weight, 60u);
-}
-
-TEST(PlanReduceShardsCostTest, SplitNeverGoesFinerThanOneValuePerRange) {
-  // Cost 1000 on a 3-value block with budget 10 wants 100 pieces but must
-  // cap at one value per range.
-  std::vector<size_t> weights = {3};
-  std::vector<size_t> costs = {1000};
-  ShardPlan plan = PlanReduceShards(weights, costs, 4, 10, true);
-  ASSERT_EQ(plan.shards.size(), 3u);
-  for (const auto& s : plan.shards) EXPECT_EQ(s.weight(), 1u);
-}
-
 // --- operator-level determinism -------------------------------------------------
 
 ClusterConfig FastCluster() {
@@ -251,6 +199,7 @@ struct SkewFixture {
     seq.selectivity = 0.05;
 
     IndexBuilder builder(&data.a, &build_cluster);
+    builder.EnsureTokenStores(data.b, fs, &catalog);
     builder.Ensure(IndexBuilder::NeedsOfCnf(ToCnf(seq), fs), &catalog);
   }
 
@@ -308,37 +257,6 @@ TEST(SkewPartitionerTest, HotBlocksActuallySplitOnZipfData) {
                               "fixture no longer exercises splitting";
 }
 
-TEST(SkewPartitionerTest, CostWeightedBudgetsAreByteIdentical) {
-  // skew_cost_weights re-weighs the shard plan by estimated per-candidate
-  // intersection cost; shard boundaries may move but the reduce output is
-  // order-preserving, so candidates must not change at any thread count.
-  SkewFixture fixture;
-  // Cost tagging needs interned token stores for both tables (the pipeline
-  // always ensures them before applying rules); bind them so the per-value
-  // SkewCost actually varies instead of degenerating to the empty-view case.
-  IndexBuilder store_builder(&fixture.data.a, &fixture.build_cluster);
-  store_builder.EnsureTokenStores(fixture.data.b, fixture.fs,
-                                  &fixture.catalog);
-  fixture.fs.BindTokenStores(fixture.catalog.store(&fixture.data.a),
-                             fixture.catalog.store(&fixture.data.b));
-  ApplyResult base =
-      fixture.Run(ApplyMethod::kApplyAll, ShufflePartitioner::kSkewAware, 1);
-  ASSERT_FALSE(base.pairs.empty());
-  for (int threads : {1, 4}) {
-    ClusterConfig cfg = FastCluster();
-    cfg.partitioner = ShufflePartitioner::kSkewAware;
-    cfg.local_threads = threads;
-    cfg.skew_cost_weights = true;
-    Cluster cluster(cfg);
-    auto res = ApplyBlockingRules(fixture.data.a, fixture.data.b, fixture.seq,
-                                  fixture.fs, fixture.catalog, &cluster,
-                                  ApplyMethod::kApplyAll, ApplyOptions{});
-    ASSERT_TRUE(res.ok()) << res.status().ToString();
-    EXPECT_EQ(base.pairs, res->pairs) << "threads=" << threads;
-    EXPECT_EQ(base.candidates_examined, res->candidates_examined);
-  }
-}
-
 TEST(SkewPartitionerTest, IndexProfileReportsPostingDistribution) {
   SkewFixture fixture;
   const BlockProfile& p = fixture.catalog.MergedBlockProfile();
@@ -361,7 +279,7 @@ TEST(SkewPartitionerTest, IndexProfileReportsPostingDistribution) {
 // test is inherently timing-dependent. Everything else is covered by the
 // determinism contract.
 MatchResult RunPlan(bool force_blocking, ShufflePartitioner part,
-                    int threads) {
+                    int threads, TaskLoadStats* load = nullptr) {
   WorkloadOptions opt;
   // Matcher-only enumerates A x B, so that template runs on a smaller task.
   opt.size_a = force_blocking ? 150 : 60;
@@ -397,6 +315,7 @@ MatchResult RunPlan(bool force_blocking, ShufflePartitioner part,
   EXPECT_EQ(pipeline.NeedsBlocking(), force_blocking);
   auto res = pipeline.Run();
   EXPECT_TRUE(res.ok()) << res.status().ToString();
+  if (load != nullptr) *load = RollupTaskLoad(cluster.job_history());
   return res.ok() ? std::move(*res) : MatchResult{};
 }
 
@@ -421,12 +340,12 @@ TEST(SkewPartitionerPipelineTest, MatcherOnlyPlanByteIdentical) {
 }
 
 TEST(TaskLoadStatsTest, PipelineRollupIsPopulated) {
-  MatchResult res = RunPlan(true, ShufflePartitioner::kSkewAware, 1);
-  const RunMetrics& m = res.metrics;
-  EXPECT_GT(m.mr_tasks, 0u);
-  EXPECT_GE(m.task_vtime_max, m.task_vtime_mean);
-  EXPECT_GE(m.task_vtime_max, m.task_vtime_p99);
-  EXPECT_GE(m.straggler_ratio, 1.0);
+  TaskLoadStats load;
+  RunPlan(true, ShufflePartitioner::kSkewAware, 1, &load);
+  EXPECT_GT(load.tasks, 0u);
+  EXPECT_GE(load.max_seconds, load.mean_seconds);
+  EXPECT_GE(load.max_seconds, load.p99_seconds);
+  EXPECT_GE(load.straggler_ratio, 1.0);
 }
 
 // --- Zipf sampler ---------------------------------------------------------------

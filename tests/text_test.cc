@@ -100,10 +100,18 @@ TEST(SimilarityTest, CosineBasics) {
 using SetSimFn = double (*)(const std::vector<std::string>&,
                             const std::vector<std::string>&);
 
-class SetSimProperty : public ::testing::TestWithParam<SetSimFn> {};
+// Each case prints as its name, so the test names are the same in every run;
+// a bare function pointer would print as its (address-randomized) value.
+struct SetSimCase {
+  const char* name;
+  SetSimFn fn;
+};
+void PrintTo(const SetSimCase& c, std::ostream* os) { *os << c.name; }
+
+class SetSimProperty : public ::testing::TestWithParam<SetSimCase> {};
 
 TEST_P(SetSimProperty, SymmetricBoundedReflexive) {
-  SetSimFn f = GetParam();
+  SetSimFn f = GetParam().fn;
   std::vector<std::vector<std::string>> sets = {
       Set({"a"}), Set({"a", "b"}), Set({"x", "y", "z"}),
       Set({"a", "b", "c", "d", "e"}), Set({"q"})};
@@ -118,11 +126,12 @@ TEST_P(SetSimProperty, SymmetricBoundedReflexive) {
   }
 }
 
-INSTANTIATE_TEST_SUITE_P(AllSetSims, SetSimProperty,
-                         ::testing::Values(static_cast<SetSimFn>(&JaccardSim),
-                                           static_cast<SetSimFn>(&DiceSim),
-                                           static_cast<SetSimFn>(&OverlapSim),
-                                           static_cast<SetSimFn>(&CosineSim)));
+INSTANTIATE_TEST_SUITE_P(
+    AllSetSims, SetSimProperty,
+    ::testing::Values(SetSimCase{"Jaccard", &JaccardSim},
+                      SetSimCase{"Dice", &DiceSim},
+                      SetSimCase{"Overlap", &OverlapSim},
+                      SetSimCase{"Cosine", &CosineSim}));
 
 // --- TokenId-span overloads ------------------------------------------------------
 //
