@@ -135,7 +135,7 @@ Result<PipelineRun> RunPipeline(const GeneratedDataset& data,
   PipelineRun out;
   out.quality = EvaluateMatches(res.matches, data.truth);
   out.metrics = res.metrics;
-  out.load = RollupTaskLoad(cluster.job_history());
+  out.load = RollupTaskLoad(cluster.JobHistorySnapshot());
   out.blocking_recall = BlockingRecall(res.candidates, data.truth);
   out.sequence = res.sequence;
   out.matches = res.matches.size();

@@ -260,7 +260,7 @@ void WriteComparisonReport() {
     benchmark::DoNotOptimize(catalog.TotalMemoryUsage());
     int64_t alloc_count = 0;
     int64_t alloc_bytes = 0;
-    for (const JobStats& js : cluster.job_history()) {
+    for (const JobStats& js : cluster.JobHistorySnapshot()) {
       if (auto it = js.counters.find("alloc/count"); it != js.counters.end()) {
         alloc_count += it->second;
       }

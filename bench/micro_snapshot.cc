@@ -19,7 +19,6 @@
 
 #include "crowd/crowd.h"
 #include "mapreduce/cluster.h"
-#include "session/session_manager.h"
 #include "session/snapshot.h"
 #include "session/workflow_session.h"
 
@@ -154,7 +153,7 @@ void BM_LoadSnapshot(benchmark::State& state) {
 }
 BENCHMARK(BM_LoadSnapshot);
 
-// Header + META parse only — what a session manager pays to list snapshots.
+// Header + META parse only — what a service pays to list snapshots.
 void BM_ReadSnapshotMeta(benchmark::State& state) {
   SnapshotFixture* fx = Fixture();
   for (auto _ : state) {

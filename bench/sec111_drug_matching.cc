@@ -30,7 +30,7 @@ Result<DrugRun> Run(const GeneratedDataset& data, const FalconConfig& cfg) {
   DrugRun out;
   out.q = EvaluateMatches(res.matches, data.truth);
   out.m = res.metrics;
-  out.load = RollupTaskLoad(cluster.job_history());
+  out.load = RollupTaskLoad(cluster.JobHistorySnapshot());
   return out;
 }
 

@@ -2,8 +2,8 @@
 //
 // N tenants share one EmService; tenant-00 is a "heavy" tenant submitting
 // several sessions while every other tenant submits one, so a scheduler
-// that rotates over *sessions* (the plain SessionManager::StepAll baseline)
-// hands the heavy tenant a multiple of everyone else's share. The service's
+// that rotates over *sessions* (the plain round-robin baseline below) hands
+// the heavy tenant a multiple of everyone else's share. The service's
 // deficit-style fair queuing must keep per-tenant shares level instead:
 // measured at the last moment every tenant still has a live session (while
 // tenants genuinely contend), the max/min per-tenant machine-vtime ratio
@@ -238,9 +238,9 @@ ServiceOutcome RunService(const std::deque<Job>& jobs, int workers,
 }
 
 /// The pre-service baseline: every session resident at once (no admission
-/// cap bounds memory) and stepped round-robin over *sessions*, the way
-/// SessionManager::StepAll interleaves — a heavy tenant's extra sessions
-/// buy it a proportionally larger share of the cluster.
+/// cap bounds memory) and stepped round-robin over *sessions*, one Step()
+/// each per sweep — a heavy tenant's extra sessions buy it a
+/// proportionally larger share of the cluster.
 struct BaselineOutcome {
   double wall_s = 0.0;
   FairnessSample fairness;

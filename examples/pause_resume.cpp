@@ -14,7 +14,6 @@
 #include <sstream>
 #include <string>
 
-#include "session/session_manager.h"
 #include "session/snapshot.h"
 #include "session/workflow_session.h"
 #include "workload/generator.h"

@@ -138,64 +138,10 @@ void Arena::Trim(size_t max_retained_bytes) {
   }
 }
 
-// --- FixedBlockPool ----------------------------------------------------------
-
-FixedBlockPool::FixedBlockPool(size_t block_bytes, PageProvider* provider,
-                               size_t blocks_per_page)
-    : provider_(provider != nullptr ? provider : DefaultPageProvider()),
-      block_bytes_(((std::max(block_bytes, sizeof(FreeNode)) +
-                     alignof(std::max_align_t) - 1) /
-                    alignof(std::max_align_t)) *
-                   alignof(std::max_align_t)),
-      blocks_per_page_(std::max<size_t>(blocks_per_page, 1)) {}
-
-FixedBlockPool::~FixedBlockPool() {
-  for (const auto& [page, bytes] : pages_) provider_->ReleasePage(page, bytes);
-}
-
-void* FixedBlockPool::Acquire() {
-  if (free_list_ == nullptr) {
-    const size_t page_bytes = block_bytes_ * blocks_per_page_;
-    char* page = static_cast<char*>(provider_->AcquirePage(page_bytes));
-    pages_.emplace_back(page, page_bytes);
-    ++pages_acquired_;
-    // Thread the new page's blocks onto the freelist in address order.
-    for (size_t i = blocks_per_page_; i > 0; --i) {
-      FreeNode* node =
-          reinterpret_cast<FreeNode*>(page + (i - 1) * block_bytes_);
-      node->next = free_list_;
-      free_list_ = node;
-    }
-    blocks_free_ += blocks_per_page_;
-  }
-  FreeNode* node = free_list_;
-  free_list_ = node->next;
-  --blocks_free_;
-  ++blocks_in_use_;
-  return node;
-}
-
-void FixedBlockPool::Release(void* block) {
-  assert(block != nullptr);
-  FreeNode* node = static_cast<FreeNode*>(block);
-  node->next = free_list_;
-  free_list_ = node;
-  ++blocks_free_;
-  --blocks_in_use_;
-}
-
 // --- ArenaPool ---------------------------------------------------------------
 
 ArenaPool::ArenaPool(PageProvider* provider)
-    : provider_(provider != nullptr ? provider : DefaultPageProvider()),
-      blocks_(sizeof(Arena), provider_, 16) {}
-
-ArenaPool::~ArenaPool() {
-  for (Arena* a : free_) {
-    a->~Arena();
-    blocks_.Release(a);
-  }
-}
+    : provider_(provider != nullptr ? provider : DefaultPageProvider()) {}
 
 Arena* ArenaPool::Acquire() {
   std::lock_guard<std::mutex> lock(mu_);
@@ -204,8 +150,8 @@ Arena* ArenaPool::Acquire() {
     free_.pop_back();
     return a;
   }
-  ++created_;
-  return new (blocks_.Acquire()) Arena(provider_);
+  arenas_.push_back(std::make_unique<Arena>(provider_));
+  return arenas_.back().get();
 }
 
 void ArenaPool::Release(Arena* arena, size_t max_retained_bytes) {
@@ -218,7 +164,7 @@ void ArenaPool::Release(Arena* arena, size_t max_retained_bytes) {
 
 size_t ArenaPool::arenas_created() const {
   std::lock_guard<std::mutex> lock(mu_);
-  return created_;
+  return arenas_.size();
 }
 
 size_t ArenaPool::arenas_free() const {

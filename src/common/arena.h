@@ -12,7 +12,6 @@
 //                     without touching the heap.
 //   ArenaAllocator  — std-allocator adapter: arena-backed when given an
 //                     Arena, plain heap when default-constructed.
-//   FixedBlockPool  — single-size block recycler (intrusive freelist).
 //   ArenaPool       — mutex-guarded pool of reusable task arenas; arenas are
 //                     reset (not freed) on release, per-task reset discipline.
 //   ScratchArena    — per-thread arena with a generation counter, replacing
@@ -30,6 +29,7 @@
 #include <cassert>
 #include <cstddef>
 #include <cstdint>
+#include <memory>
 #include <mutex>
 #include <new>
 #include <type_traits>
@@ -193,59 +193,18 @@ class ArenaAllocator {
 template <typename T>
 using ArenaVector = std::vector<T, ArenaAllocator<T>>;
 
-// --- fixed-block pool --------------------------------------------------------
-
-/// Recycler for same-size blocks: freed blocks go on an intrusive freelist
-/// and are handed back on the next Acquire, so steady-state acquisition
-/// never touches the heap. Blocks are carved from provider pages that are
-/// released only on destruction. Not thread-safe.
-class FixedBlockPool {
- public:
-  /// `block_bytes` is rounded up to pointer size/alignment (the freelist
-  /// link lives inside free blocks).
-  explicit FixedBlockPool(size_t block_bytes,
-                          PageProvider* provider = nullptr,
-                          size_t blocks_per_page = 64);
-  ~FixedBlockPool();
-
-  FixedBlockPool(const FixedBlockPool&) = delete;
-  FixedBlockPool& operator=(const FixedBlockPool&) = delete;
-
-  void* Acquire();
-  void Release(void* block);
-
-  size_t block_bytes() const { return block_bytes_; }
-  size_t blocks_in_use() const { return blocks_in_use_; }
-  size_t blocks_free() const { return blocks_free_; }
-  uint64_t pages_acquired() const { return pages_acquired_; }
-
- private:
-  struct FreeNode {
-    FreeNode* next;
-  };
-
-  PageProvider* provider_;
-  size_t block_bytes_;
-  size_t blocks_per_page_;
-  FreeNode* free_list_ = nullptr;
-  std::vector<std::pair<void*, size_t>> pages_;  ///< (page, bytes)
-  size_t blocks_in_use_ = 0;
-  size_t blocks_free_ = 0;
-  uint64_t pages_acquired_ = 0;
-};
-
 // --- task-arena pool ---------------------------------------------------------
 
 /// Pool of reusable task arenas for the MapReduce engine: each map/reduce
 /// task leases one arena for its buffers and returns it at task end, where
 /// it is reset — not freed — so pages warm up once and are recycled across
-/// every subsequent job. Arena control blocks themselves are recycled
-/// through a FixedBlockPool. Acquire/Release are mutex-guarded (the engine
-/// leases arenas from the coordinating thread, but Cluster is shared).
+/// every subsequent job. The pool owns every arena it creates (at most as
+/// many as tasks leased at once). Acquire/Release are mutex-guarded (the
+/// engine leases arenas from the coordinating thread, but Cluster is
+/// shared).
 class ArenaPool {
  public:
   explicit ArenaPool(PageProvider* provider = nullptr);
-  ~ArenaPool();
 
   ArenaPool(const ArenaPool&) = delete;
   ArenaPool& operator=(const ArenaPool&) = delete;
@@ -267,9 +226,8 @@ class ArenaPool {
  private:
   PageProvider* provider_;
   mutable std::mutex mu_;
-  FixedBlockPool blocks_;        ///< recycles Arena control blocks
-  std::vector<Arena*> free_;     ///< LIFO: most recently warmed first
-  size_t created_ = 0;
+  std::vector<std::unique_ptr<Arena>> arenas_;  ///< every arena created
+  std::vector<Arena*> free_;  ///< LIFO: most recently warmed first
 };
 
 // --- per-thread scratch ------------------------------------------------------

@@ -501,6 +501,7 @@ Status FalconPipeline::StageApplyRules() {
 
   VDuration apply_raw;       // total machine time of this step
   VDuration apply_unmasked;  // critical-path contribution
+  bool apply_fresh = false;  // no speculative output could be reused
   if (best_completed != nullptr) {
     // Algorithm 2, lines 8-11: reuse the smallest completed output.
     FilterOut filtered =
@@ -557,18 +558,13 @@ Status FalconPipeline::StageApplyRules() {
       m.apply_method = ApplyMethod::kApplyGreedy;
       RecordJobAllocs(filtered.stats, &m);
     } else {
-      // Kill the job; start fresh.
-      ApplyMethod used = preferred;
-      FALCON_ASSIGN_OR_RETURN(
-          ApplyResult applied,
-          ApplyWithFallback(*a_, *b_, sequence, features_, catalog_,
-                            cluster_, preferred, config_.apply, &used));
-      out.candidates = std::move(applied.pairs);
-      apply_raw = applied.time;
-      apply_unmasked = applied.time;
-      m.apply_method = used;
+      // Kill the job; start fresh below.
+      apply_fresh = true;
     }
   } else {
+    apply_fresh = true;
+  }
+  if (apply_fresh) {
     ApplyMethod used = preferred;
     FALCON_ASSIGN_OR_RETURN(
         ApplyResult applied,

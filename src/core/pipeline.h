@@ -84,13 +84,15 @@ struct RunMetrics {
   uint64_t alloc_count = 0;
   uint64_t alloc_bytes = 0;
 
-  /// Intersection-kernel activity across every MapReduce job of the run
-  /// (text/intersect.h): which strategy the adaptive entry points resolved
-  /// to, per call, plus threshold early exits and membership probes. Totals
-  /// are deterministic per workload + build flavor (every intersection runs
-  /// exactly once regardless of thread count); per-job attribution can shift
-  /// under concurrent sessions, like the alloc counters. Diagnostics only —
-  /// not part of the determinism contract and never serialized.
+  /// Intersection-kernel activity across the MapReduce jobs of the
+  /// apply_block_rules stage (text/intersect.h); other stages' jobs are not
+  /// folded in. Counts which strategy the adaptive entry points resolved to,
+  /// per call, plus threshold early exits and membership probes. Totals are
+  /// deterministic per workload + build flavor + Algorithm-2 reuse path
+  /// (every intersection runs exactly once regardless of thread count);
+  /// per-job attribution can shift under concurrent sessions, like the alloc
+  /// counters. Diagnostics only — not part of the determinism contract and
+  /// never serialized.
   uint64_t intersect_scalar = 0;
   uint64_t intersect_small = 0;
   uint64_t intersect_gallop = 0;

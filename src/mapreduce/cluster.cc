@@ -140,7 +140,6 @@ VDuration Cluster::ShuffleTime(size_t bytes) const {
 
 void Cluster::RecordJob(const JobStats& stats) {
   std::lock_guard<std::mutex> lock(mu_);
-  total_machine_time_ += stats.Total();
   job_history_.push_back(stats);
 }
 
@@ -151,7 +150,9 @@ std::vector<JobStats> Cluster::JobHistorySnapshot() const {
 
 VDuration Cluster::total_machine_time() const {
   std::lock_guard<std::mutex> lock(mu_);
-  return total_machine_time_;
+  VDuration total = VDuration::Zero();
+  for (const JobStats& job : job_history_) total += job.Total();
+  return total;
 }
 
 // Callers that reset between measurement lanes (benches, A/B harnesses) must
@@ -159,7 +160,6 @@ VDuration Cluster::total_machine_time() const {
 // recorded after it is attributed to the new lane.
 void Cluster::ResetAccounting() {
   std::lock_guard<std::mutex> lock(mu_);
-  total_machine_time_ = VDuration::Zero();
   job_history_.clear();
 }
 

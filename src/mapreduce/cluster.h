@@ -174,12 +174,9 @@ class Cluster {
   /// Records a finished job in the accounting ledger.
   void RecordJob(const JobStats& stats);
 
-  /// Sum of virtual durations of all executed jobs. Synchronized against
-  /// concurrent RecordJob, so sibling sessions can roll up metrics mid-run.
+  /// Sum of virtual durations of all executed jobs, summed over the ledger
+  /// under its lock, so sibling sessions can roll up metrics mid-run.
   VDuration total_machine_time() const;
-  /// Unsynchronized view of the accounting ledger — only safe while no
-  /// other thread can be inside RecordJob (single-session benches/tests).
-  const std::vector<JobStats>& job_history() const { return job_history_; }
   /// Synchronized copy of the ledger, safe against concurrent RecordJob
   /// (e.g. a session rolling up metrics while sibling sessions run jobs).
   std::vector<JobStats> JobHistorySnapshot() const;
@@ -199,7 +196,6 @@ class Cluster {
 
  private:
   ClusterConfig config_;
-  VDuration total_machine_time_;
   std::vector<JobStats> job_history_;
 
   mutable std::mutex mu_;  ///< guards accounting and lazy pool creation

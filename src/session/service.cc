@@ -21,6 +21,15 @@ uint32_t SchemeMaxAnswers(VoteScheme scheme) {
   return 7;
 }
 
+/// `status` with the failing session's id prefixed to its message, so a
+/// failed submission's FinalStatus names the culprit.
+Status AnnotateSessionStatus(const std::string& session_id,
+                             const Status& status) {
+  if (status.ok()) return status;
+  return Status(status.code(),
+                "session '" + session_id + "': " + status.message());
+}
+
 }  // namespace
 
 // ---------------------------------------------------------------------------
@@ -218,6 +227,10 @@ struct EmService::Submission {
   /// The budget-enforcing wrapper the session journals through; owns no
   /// crowd state of its own beyond counters, so it survives evict/resume.
   std::unique_ptr<LedgeredCrowd> crowd;
+  /// Live pipeline state while admitted; null while queued, evicted or
+  /// finished. Declared after `crowd` so it is destroyed first: the
+  /// session's journal wraps that crowd.
+  std::unique_ptr<WorkflowSession> session;
 
   State state = State::kQueued;
   std::string snapshot;  ///< pipeline state while evicted
@@ -238,7 +251,7 @@ struct EmService::Submission {
 };
 
 EmService::EmService(Cluster* cluster, ServiceConfig config)
-    : config_(config), manager_(cluster) {
+    : config_(config), cluster_(cluster) {
   if (config_.max_resident_sessions == 0) config_.max_resident_sessions = 1;
 }
 
@@ -322,24 +335,24 @@ void EmService::AdmitLocked() {
     }
     Submission* sub = *best;
     queue_.erase(best);
-    Result<WorkflowSession*> admitted =
-        sub->state == Submission::State::kEvicted
-            ? manager_.Resume(sub->snapshot, sub->a, sub->b, sub->crowd.get(),
-                              sub->config)
-            : manager_.Create(sub->id, sub->a, sub->b, sub->crowd.get(),
-                              sub->config);
-    if (!admitted.ok()) {
-      sub->state = Submission::State::kFailed;
-      sub->final_status = AnnotateSessionStatus(sub->id, admitted.status());
-      ++sub->tenant->failed;
-      ++stats_.failed;
-      continue;
-    }
     if (sub->state == Submission::State::kEvicted) {
+      Result<std::unique_ptr<WorkflowSession>> resumed =
+          WorkflowSession::Resume(sub->snapshot, sub->a, sub->b,
+                                  sub->crowd.get(), cluster_, sub->config);
+      if (!resumed.ok()) {
+        sub->state = Submission::State::kFailed;
+        sub->final_status = AnnotateSessionStatus(sub->id, resumed.status());
+        ++sub->tenant->failed;
+        ++stats_.failed;
+        continue;
+      }
+      sub->session = std::move(resumed).value();
       sub->snapshot.clear();
       sub->snapshot.shrink_to_fit();
       ++stats_.resumes;
     } else {
+      sub->session = std::make_unique<WorkflowSession>(
+          sub->id, sub->a, sub->b, sub->crowd.get(), cluster_, sub->config);
       ++stats_.admissions;
     }
     sub->state = Submission::State::kResident;
@@ -377,10 +390,8 @@ void EmService::MaybeEvictLocked() {
     }
   }
   if (victim == nullptr) return;
-  WorkflowSession* session = manager_.Get(victim->id);
-  if (session == nullptr) return;  // unreachable: resident implies registered
-  victim->snapshot = session->SaveSnapshot();
-  manager_.Remove(victim->id); // cannot fail: resident implies registered
+  victim->snapshot = victim->session->SaveSnapshot();
+  victim->session.reset();
   resident_.erase(std::find(resident_.begin(), resident_.end(), victim));
   victim->state = Submission::State::kEvicted;
   queue_.push_back(victim);
@@ -433,7 +444,7 @@ Result<StepEvent> EmService::StepOnce() {
   sub->provisional_vruntime_s =
       MeanChargeLocked() / std::max(sub->tenant->config.weight, 1e-9);
   sub->tenant->inflight_vruntime_s += sub->provisional_vruntime_s;
-  WorkflowSession* session = manager_.Get(sub->id);
+  WorkflowSession* session = sub->session.get();
   StepEvent event;
   event.session_id = sub->id;
   event.tenant = sub->tenant->name;
@@ -447,13 +458,14 @@ Result<StepEvent> EmService::StepOnce() {
 
   event.wall_ms =
       std::chrono::duration<double, std::milli>(t1 - t0).count();
-  SettleLocked(sub, session, step_status, &event);
+  SettleLocked(sub, step_status, &event);
   cv_.notify_all();
   return event;
 }
 
-void EmService::SettleLocked(Submission* sub, WorkflowSession* session,
-                             const Status& step_status, StepEvent* event) {
+void EmService::SettleLocked(Submission* sub, const Status& step_status,
+                             StepEvent* event) {
+  WorkflowSession* session = sub->session.get();
   ++stats_.steps;
   ++sub->tenant->steps;
   ++sub->steps_since_admit;
@@ -508,7 +520,7 @@ void EmService::SettleLocked(Submission* sub, WorkflowSession* session,
   }
 
   // Terminal: drop the session's heavy state and free the resident slot.
-  manager_.Remove(sub->id);
+  sub->session.reset();
   resident_.erase(std::find(resident_.begin(), resident_.end(), sub));
 }
 
@@ -606,24 +618,6 @@ Result<TenantStats> EmService::tenant_stats(const std::string& tenant) const {
     if (sub->tenant == t) ++s.waiting;
   }
   return s;
-}
-
-size_t EmService::resident() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return resident_.size();
-}
-
-size_t EmService::queued() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return queue_.size();
-}
-
-bool EmService::idle() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  for (const auto& [id, sub] : submissions_) {
-    if (!sub->Terminal()) return false;
-  }
-  return true;
 }
 
 }  // namespace falcon

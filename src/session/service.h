@@ -1,8 +1,9 @@
 // Multi-tenant EM service scheduler (the paper's Example 1 as a system).
 //
 // EmService multiplexes many tenants' matching workflows over one shared
-// Cluster. Each submission becomes a resumable WorkflowSession; the service
-// schedules pipeline *steps* — operator boundaries, not whole runs — so one
+// Cluster. Each submission owns a resumable WorkflowSession while it is
+// resident (none while queued, evicted or finished); the service schedules
+// pipeline *steps* — operator boundaries, not whole runs — so one
 // tenant's giant job cannot monopolize the cluster between checkpoints.
 //
 //   - Admission control: at most `max_resident_sessions` sessions hold live
@@ -52,7 +53,7 @@
 #include <vector>
 
 #include "crowd/crowd.h"
-#include "session/session_manager.h"
+#include "session/workflow_session.h"
 
 namespace falcon {
 
@@ -251,10 +252,6 @@ class EmService {
 
   ServiceStats stats() const;
   Result<TenantStats> tenant_stats(const std::string& tenant) const;
-  size_t resident() const;
-  size_t queued() const;
-  /// True when no session is queued, resident, or being stepped.
-  bool idle() const;
 
   const ServiceConfig& config() const { return config_; }
 
@@ -285,11 +282,11 @@ class EmService {
   /// vruntime tenant (FIFO admission order within a tenant).
   Submission* PickLocked();
   /// Charges the step to the tenant and retires done/failed sessions.
-  void SettleLocked(Submission* sub, WorkflowSession* session,
-                    const Status& step_status, StepEvent* event);
+  void SettleLocked(Submission* sub, const Status& step_status,
+                    StepEvent* event);
 
   ServiceConfig config_;
-  SessionManager manager_;
+  Cluster* cluster_;
 
   mutable std::mutex mu_;
   std::condition_variable cv_;

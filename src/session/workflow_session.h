@@ -54,11 +54,11 @@ class WorkflowSession {
   Status RunToCompletion();
 
   /// started()/done()/next_stage() read an atomic mirror of the pipeline's
-  /// stage, published at every operator boundary — so registry observers
-  /// (SessionManager::active(), StepAll's skip check) may poll them from
-  /// other threads while a stepping thread is mid-Step(). They lag a
-  /// running Step() by design; everything else on this class is
-  /// single-stepper-at-a-time, as documented on SessionManager.
+  /// stage, published at every operator boundary — so observers may poll
+  /// them from other threads while a stepping thread is mid-Step(). They lag
+  /// a running Step() by design; everything else on this class is
+  /// single-stepper-at-a-time (EmService steps each session it owns from
+  /// one worker at a time).
   bool started() const {
     return stage_.load(std::memory_order_acquire) != PipelineStage::kInit;
   }

@@ -2,7 +2,6 @@
 // MapReduce engine's task-arena allocation accounting.
 #include <cstdint>
 #include <cstring>
-#include <set>
 #include <string>
 #include <vector>
 
@@ -154,28 +153,6 @@ TEST(ArenaTest, MovePreservesPagesAndPointers) {
   // Every page acquired was released exactly once despite the moves.
   EXPECT_EQ(provider.live_pages(), 0u);
   EXPECT_EQ(provider.released_bytes(), provider.acquired_bytes());
-}
-
-// --- FixedBlockPool ----------------------------------------------------------
-
-TEST(FixedBlockPoolTest, RecyclesBlocksWithoutNewPages) {
-  CountingPageProvider provider;
-  FixedBlockPool pool(24, &provider, /*blocks_per_page=*/4);
-  std::set<void*> first;
-  for (int i = 0; i < 4; ++i) first.insert(pool.Acquire());
-  EXPECT_EQ(first.size(), 4u);
-  EXPECT_EQ(pool.pages_acquired(), 1u);
-  EXPECT_EQ(pool.blocks_in_use(), 4u);
-  for (void* b : first) pool.Release(b);
-  EXPECT_EQ(pool.blocks_free(), 4u);
-  // Steady state: re-acquiring hands back the same blocks, no heap traffic.
-  std::set<void*> second;
-  for (int i = 0; i < 4; ++i) second.insert(pool.Acquire());
-  EXPECT_EQ(second, first);
-  EXPECT_EQ(pool.pages_acquired(), 1u);
-  // A fifth block needs a second page.
-  pool.Acquire();
-  EXPECT_EQ(pool.pages_acquired(), 2u);
 }
 
 // --- ArenaPool ---------------------------------------------------------------

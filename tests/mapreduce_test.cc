@@ -238,11 +238,11 @@ TEST(MapReduceTest, JobHistoryAccumulates) {
                        [](const int&, TaskVector<int>*) {});
   RunMapOnly<int, int>(&cluster, input, {.name = "j2"},
                        [](const int&, TaskVector<int>*) {});
-  EXPECT_EQ(cluster.job_history().size(), 2u);
-  EXPECT_EQ(cluster.job_history()[0].name, "j1");
+  EXPECT_EQ(cluster.JobHistorySnapshot().size(), 2u);
+  EXPECT_EQ(cluster.JobHistorySnapshot()[0].name, "j1");
   EXPECT_GT(cluster.total_machine_time().seconds, 0.0);
   cluster.ResetAccounting();
-  EXPECT_EQ(cluster.job_history().size(), 0u);
+  EXPECT_EQ(cluster.JobHistorySnapshot().size(), 0u);
   EXPECT_EQ(cluster.total_machine_time().seconds, 0.0);
 }
 

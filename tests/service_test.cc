@@ -1,15 +1,16 @@
 // Multi-tenant service scheduler suite (session/service.h): admission
 // control, fair-share stepping, tenant budget ledgers, and evict/resume
-// determinism — plus regression tests for the concurrency-bugfix sweep that
-// shipped with the service layer (SessionManager registry races, the
-// Cluster::total_machine_time data race, em_service argument parsing). The
-// race regressions are meant to run under TSan (the CI `service` lane).
+// determinism — plus regression tests for the bugfix sweep that shipped with
+// the service layer (the Cluster::total_machine_time data race, failed
+// sessions named in their status, em_service argument parsing). The race
+// regressions are meant to run under TSan (the CI `tsan` lane).
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <atomic>
 #include <deque>
 #include <memory>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -154,9 +155,42 @@ TEST(ServiceApiTest, SubmitAndTakeResultEdgeCases) {
   EXPECT_EQ(service.TakeResult("s").status().code(),
             StatusCode::kInvalidArgument);
   EXPECT_FALSE(service.FinalStatus("s").has_value());
-  EXPECT_EQ(service.queued(), 1u);
-  EXPECT_EQ(service.resident(), 0u);
-  EXPECT_FALSE(service.idle());
+  ServiceStats stats = service.stats();
+  EXPECT_EQ(stats.queued, 1u);
+  EXPECT_EQ(stats.resident, 0u);
+}
+
+// The service owns every session it admits and every snapshot it evicts to;
+// destroying it mid-run must release a resident session, an evicted
+// session's snapshot and a never-admitted submission alike (the CI ASan
+// lane's LeakSanitizer checks that nothing outlives its owner).
+TEST(ServiceApiTest, DestroyWithQueuedEvictedAndResidentSessions) {
+  Cluster cluster(FastCluster(1));
+  GeneratedDataset data = TinyData(7);
+  std::deque<CrowdChain> chains;
+  ServiceConfig scfg;
+  scfg.max_resident_sessions = 1;
+  scfg.min_steps_before_evict = 1;
+  EmService service(&cluster, scfg);
+  for (int i = 0; i < 3; ++i) {
+    const std::string tenant = "t" + std::to_string(i);
+    chains.push_back(PlainCrowd(500 + i, data.truth.MakeOracle()));
+    ASSERT_TRUE(service
+                    .Submit(tenant, tenant + "/job", &data.a, &data.b,
+                            chains.back().top, TinyConfig(500 + i))
+                    .ok());
+  }
+  // Turn one admits and steps t0's session; turn two evicts it to make room
+  // for t1's, which it steps, leaving t2's submission still queued.
+  ASSERT_TRUE(service.StepOnce().ok());
+  ASSERT_TRUE(service.StepOnce().ok());
+  ServiceStats stats = service.stats();
+  EXPECT_EQ(stats.resident, 1u);
+  EXPECT_EQ(stats.queued, 2u);
+  EXPECT_EQ(stats.evictions, 1u);
+  EXPECT_EQ(stats.admissions, 2u);
+  EXPECT_EQ(stats.resumes, 0u);
+  EXPECT_EQ(stats.failed, 0u);
 }
 
 // ---------------------------------------------------------------------------
@@ -188,20 +222,19 @@ TEST(ServiceTest, AdmissionCapHoldsUnderConcurrentSubmitsAndWorkers) {
                                    &data.a, &data.b, chains[i].top,
                                    TinyConfig(200 + i));
         EXPECT_TRUE(st.ok()) << st.ToString();
-        (void)service.queued();  // concurrent reads must be safe
-        (void)service.stats();
+        (void)service.stats();  // concurrent reads must be safe
       }
     });
   }
   for (auto& th : submitters) th.join();
-  EXPECT_EQ(service.queued(), static_cast<size_t>(kSessions));
+  EXPECT_EQ(service.stats().queued, static_cast<size_t>(kSessions));
 
   // Drain with two workers while a monitor polls the resident count.
   std::atomic<bool> stop{false};
   size_t max_seen = 0;
   std::thread monitor([&] {
     while (!stop.load()) {
-      max_seen = std::max(max_seen, service.resident());
+      max_seen = std::max(max_seen, service.stats().resident);
       std::this_thread::yield();
     }
   });
@@ -218,7 +251,8 @@ TEST(ServiceTest, AdmissionCapHoldsUnderConcurrentSubmitsAndWorkers) {
   // Every evicted session was eventually resumed and finished.
   EXPECT_EQ(stats.resumes, stats.evictions);
   EXPECT_GT(stats.evictions, 0u);  // 6 sessions through 2 slots must thrash
-  EXPECT_TRUE(service.idle());
+  EXPECT_EQ(stats.resident, 0u);
+  EXPECT_EQ(stats.queued, 0u);
   for (int t = 0; t < 3; ++t) {
     for (int j = 0; j < 2; ++j) {
       std::string id =
@@ -460,54 +494,21 @@ TEST(ServiceEvictTest, BlockingPlanResumesByteIdentical) {
 }
 
 // ---------------------------------------------------------------------------
-// Bugfix regressions: SessionManager registry races (run under TSan)
+// Bugfix regressions: cluster ledger race (run under TSan), failing-session
+// id, arg parsing
 // ---------------------------------------------------------------------------
-
-TEST(SessionManagerRaceTest, RegistryUsableWhileRunAllThreadedRuns) {
-  Cluster cluster(FastCluster(2));
-  SessionManager manager(&cluster);
-  GeneratedDataset data = TinyData(7);
-  std::deque<CrowdChain> chains;
-  auto create = [&](int i) {
-    chains.push_back(PlainCrowd(300 + i, data.truth.MakeOracle()));
-    auto created = manager.Create("s" + std::to_string(i), &data.a, &data.b,
-                                  chains.back().top, TinyConfig(300 + i));
-    ASSERT_TRUE(created.ok()) << created.status().ToString();
-  };
-  for (int i = 0; i < 3; ++i) create(i);
-
-  // Pre-fix, Create() here reallocated the registry vector under
-  // RunAllThreaded's feet and the unlocked reads raced the registration —
-  // TSan flagged both.
-  Status run_status;
-  std::thread runner([&] { run_status = manager.RunAllThreaded(); });
-  for (int i = 3; i < 6; ++i) {
-    create(i);
-    (void)manager.Get("s0");
-    (void)manager.ids();
-    (void)manager.active();
-    (void)manager.size();
-  }
-  runner.join();
-  EXPECT_TRUE(run_status.ok()) << run_status.ToString();
-
-  // Sessions registered mid-sweep are picked up by the next call.
-  Status st = manager.RunAll();
-  EXPECT_TRUE(st.ok()) << st.ToString();
-  EXPECT_EQ(manager.size(), 6u);
-  EXPECT_EQ(manager.active(), 0u);
-}
 
 TEST(ClusterRaceTest, TotalMachineTimeReadableDuringConcurrentJobs) {
   Cluster cluster(FastCluster(2));
-  SessionManager manager(&cluster);
+  EmService service(&cluster);
   GeneratedDataset data = TinyData(7);
   std::deque<CrowdChain> chains;
   for (int i = 0; i < 2; ++i) {
     chains.push_back(PlainCrowd(400 + i, data.truth.MakeOracle()));
-    ASSERT_TRUE(manager
-                    .Create("s" + std::to_string(i), &data.a, &data.b,
-                            chains.back().top, TinyConfig(400 + i))
+    ASSERT_TRUE(service
+                    .Submit("t" + std::to_string(i), "s" + std::to_string(i),
+                            &data.a, &data.b, chains.back().top,
+                            TinyConfig(400 + i))
                     .ok());
   }
   // Pre-fix, total_machine_time() returned the accumulator without taking
@@ -520,42 +521,83 @@ TEST(ClusterRaceTest, TotalMachineTimeReadableDuringConcurrentJobs) {
       std::this_thread::yield();
     }
   });
-  Status st = manager.RunAllThreaded();
+  Status st = service.Drain(2);
   stop.store(true);
   poller.join();
   EXPECT_TRUE(st.ok()) << st.ToString();
+  EXPECT_EQ(service.stats().completed, 2u);
   EXPECT_GT(cluster.total_machine_time().seconds, 0.0);
 }
 
-// ---------------------------------------------------------------------------
-// Bugfix regressions: first-error session id, arg parsing
-// ---------------------------------------------------------------------------
-
+// The two SessionManagerTest regressions keep the names they had when
+// SessionManager ran multi-session workloads; EmService now does, so they
+// drive it. A failed session's FinalStatus keeps the error's code and is
+// prefixed with "session '<id>': ", so a caller draining many sessions can
+// tell which one died; a completed session's status stays OK.
 TEST(SessionManagerTest, AnnotateSessionStatusPrefixesIdAndKeepsCode) {
-  EXPECT_TRUE(AnnotateSessionStatus("x", Status::OK()).ok());
-  Status annotated =
-      AnnotateSessionStatus("job-7", Status::IoError("disk on fire"));
-  EXPECT_EQ(annotated.code(), StatusCode::kIoError);
-  EXPECT_EQ(annotated.message(), "session 'job-7': disk on fire");
-}
-
-TEST(SessionManagerTest, RunAllThreadedErrorNamesTheFailingSession) {
   Cluster cluster(FastCluster(1));
-  SessionManager manager(&cluster);
+  EmService service(&cluster);
   GeneratedDataset data = TinyData(7);
   // An invalid crowd config makes every labeling call fail, so the session
-  // errors out mid-pipeline; pre-fix the returned status did not say WHICH
-  // session died.
+  // errors out mid-pipeline.
+  SimulatedCrowdConfig bad = CrowdConfig(7);
+  bad.questions_per_hit = 0;
+  const Status cause = ValidateSimulatedCrowdConfig(bad);
+  ASSERT_FALSE(cause.ok());
+  SimulatedCrowd bad_crowd(bad, data.truth.MakeOracle());
+  CrowdChain good_crowd = PlainCrowd(8, data.truth.MakeOracle());
+  ASSERT_TRUE(service
+                  .Submit("t", "doomed", &data.a, &data.b, &bad_crowd,
+                          TinyConfig(7))
+                  .ok());
+  ASSERT_TRUE(service
+                  .Submit("t", "fine", &data.a, &data.b, good_crowd.top,
+                          TinyConfig(8))
+                  .ok());
+  ASSERT_TRUE(service.Drain(1).ok());
+
+  std::optional<Status> doomed = service.FinalStatus("doomed");
+  ASSERT_TRUE(doomed.has_value());
+  EXPECT_EQ(doomed->code(), cause.code());
+  EXPECT_EQ(doomed->message().rfind("session 'doomed': ", 0), 0u)
+      << doomed->ToString();
+  EXPECT_EQ(service.TakeResult("doomed").status().code(), cause.code());
+
+  std::optional<Status> fine = service.FinalStatus("fine");
+  ASSERT_TRUE(fine.has_value());
+  EXPECT_TRUE(fine->ok()) << fine->ToString();
+  EXPECT_TRUE(service.TakeResult("fine").ok());
+}
+
+// Same failure with the sessions stepped from two worker threads: the
+// failing session is still the one named, and the healthy one completes.
+TEST(SessionManagerTest, RunAllThreadedErrorNamesTheFailingSession) {
+  Cluster cluster(FastCluster(1));
+  EmService service(&cluster);
+  GeneratedDataset data = TinyData(7);
   SimulatedCrowdConfig bad = CrowdConfig(7);
   bad.questions_per_hit = 0;
   SimulatedCrowd bad_crowd(bad, data.truth.MakeOracle());
-  ASSERT_TRUE(
-      manager.Create("doomed", &data.a, &data.b, &bad_crowd, TinyConfig(7))
-          .ok());
-  Status st = manager.RunAllThreaded();
-  ASSERT_FALSE(st.ok());
-  EXPECT_NE(st.message().find("session 'doomed'"), std::string::npos)
-      << st.ToString();
+  CrowdChain good_crowd = PlainCrowd(8, data.truth.MakeOracle());
+  ASSERT_TRUE(service
+                  .Submit("t0", "fine", &data.a, &data.b, good_crowd.top,
+                          TinyConfig(8))
+                  .ok());
+  ASSERT_TRUE(service
+                  .Submit("t1", "doomed", &data.a, &data.b, &bad_crowd,
+                          TinyConfig(7))
+                  .ok());
+  Status st = service.Drain(2);
+  ASSERT_TRUE(st.ok()) << st.ToString();
+
+  EXPECT_EQ(service.failed_sessions(), std::vector<std::string>{"doomed"});
+  std::optional<Status> doomed = service.FinalStatus("doomed");
+  ASSERT_TRUE(doomed.has_value());
+  ASSERT_FALSE(doomed->ok());
+  EXPECT_NE(doomed->message().find("session 'doomed'"), std::string::npos)
+      << doomed->ToString();
+  EXPECT_EQ(service.stats().completed, 1u);
+  EXPECT_EQ(service.stats().failed, 1u);
 }
 
 Result<ServiceArgs> Parse(std::vector<std::string> args) {

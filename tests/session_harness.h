@@ -15,8 +15,8 @@
 #include <utility>
 #include <vector>
 
-#include "session/session_manager.h"
 #include "session/snapshot.h"
+#include "session/workflow_session.h"
 #include "workload/generator.h"
 #include "workload/quality.h"
 

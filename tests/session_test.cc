@@ -12,6 +12,7 @@
 #include <utility>
 #include <vector>
 
+#include "session/service.h"
 #include "session_harness.h"
 
 namespace falcon {
@@ -219,9 +220,9 @@ TEST(SessionJournalTest, SerializedJournalRejectsCorruption) {
 
 // Two sessions sharing one cluster (and its thread pool) must each produce
 // exactly what they produce alone — no cross-session leakage through the
-// shared execution substrate, whether interleaved step-by-step or driven
-// from concurrent threads.
-TEST(SessionManagerTest, ConcurrentSessionsMatchSoloRuns) {
+// shared execution substrate, whether the service interleaves them step by
+// step on one worker or steps them from two concurrent workers.
+TEST(SharedClusterTest, ConcurrentSessionsMatchSoloRuns) {
   FalconConfig cfg1 = MatcherOnlyConfig(3);
   FalconConfig cfg2 = MatcherOnlyConfig(19);
 
@@ -238,60 +239,26 @@ TEST(SessionManagerTest, ConcurrentSessionsMatchSoloRuns) {
   MatchResult ref1 = solo(5, cfg1);
   MatchResult ref2 = solo(6, cfg2);
 
-  {  // Interleaved, one operator at a time, shared cluster.
+  for (int workers : {1, 2}) {
+    SCOPED_TRACE("workers=" + std::to_string(workers));
     GeneratedDataset d1 = MatcherOnlyData(5), d2 = MatcherOnlyData(6);
     Cluster cluster{FastCluster(2)};
     SimulatedCrowd c1(CrowdConfig(cfg1.seed), d1.truth.MakeOracle());
     SimulatedCrowd c2(CrowdConfig(cfg2.seed), d2.truth.MakeOracle());
-    SessionManager manager(&cluster);
-    auto s1 = manager.Create("one", &d1.a, &d1.b, &c1, cfg1);
-    auto s2 = manager.Create("two", &d2.a, &d2.b, &c2, cfg2);
-    ASSERT_TRUE(s1.ok() && s2.ok());
-    EXPECT_FALSE(manager.Create("one", &d1.a, &d1.b, &c1, cfg1).ok());
-    EXPECT_EQ(manager.size(), 2u);
-    ASSERT_TRUE(manager.RunAll().ok());
-    EXPECT_EQ(manager.active(), 0u);
-    auto r1 = manager.Get("one")->TakeResult();
-    auto r2 = manager.Get("two")->TakeResult();
-    ASSERT_TRUE(r1.ok() && r2.ok());
-    ExpectSameOutcome(ref1, r1.value(), "interleaved session one");
-    ExpectSameOutcome(ref2, r2.value(), "interleaved session two");
+    ServiceConfig scfg;
+    scfg.max_resident_sessions = 2;  // both resident: nothing is evicted
+    EmService service(&cluster, scfg);
+    ASSERT_TRUE(service.Submit("a", "one", &d1.a, &d1.b, &c1, cfg1).ok());
+    ASSERT_TRUE(service.Submit("b", "two", &d2.a, &d2.b, &c2, cfg2).ok());
+    ASSERT_TRUE(service.Drain(workers).ok());
+    EXPECT_EQ(service.stats().evictions, 0u);
+    auto r1 = service.TakeResult("one");
+    auto r2 = service.TakeResult("two");
+    ASSERT_TRUE(r1.ok()) << r1.status().ToString();
+    ASSERT_TRUE(r2.ok()) << r2.status().ToString();
+    ExpectSameOutcome(ref1, r1.value(), "session one");
+    ExpectSameOutcome(ref2, r2.value(), "session two");
   }
-  {  // Concurrent driver threads, shared cluster.
-    GeneratedDataset d1 = MatcherOnlyData(5), d2 = MatcherOnlyData(6);
-    Cluster cluster{FastCluster(2)};
-    SimulatedCrowd c1(CrowdConfig(cfg1.seed), d1.truth.MakeOracle());
-    SimulatedCrowd c2(CrowdConfig(cfg2.seed), d2.truth.MakeOracle());
-    SessionManager manager(&cluster);
-    ASSERT_TRUE(manager.Create("one", &d1.a, &d1.b, &c1, cfg1).ok());
-    ASSERT_TRUE(manager.Create("two", &d2.a, &d2.b, &c2, cfg2).ok());
-    ASSERT_TRUE(manager.RunAllThreaded().ok());
-    auto r1 = manager.Get("one")->TakeResult();
-    auto r2 = manager.Get("two")->TakeResult();
-    ASSERT_TRUE(r1.ok() && r2.ok());
-    ExpectSameOutcome(ref1, r1.value(), "threaded session one");
-    ExpectSameOutcome(ref2, r2.value(), "threaded session two");
-  }
-}
-
-// A snapshotted session can also re-enter through the manager.
-TEST(SessionManagerTest, ResumeThroughManager) {
-  GeneratedDataset data = MatcherOnlyData(11);
-  FalconConfig cfg = MatcherOnlyConfig();
-  ReferenceRun ref = RunWithCheckpoints(data, FastCluster(1), cfg);
-
-  GeneratedDataset fresh = MatcherOnlyData(11);
-  Cluster cluster{FastCluster(1)};
-  SimulatedCrowd crowd(CrowdConfig(cfg.seed), fresh.truth.MakeOracle());
-  SessionManager manager(&cluster);
-  auto resumed = manager.Resume(ref.snapshots[2].second, &fresh.a, &fresh.b,
-                                &crowd, cfg);
-  ASSERT_TRUE(resumed.ok()) << resumed.status().ToString();
-  EXPECT_EQ(manager.Get("ref"), *resumed);
-  ASSERT_TRUE(manager.RunAll().ok());
-  auto r = (*resumed)->TakeResult();
-  ASSERT_TRUE(r.ok());
-  ExpectSameOutcome(ref.result, r.value(), "manager resume");
 }
 
 // --- snapshot index validation ----------------------------------------------

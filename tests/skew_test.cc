@@ -315,7 +315,7 @@ MatchResult RunPlan(bool force_blocking, ShufflePartitioner part,
   EXPECT_EQ(pipeline.NeedsBlocking(), force_blocking);
   auto res = pipeline.Run();
   EXPECT_TRUE(res.ok()) << res.status().ToString();
-  if (load != nullptr) *load = RollupTaskLoad(cluster.job_history());
+  if (load != nullptr) *load = RollupTaskLoad(cluster.JobHistorySnapshot());
   return res.ok() ? std::move(*res) : MatchResult{};
 }
 
