@@ -173,10 +173,10 @@ const BTreeIndex* IndexCatalog::btree(int col_a) const {
   return it == btree_.end() ? nullptr : &it->second;
 }
 
-const TokenIndexBundle* IndexCatalog::tokens(int col_a,
-                                             Tokenization tok) const {
-  auto it = tokens_.find({col_a, static_cast<int>(tok)});
-  return it == tokens_.end() ? nullptr : &it->second;
+const InvertedIndex* IndexCatalog::inverted(int col_a,
+                                            Tokenization tok) const {
+  auto it = inverted_.find({col_a, static_cast<int>(tok)});
+  return it == inverted_.end() ? nullptr : &it->second;
 }
 
 const TokenOrdering* IndexCatalog::ordering(int col_a,
@@ -194,10 +194,10 @@ bool IndexCatalog::Has(const IndexNeed& need) const {
     case IndexKind::kBTree:
       return btree(need.col_a) != nullptr;
     case IndexKind::kToken:
-      return tokens(need.col_a, need.tok) != nullptr;
+      return inverted(need.col_a, need.tok) != nullptr &&
+             ordering(need.col_a, need.tok) != nullptr;
     case IndexKind::kTokenOrdering:
-      return ordering(need.col_a, need.tok) != nullptr ||
-             tokens(need.col_a, need.tok) != nullptr;
+      return ordering(need.col_a, need.tok) != nullptr;
   }
   return false;
 }
@@ -208,10 +208,10 @@ void IndexCatalog::PutHash(int col_a, HashIndex idx) {
 void IndexCatalog::PutBTree(int col_a, BTreeIndex idx) {
   btree_.insert_or_assign(col_a, std::move(idx));
 }
-void IndexCatalog::PutTokens(int col_a, Tokenization tok,
-                             TokenIndexBundle bundle) {
-  tokens_.insert_or_assign(std::make_pair(col_a, static_cast<int>(tok)),
-                           std::move(bundle));
+void IndexCatalog::PutInverted(int col_a, Tokenization tok,
+                               InvertedIndex idx) {
+  inverted_.insert_or_assign(std::make_pair(col_a, static_cast<int>(tok)),
+                             std::move(idx));
 }
 
 void IndexCatalog::PutOrdering(int col_a, Tokenization tok,
@@ -243,8 +243,14 @@ const TokenStore* IndexCatalog::store(const Table* table) const {
 
 size_t IndexCatalog::MemoryUsageFor(
     const std::vector<IndexNeed>& needs) const {
+  // A token probe reads the ordering's ranks as well as the inverted index.
   // Deduplicate needs so shared indexes are counted once.
   std::vector<IndexNeed> uniq = needs;
+  for (const auto& need : needs) {
+    if (need.kind == IndexKind::kToken) {
+      uniq.push_back({IndexKind::kTokenOrdering, need.col_a, need.tok});
+    }
+  }
   std::sort(uniq.begin(), uniq.end());
   uniq.erase(std::unique(uniq.begin(), uniq.end()), uniq.end());
   size_t bytes = 0;
@@ -259,8 +265,8 @@ size_t IndexCatalog::MemoryUsageFor(
         if (const auto* b = btree(need.col_a)) bytes += b->MemoryUsage();
         break;
       case IndexKind::kToken:
-        if (const auto* t = tokens(need.col_a, need.tok)) {
-          bytes += t->MemoryUsage();
+        if (const auto* i = inverted(need.col_a, need.tok)) {
+          bytes += i->MemoryUsage();
         }
         break;
       case IndexKind::kTokenOrdering:
@@ -277,7 +283,8 @@ size_t IndexCatalog::TotalMemoryUsage() const {
   size_t bytes = 0;
   for (const auto& [col, idx] : hash_) bytes += idx.MemoryUsage();
   for (const auto& [col, idx] : btree_) bytes += idx.MemoryUsage();
-  for (const auto& [key, bundle] : tokens_) bytes += bundle.MemoryUsage();
+  for (const auto& [key, idx] : inverted_) bytes += idx.MemoryUsage();
+  for (const auto& [key, ord] : orderings_) bytes += ord.MemoryUsage();
   if (dict_ != nullptr) bytes += dict_->MemoryUsage();
   for (const auto& [table, store] : stores_) bytes += store->MemoryUsage();
   return bytes;
@@ -285,9 +292,7 @@ size_t IndexCatalog::TotalMemoryUsage() const {
 
 BlockProfile IndexCatalog::MergedBlockProfile() const {
   BlockProfile profile;
-  for (const auto& [key, bundle] : tokens_) {
-    profile.Merge(bundle.inverted.profile());
-  }
+  for (const auto& [key, idx] : inverted_) profile.Merge(idx.profile());
   return profile;
 }
 
@@ -373,9 +378,9 @@ CandidateSet ClauseProber::ProbePredicate(const Predicate& pred,
       return out;
     }
     case IndexKind::kToken: {
-      const TokenIndexBundle* bundle = catalog_->tokens(need.col_a, need.tok);
-      const ProbeShape py =
-          RankedIdsFor(b_table, b, f.col_b, need.tok, bundle->ordering);
+      const InvertedIndex* idx = catalog_->inverted(need.col_a, need.tok);
+      const TokenOrdering* ord = catalog_->ordering(need.col_a, need.tok);
+      const ProbeShape py = RankedIdsFor(b_table, b, f.col_b, need.tok, *ord);
       const size_t y = py.y;
       if (y == 0) {
         out.all = true;  // empty token set cannot prove a non-match
@@ -397,9 +402,9 @@ CandidateSet ClauseProber::ProbePredicate(const Predicate& pred,
       const uint32_t epoch = NextEpoch(&s);
       for (size_t j = py.num_unknown; j < pi_y && j < y; ++j) {
         for (const Posting& p :
-             bundle->inverted.Probe(s.ranked[j - py.num_unknown].second)) {
+             idx->Probe(s.ranked[j - py.num_unknown].second)) {
           if (s.stamps[p.row] == epoch) continue;
-          const size_t x = bundle->inverted.set_size(p.row);
+          const size_t x = idx->set_size(p.row);
           if (x < len_lo || x > len_hi) continue;
           // Index-side prefix bound, enforced at probe time.
           const size_t pi_x = ProbePrefixLength(fn, t, x);
@@ -414,7 +419,7 @@ CandidateSet ClauseProber::ProbePredicate(const Predicate& pred,
           out.rows.push_back(p.row);
         }
       }
-      const auto& miss = bundle->inverted.missing_rows();
+      const auto& miss = idx->missing_rows();
       out.rows.insert(out.rows.end(), miss.begin(), miss.end());
       return out;
     }

@@ -2,11 +2,13 @@
 //
 // Each keep-predicate of the positive CNF rule Q is assigned filters:
 //   - equivalence filter (hash index)       exact_match
-//   - range filter (B+tree index)           abs_diff / rel_diff
-//   - length filter (length index)          Jaccard / Dice / cosine
+//   - range filter (B-tree index)           abs_diff / rel_diff
+//   - length filter (token-set sizes)       Jaccard / Dice / cosine
 //   - prefix filter (inverted index)        Jaccard / Dice / cosine /
 //                                           overlap / Levenshtein
 //   - position filter (postings positions)  Jaccard / Dice / cosine
+// The B-tree is stored as its sorted leaf level (index/btree_index.h). The
+// length filter reads InvertedIndex::set_size, so it has no index of its own.
 // A filter is a necessary condition: if it rejects (a,b), the predicate
 // cannot hold; survivors still get the full rule sequence applied.
 //
@@ -33,7 +35,6 @@
 #include "index/btree_index.h"
 #include "index/hash_index.h"
 #include "index/inverted_index.h"
-#include "index/length_index.h"
 #include "index/token_ordering.h"
 #include "rules/rule.h"
 #include "table/table.h"
@@ -41,18 +42,6 @@
 #include "text/token_dictionary.h"
 
 namespace falcon {
-
-/// All token-derived indexes for one (A attribute, tokenization).
-struct TokenIndexBundle {
-  TokenOrdering ordering;
-  InvertedIndex inverted;
-  LengthIndex lengths;
-
-  size_t MemoryUsage() const {
-    return ordering.MemoryUsage() + inverted.MemoryUsage() +
-           lengths.MemoryUsage();
-  }
-};
 
 /// The kinds of indexes a predicate may need. kTokenOrdering is not used by
 /// predicates directly; it names the global token ordering (MR jobs 1-2 of
@@ -93,8 +82,10 @@ class IndexCatalog {
 
   const HashIndex* hash(int col_a) const;
   const BTreeIndex* btree(int col_a) const;
-  const TokenIndexBundle* tokens(int col_a, Tokenization tok) const;
-  /// Standalone ordering (pre-built during masking); bundles carry their own.
+  /// Inverted index over A's token sets, reordered by ordering(col_a, tok).
+  const InvertedIndex* inverted(int col_a, Tokenization tok) const;
+  /// Global token ordering (MR jobs 1-2 of Section 7.5): prebuilt during
+  /// masking or built first by the inverted index's build.
   const TokenOrdering* ordering(int col_a, Tokenization tok) const;
 
   /// The shared token dictionary, created on first use. One dictionary spans
@@ -110,26 +101,30 @@ class IndexCatalog {
   bool Has(const IndexNeed& need) const;
   void PutHash(int col_a, HashIndex idx);
   void PutBTree(int col_a, BTreeIndex idx);
-  void PutTokens(int col_a, Tokenization tok, TokenIndexBundle bundle);
+  /// `idx` must have been built with ordering(col_a, tok); kToken needs both.
+  void PutInverted(int col_a, Tokenization tok, InvertedIndex idx);
   void PutOrdering(int col_a, Tokenization tok, TokenOrdering ordering);
 
   /// Memory footprint of the indexes satisfying `needs` (0 for kNone needs;
-  /// missing indexes contribute 0 — call Has() first). Counts only
-  /// mapper-resident structures: the dictionary and token stores are not
-  /// loaded into mappers (probing needs only the bundle's rank vector; the
-  /// B-side store streams with the input split).
+  /// missing indexes contribute 0 — call Has() first). A kToken need counts
+  /// its ordering plus its inverted index, the two structures its probe
+  /// reads. Counts only mapper-resident structures: the dictionary and token
+  /// stores are not loaded into mappers (probing needs only the ordering's
+  /// rank vector; the B-side store streams with the input split).
   size_t MemoryUsageFor(const std::vector<IndexNeed>& needs) const;
+  /// Every index, ordering, the dictionary and the token stores, each
+  /// counted once.
   size_t TotalMemoryUsage() const;
 
-  /// Merged posting-length profile of every token bundle's inverted index —
-  /// the catalog-wide block-skew signal the index build collected for free
-  /// (see BlockProfile). Empty profile when no token indexes exist.
+  /// Merged posting-length profile of every inverted index — the
+  /// catalog-wide block-skew signal the index build collected for free (see
+  /// BlockProfile). Empty profile when no token indexes exist.
   BlockProfile MergedBlockProfile() const;
 
  private:
   std::map<int, HashIndex> hash_;
   std::map<int, BTreeIndex> btree_;
-  std::map<std::pair<int, int>, TokenIndexBundle> tokens_;
+  std::map<std::pair<int, int>, InvertedIndex> inverted_;
   std::map<std::pair<int, int>, TokenOrdering> orderings_;
   /// unique_ptr: stable address for the string_view keys and the pointers
   /// held by stores/orderings.
@@ -151,7 +146,7 @@ struct CandidateSet {
 /// token predicate probed (IndexBuilder::EnsureTokenStores builds them).
 ///
 /// Thread safety: probing is safe from multiple threads concurrently (map
-/// tasks share one prober). The catalog — dictionary, stores, bundles — is
+/// tasks share one prober). The catalog — dictionary, stores, indexes — is
 /// read-only during probing; all mutable working state (rank/stamp/count
 /// scratch) lives in thread-local storage keyed by a process-unique prober
 /// id, so threads never contend and a thread moving between probers (or a

@@ -35,7 +35,6 @@ std::vector<IndexNeed> IndexBuilder::NeedsOfRule(const Rule& rule,
 
 std::vector<IndexNeed> IndexBuilder::GenericNeeds(const FeatureSet& fs) {
   std::set<IndexNeed> needs;
-  std::set<int> seen_cols;
   for (const Feature& f : fs.features()) {
     if (!f.usable_for_blocking) continue;
     switch (f.fn) {
@@ -59,7 +58,6 @@ std::vector<IndexNeed> IndexBuilder::GenericNeeds(const FeatureSet& fs) {
       default:
         break;
     }
-    seen_cols.insert(f.col_a);
   }
   return {needs.begin(), needs.end()};
 }
@@ -80,7 +78,7 @@ VDuration IndexBuilder::Ensure(const std::vector<IndexNeed>& needs,
         spent += BuildOrdering(need.col_a, need.tok, catalog);
         break;
       case IndexKind::kToken:
-        spent += BuildTokenBundle(need.col_a, need.tok, catalog);
+        spent += BuildInverted(need.col_a, need.tok, catalog);
         break;
       case IndexKind::kNone:
         break;
@@ -125,6 +123,7 @@ VDuration IndexBuilder::BuildBTree(int col_a, IndexCatalog* catalog) {
   for (RowId r = 0; r < a_->num_rows(); ++r) {
     if (std::isnan(a_->GetNumeric(r, col_a))) idx.AddMissing(r);
   }
+  idx.Finalize();
   catalog->PutBTree(col_a, std::move(idx));
   return result.stats.Total();
 }
@@ -217,8 +216,8 @@ VDuration IndexBuilder::BuildOrdering(int col_a, Tokenization tok,
   return spent;
 }
 
-VDuration IndexBuilder::BuildTokenBundle(int col_a, Tokenization tok,
-                                         IndexCatalog* catalog) {
+VDuration IndexBuilder::BuildInverted(int col_a, Tokenization tok,
+                                      IndexCatalog* catalog) {
   VDuration spent = VDuration::Zero();
   // Jobs 1-2 (ordering) may have been prebuilt during masking.
   if (catalog->ordering(col_a, tok) == nullptr) {
@@ -227,41 +226,38 @@ VDuration IndexBuilder::BuildTokenBundle(int col_a, Tokenization tok,
   // No-op unless the catalog was handed a prebuilt ordering without a store.
   spent += BuildStoreView(*a_, "a", col_a, tok, catalog);
   const TokenSetView* view = catalog->store(a_)->view(col_a, tok);
-  TokenIndexBundle bundle;
-  bundle.ordering = *catalog->ordering(col_a, tok);
+  const TokenOrdering* ordering = catalog->ordering(col_a, tok);
+  InvertedIndex inverted;
 
-  // MR job 3: reorder every A-row's interned token set; build the inverted
-  // index (full reordered id list with positions) and the length index.
+  // MR job 3: reorder every A-row's interned token set and build the
+  // inverted index (full reordered id list with positions).
   std::vector<RowId> rows(a_->num_rows());
   for (RowId r = 0; r < a_->num_rows(); ++r) rows[r] = r;
   std::vector<TokenId> scratch;
   auto job3 = RunMapOnly<RowId, int>(
       cluster_, rows,
-      // Builds the shared bundle in input order -> serial path.
+      // Builds the shared index in input order -> serial path.
       {.name = "build-inverted(col" + std::to_string(col_a) + "," +
                TokenizationName(tok) + ")",
        .serial = true},
       [&](const RowId& r, TaskVector<int>*) {
         if (a_->IsMissing(r, col_a)) {
-          bundle.inverted.AddMissing(r);
-          bundle.lengths.Add(0, r);
+          inverted.AddMissing(r);
           return;
         }
         auto ids = view->row(r);
         scratch.assign(ids.begin(), ids.end());
-        bundle.ordering.SortIds(&scratch);
-        bundle.lengths.Add(static_cast<uint32_t>(scratch.size()), r);
+        ordering->SortIds(&scratch);
         if (scratch.empty()) {
-          bundle.inverted.AddMissing(r);
+          inverted.AddMissing(r);
         } else {
-          bundle.inverted.AddPrefix(r, scratch,
-                                    static_cast<uint32_t>(scratch.size()));
+          inverted.AddPrefix(r, scratch, static_cast<uint32_t>(scratch.size()));
         }
       });
   spent += job3.stats.Total();
   // Compact the staged postings into the tight arena-backed CSR layout.
-  bundle.inverted.Finalize();
-  catalog->PutTokens(col_a, tok, std::move(bundle));
+  inverted.Finalize();
+  catalog->PutInverted(col_a, tok, std::move(inverted));
   return spent;
 }
 

@@ -2,9 +2,9 @@
 //
 // For every (attribute, tokenization) pair referenced by the positive rule Q,
 // three MapReduce jobs run in sequence: (1) count token frequencies over A,
-// (2) sort tokens into the global ordering, (3) tokenize/reorder every A-row
-// and build the inverted + length indexes. Hash and B-tree indexes for
-// equivalence/range filters are built by map-only jobs. The builder is
+// (2) sort tokens into the global ordering, (3) reorder every A-row's token
+// set by that ordering and build the inverted index. Hash and B-tree indexes
+// for equivalence/range filters are built by map-only jobs. The builder is
 // incremental: indexes already present in the catalog are skipped — this is
 // exactly what makes the masking optimization O1 pay off (indexes prebuilt
 // during crowdsourcing are found and reused here).
@@ -53,8 +53,7 @@ class IndexBuilder {
   VDuration BuildHash(int col_a, IndexCatalog* catalog);
   VDuration BuildBTree(int col_a, IndexCatalog* catalog);
   VDuration BuildOrdering(int col_a, Tokenization tok, IndexCatalog* catalog);
-  VDuration BuildTokenBundle(int col_a, Tokenization tok,
-                             IndexCatalog* catalog);
+  VDuration BuildInverted(int col_a, Tokenization tok, IndexCatalog* catalog);
   /// Tokenizes + interns one (table, attribute, tokenization) into the
   /// catalog's token store. No-op if the view already exists. `label` names
   /// the table in the job name ("a" / "b").

@@ -107,7 +107,6 @@ Result<AlMatcherResult> AlMatcher(const std::vector<FeatureVec>& fvs,
     result.questions += lr.num_questions;
     result.cost += lr.cost;
     result.crowd_time += lr.latency;
-    result.crowd_windows.push_back(lr.latency);
     return lr.latency;
   };
 

@@ -51,8 +51,6 @@ struct AlMatcherResult {
   // --- time accounting ---
   /// Sum of per-iteration crowd latencies.
   VDuration crowd_time;
-  /// Per-iteration crowd windows (the masking scheduler banks these).
-  std::vector<VDuration> crowd_windows;
   /// Raw machine time spent on pair selection (all iterations).
   VDuration selection_time;
   /// Selection time not hidden by crowd latency (== selection_time when

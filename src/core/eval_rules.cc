@@ -102,7 +102,6 @@ Result<EvalRulesResult> EvalRules(const std::vector<Rule>& rules,
       result.questions += lr.num_questions;
       result.cost += lr.cost;
       result.crowd_time += lr.latency;
-      result.crowd_windows.push_back(lr.latency);
       // A truncated batch's unanswered questions were never paid for; only
       // answered questions enter the estimate.
       size_t answered = 0;

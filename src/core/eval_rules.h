@@ -35,7 +35,6 @@ struct EvalRulesResult {
   /// Coverage bitmaps of the retained rules.
   std::vector<Bitmap> retained_coverage;
   VDuration crowd_time;
-  std::vector<VDuration> crowd_windows;
   size_t questions = 0;
   double cost = 0.0;
   /// True if the crowd budget cap ended rule evaluation early (C_max):

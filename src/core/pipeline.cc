@@ -170,7 +170,6 @@ FalconPipeline::FalconPipeline(const Table* a, const Table* b,
     : a_(a), b_(b), crowd_(crowd), cluster_(cluster),
       config_(std::move(config)), builder_(a, cluster) {
   features_ = FeatureSet::Generate(*a_, *b_);
-  features_ready_ = true;
   // Bound once, for the pipeline's lifetime: the stores start empty and each
   // view becomes visible to feature computation as soon as it is built.
   features_.BindTokenStores(catalog_.mutable_store(a_),

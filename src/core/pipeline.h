@@ -284,7 +284,6 @@ class FalconPipeline {
   Cluster* cluster_;
   FalconConfig config_;
   FeatureSet features_;
-  bool features_ready_ = false;
 
   PipelineState state_;
   IndexCatalog catalog_;

@@ -78,8 +78,6 @@ class JournalingCrowd : public CrowdPlatform {
   /// Entries consumed or produced so far (== journal size except while
   /// replaying a loaded journal).
   size_t position() const { return cursor_; }
-  /// Loaded entries not yet replayed.
-  size_t replay_remaining() const { return journal_.entries.size() - cursor_; }
   /// Entries served from the journal instead of the wrapped platform.
   size_t replayed_total() const { return replayed_; }
 

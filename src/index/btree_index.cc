@@ -6,210 +6,6 @@
 
 namespace falcon {
 
-namespace {
-// Fan-out tuned for cache-line friendliness; small enough that split logic
-// gets exercised by modest tables.
-constexpr int kLeafCapacity = 32;
-constexpr int kInnerCapacity = 32;
-}  // namespace
-
-struct BTreeIndex::Node {
-  bool is_leaf = true;
-  int count = 0;  // number of keys
-  double keys[kLeafCapacity];
-  // Leaf: values[i] corresponds to keys[i]; next points at right sibling.
-  RowId values[kLeafCapacity];
-  Node* next = nullptr;
-  // Inner: children[0..count] with keys[i] = smallest key in children[i+1].
-  Node* children[kInnerCapacity + 1];
-
-  Node() { std::fill(std::begin(children), std::end(children), nullptr); }
-};
-
-class BTreeIndex::Impl {
- public:
-  Impl() : root_(new Node()) {}
-  ~Impl() { Free(root_); }
-
-  void Insert(double key, RowId row) {
-    SplitResult split = InsertRec(root_, key, row);
-    if (split.happened) {
-      Node* new_root = new Node();
-      new_root->is_leaf = false;
-      new_root->count = 1;
-      new_root->keys[0] = split.separator;
-      new_root->children[0] = root_;
-      new_root->children[1] = split.right;
-      root_ = new_root;
-    }
-  }
-
-  void ProbeRange(double lo, double hi, std::vector<RowId>* out) const {
-    // Descend to the first leaf that may contain `lo`. At separator
-    // equality we go LEFT: duplicates of a separator key can remain at the
-    // tail of the left sibling after a split, and the forward leaf-chain
-    // scan below recovers any overshoot cheaply.
-    const Node* n = root_;
-    while (!n->is_leaf) {
-      int i = 0;
-      while (i < n->count && lo > n->keys[i]) ++i;
-      n = n->children[i];
-    }
-    // Scan leaves via the sibling chain.
-    while (n != nullptr) {
-      for (int i = 0; i < n->count; ++i) {
-        if (n->keys[i] > hi) return;
-        if (n->keys[i] >= lo) out->push_back(n->values[i]);
-      }
-      n = n->next;
-    }
-  }
-
-  size_t Height() const {
-    size_t h = 1;
-    const Node* n = root_;
-    while (!n->is_leaf) {
-      n = n->children[0];
-      ++h;
-    }
-    return h;
-  }
-
-  size_t MemoryUsage() const { return CountNodes(root_) * sizeof(Node); }
-
-  bool CheckInvariants() const {
-    double last = -std::numeric_limits<double>::infinity();
-    return CheckRec(root_, &last, /*is_root=*/true);
-  }
-
- private:
-  struct SplitResult {
-    bool happened = false;
-    double separator = 0.0;
-    Node* right = nullptr;
-  };
-
-  static void Free(Node* n) {
-    if (!n->is_leaf) {
-      for (int i = 0; i <= n->count; ++i) Free(n->children[i]);
-    }
-    delete n;
-  }
-
-  static size_t CountNodes(const Node* n) {
-    if (n->is_leaf) return 1;
-    size_t c = 1;
-    for (int i = 0; i <= n->count; ++i) c += CountNodes(n->children[i]);
-    return c;
-  }
-
-  SplitResult InsertRec(Node* n, double key, RowId row) {
-    if (n->is_leaf) {
-      // Insert position: keep equal keys adjacent (stable by insertion).
-      int pos = 0;
-      while (pos < n->count && n->keys[pos] <= key) ++pos;
-      if (n->count < kLeafCapacity) {
-        ShiftRightLeaf(n, pos);
-        n->keys[pos] = key;
-        n->values[pos] = row;
-        ++n->count;
-        return {};
-      }
-      // Split leaf, then insert into the proper half.
-      Node* right = new Node();
-      right->is_leaf = true;
-      int mid = kLeafCapacity / 2;
-      right->count = kLeafCapacity - mid;
-      std::copy(n->keys + mid, n->keys + kLeafCapacity, right->keys);
-      std::copy(n->values + mid, n->values + kLeafCapacity, right->values);
-      n->count = mid;
-      right->next = n->next;
-      n->next = right;
-      if (key < right->keys[0]) {
-        InsertRec(n, key, row);
-      } else {
-        InsertRec(right, key, row);
-      }
-      return {true, right->keys[0], right};
-    }
-    // Inner node: find the child to descend into.
-    int i = 0;
-    while (i < n->count && key >= n->keys[i]) ++i;
-    SplitResult child_split = InsertRec(n->children[i], key, row);
-    if (!child_split.happened) return {};
-    if (n->count < kInnerCapacity) {
-      ShiftRightInner(n, i);
-      n->keys[i] = child_split.separator;
-      n->children[i + 1] = child_split.right;
-      ++n->count;
-      return {};
-    }
-    // Split inner node. Insert the new separator virtually, then split.
-    double tmp_keys[kInnerCapacity + 1];
-    Node* tmp_children[kInnerCapacity + 2];
-    std::copy(n->keys, n->keys + n->count, tmp_keys);
-    std::copy(n->children, n->children + n->count + 1, tmp_children);
-    // Insert separator at position i.
-    std::copy_backward(tmp_keys + i, tmp_keys + kInnerCapacity,
-                       tmp_keys + kInnerCapacity + 1);
-    std::copy_backward(tmp_children + i + 1,
-                       tmp_children + kInnerCapacity + 1,
-                       tmp_children + kInnerCapacity + 2);
-    tmp_keys[i] = child_split.separator;
-    tmp_children[i + 1] = child_split.right;
-
-    int total = kInnerCapacity + 1;  // keys after virtual insert
-    int mid = total / 2;             // key at mid moves up
-    Node* right = new Node();
-    right->is_leaf = false;
-    right->count = total - mid - 1;
-    std::copy(tmp_keys + mid + 1, tmp_keys + total, right->keys);
-    std::copy(tmp_children + mid + 1, tmp_children + total + 1,
-              right->children);
-    n->count = mid;
-    std::copy(tmp_keys, tmp_keys + mid, n->keys);
-    std::copy(tmp_children, tmp_children + mid + 1, n->children);
-    return {true, tmp_keys[mid], right};
-  }
-
-  static void ShiftRightLeaf(Node* n, int pos) {
-    for (int j = n->count; j > pos; --j) {
-      n->keys[j] = n->keys[j - 1];
-      n->values[j] = n->values[j - 1];
-    }
-  }
-
-  static void ShiftRightInner(Node* n, int pos) {
-    for (int j = n->count; j > pos; --j) {
-      n->keys[j] = n->keys[j - 1];
-      n->children[j + 1] = n->children[j];
-    }
-  }
-
-  bool CheckRec(const Node* n, double* last, bool is_root) const {
-    if (!is_root && n->count < 1) return false;
-    if (n->is_leaf) {
-      for (int i = 0; i < n->count; ++i) {
-        if (n->keys[i] < *last) return false;
-        *last = n->keys[i];
-      }
-      return true;
-    }
-    for (int i = 0; i <= n->count; ++i) {
-      if (!CheckRec(n->children[i], last, false)) return false;
-      if (i < n->count && n->keys[i] < *last) return false;
-    }
-    return true;
-  }
-
-  Node* root_;
-};
-
-BTreeIndex::BTreeIndex() : impl_(new Impl()) {}
-BTreeIndex::~BTreeIndex() = default;
-BTreeIndex::BTreeIndex(BTreeIndex&&) noexcept = default;
-BTreeIndex& BTreeIndex::operator=(BTreeIndex&&) noexcept = default;
-
 BTreeIndex BTreeIndex::Build(const Table& table, size_t col) {
   BTreeIndex idx;
   for (RowId r = 0; r < table.num_rows(); ++r) {
@@ -220,33 +16,38 @@ BTreeIndex BTreeIndex::Build(const Table& table, size_t col) {
     }
     idx.Insert(v, r);
   }
+  idx.Finalize();
   return idx;
 }
 
 void BTreeIndex::Insert(double key, RowId row) {
   assert(!std::isnan(key));
-  impl_->Insert(key, row);
-  ++size_;
+  entries_.emplace_back(key, row);
+  finalized_ = false;
+}
+
+void BTreeIndex::Finalize() {
+  std::stable_sort(
+      entries_.begin(), entries_.end(),
+      [](const auto& x, const auto& y) { return x.first < y.first; });
+  finalized_ = true;
 }
 
 void BTreeIndex::ProbeRange(double lo, double hi,
                             std::vector<RowId>* out) const {
-  if (lo > hi) return;
-  impl_->ProbeRange(lo, hi, out);
+  assert(finalized_ && "ProbeRange before Finalize");
+  if (!(lo <= hi)) return;
+  auto it = std::lower_bound(
+      entries_.begin(), entries_.end(), lo,
+      [](const auto& entry, double key) { return entry.first < key; });
+  for (; it != entries_.end() && it->first <= hi; ++it) {
+    out->push_back(it->second);
+  }
 }
-
-std::vector<RowId> BTreeIndex::ProbeEqual(double key) const {
-  std::vector<RowId> out;
-  impl_->ProbeRange(key, key, &out);
-  return out;
-}
-
-size_t BTreeIndex::height() const { return impl_->Height(); }
 
 size_t BTreeIndex::MemoryUsage() const {
-  return impl_->MemoryUsage() + missing_.capacity() * sizeof(RowId);
+  return entries_.capacity() * sizeof(entries_[0]) +
+         missing_.capacity() * sizeof(RowId);
 }
-
-bool BTreeIndex::CheckInvariants() const { return impl_->CheckInvariants(); }
 
 }  // namespace falcon

@@ -146,7 +146,6 @@ class LedgeredCrowd : public CrowdPlatform {
   }
 
   CrowdPlatform* inner() const { return inner_; }
-  TenantLedger* tenant_ledger() const { return ledger_; }
   /// Batches cut short (prefix posted) or refused outright at the cap.
   uint64_t truncated_batches() const { return truncated_batches_; }
   uint64_t refused_batches() const { return refused_batches_; }

@@ -2,6 +2,7 @@
 
 #include <fstream>
 #include <sstream>
+#include <string_view>
 
 #include "common/strings.h"
 
@@ -99,9 +100,13 @@ Result<Table> ReadCsvString(const std::string& text, const CsvOptions& opts,
 
   // Collect all records first (types may need inference over the whole file).
   std::vector<std::vector<std::string>> rows;
+  size_t start = pos;
   while (ParseRecord(text, &pos, opts.delimiter, &fields, &status)) {
-    // Skip completely blank trailing lines.
-    if (fields.size() == 1 && fields[0].empty()) continue;
+    // Skip blank lines. A quoted empty field ("") is a record: it is how a
+    // one-column table writes a missing value.
+    std::string_view record(text.data() + start, pos - start);
+    start = pos;
+    if (record.find_first_not_of("\r\n") == std::string_view::npos) continue;
     rows.push_back(fields);
   }
   if (!status.ok()) return status;
@@ -171,6 +176,8 @@ std::string WriteCsvString(const Table& table, const CsvOptions& opts) {
       if (c > 0) out.push_back(opts.delimiter);
       AppendField(&out, table.Get(r, c), opts.delimiter);
     }
+    // A lone empty field would be a blank line, which the reader skips.
+    if (schema.num_attrs() == 1 && table.IsMissing(r, 0)) out.append("\"\"");
     out.push_back('\n');
   }
   return out;

@@ -49,11 +49,6 @@ class Table {
   /// True if the value at (row, col) is missing (empty string).
   bool IsMissing(RowId row, size_t col) const { return cols_[col][row].empty(); }
 
-  /// Read-only access to a whole column.
-  const std::vector<std::string>& Column(size_t col) const {
-    return cols_[col];
-  }
-
   /// Approximate heap footprint in bytes (used for memory-fit decisions).
   size_t MemoryUsage() const;
 

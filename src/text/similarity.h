@@ -141,7 +141,6 @@ class IdfDict {
   void Finalize();
   /// Smoothed IDF: log(1 + N / (1 + df)).
   double Idf(const std::string& token) const;
-  size_t num_documents() const { return num_docs_; }
 
  private:
   std::unordered_map<std::string, double> df_;

@@ -405,17 +405,28 @@ TEST(IndexBuilderTest, GenericNeedsCoverBlockingFeatures) {
 TEST(IndexBuilderTest, PrebuiltOrderingSpeedsBundle) {
   ApplyFixture fixture;
   IndexBuilder builder(&fixture.data.a, &fixture.cluster);
-  // Build ordering first (as masking O1 would), then the bundle.
+  // Build ordering first (as masking O1 would), then the inverted index.
   IndexCatalog cat;
   int col = fixture.fs.feature(fixture.seq.rules[0].predicates[0].feature_id)
                 .col_a;
   VDuration t1 = builder.Ensure(
       {{IndexKind::kTokenOrdering, col, Tokenization::kWord}}, &cat);
   EXPECT_GT(t1.seconds, 0.0);
-  VDuration t2 = builder.Ensure(
-      {{IndexKind::kToken, col, Tokenization::kWord}}, &cat);
+  const size_t ordering_only = cat.TotalMemoryUsage();
+  const IndexNeed token_need{IndexKind::kToken, col, Tokenization::kWord};
+  VDuration t2 = builder.Ensure({token_need}, &cat);
   EXPECT_GT(t2.seconds, 0.0);
-  // A cold build pays for ordering + bundle together.
+  // The inverted index sorts with the catalog's ordering instead of copying
+  // it: it is the only structure the build adds, and a token probe's memory
+  // is that ordering plus the inverted index.
+  const InvertedIndex* inv = cat.inverted(col, Tokenization::kWord);
+  const TokenOrdering* ord = cat.ordering(col, Tokenization::kWord);
+  ASSERT_NE(inv, nullptr);
+  ASSERT_NE(ord, nullptr);
+  EXPECT_EQ(cat.TotalMemoryUsage() - ordering_only, inv->MemoryUsage());
+  EXPECT_EQ(cat.MemoryUsageFor({token_need}),
+            ord->MemoryUsage() + inv->MemoryUsage());
+  // A cold build pays for ordering + inverted index together.
   IndexCatalog cold;
   VDuration t3 = builder.Ensure(
       {{IndexKind::kToken, col, Tokenization::kWord}}, &cold);

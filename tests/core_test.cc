@@ -116,7 +116,6 @@ TEST(AlMatcherTest, LearnsAUsefulBlockerModel) {
   EXPECT_GE(r->labeled_indices.size(), 20u);
   EXPECT_EQ(r->labeled_indices.size(), r->labels.size());
   EXPECT_GT(r->crowd_time.seconds, 0.0);
-  EXPECT_EQ(r->crowd_windows.size(), static_cast<size_t>(r->iterations));
   // Must have found at least a few positives via active learning.
   size_t pos = 0;
   for (char l : r->labels) pos += l ? 1 : 0;
@@ -209,7 +208,7 @@ TEST(EvalRulesTest, RetainsPreciseDropsImprecise) {
   EXPECT_EQ(CanonicalKey(r->retained[0]), CanonicalKey(precise));
   EXPECT_GE(r->retained[0].precision, 0.95);
   EXPECT_GT(r->questions, 0u);
-  EXPECT_FALSE(r->crowd_windows.empty());
+  EXPECT_GT(r->crowd_time.seconds, 0.0);
 }
 
 TEST(EvalRulesTest, IterationCapRespected) {

@@ -355,7 +355,7 @@ TEST(DictEncodedEquivalence, BoundFeatureComputeMatchesStringPath) {
 }
 
 // Concurrent probing against one shared read-only store: every thread reads
-// the same dictionary/store/bundles with zero locking. Run under
+// the same dictionary/store/indexes with zero locking. Run under
 // FALCON_SANITIZE=thread this is the data-race regression test for the
 // dictionary-encoded path.
 TEST(DictEncodedEquivalence, ParallelApplyMatchesSerialWithStores) {

@@ -133,6 +133,19 @@ TEST(CsvTest, RoundTrip) {
   EXPECT_EQ(back.Get(0, 0), "Dune, Part 1");
   EXPECT_EQ(back.Get(0, 1), "978\"x\"");
   EXPECT_TRUE(back.IsMissing(1, 0));
+
+  // One column: a missing value is the whole record, so it must not be
+  // written as a blank line the reader skips.
+  Table one(Schema({{"title", AttrType::kString}}));
+  for (const char* v : {"a", "", "b", ""}) ASSERT_TRUE(one.AppendRow({v}).ok());
+  Schema one_schema = one.schema();
+  auto one_back =
+      ReadCsvString(WriteCsvString(one), CsvOptions{}, &one_schema);
+  ASSERT_TRUE(one_back.ok()) << one_back.status().ToString();
+  ASSERT_EQ(one_back.value().num_rows(), 4u);
+  EXPECT_EQ(one_back.value().Get(2, 0), "b");
+  EXPECT_TRUE(one_back.value().IsMissing(1, 0));
+  EXPECT_TRUE(one_back.value().IsMissing(3, 0));
 }
 
 TEST(CsvTest, MissingValuesDoNotBreakNumericInference) {
