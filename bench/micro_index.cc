@@ -191,7 +191,8 @@ void WriteComparisonReport() {
     Rule r;
     r.predicates = {Predicate{keep_feat, keep_feat, PredOp::kGt, 0.5}};
     seq.rules = {r};
-    fx->fs.BindTokenStores(fx->catalog.store(&d.a), fx->catalog.store(&d.b));
+    fx->fs.BindTokenStores(fx->catalog.mutable_store(&d.a),
+                           fx->catalog.mutable_store(&d.b));
     RuleApplier applier(seq, &fx->fs, &d.a, &d.b);
     // Strided A sample x every B row keeps the sweep O(seconds) at full size.
     const size_t a_step = std::max<size_t>(d.a.num_rows() / 64, 1);

@@ -75,7 +75,8 @@ int main(int argc, char** argv) {
       // per-iteration, so unbind before it is destroyed (end of loop body).
       builder.EnsureTokenStores(data->b, fs, &catalog);
       builder.Ensure(IndexBuilder::NeedsOfCnf(q, fs), &catalog);
-      fs.BindTokenStores(catalog.store(&data->a), catalog.store(&data->b));
+      fs.BindTokenStores(catalog.mutable_store(&data->a),
+                         catalog.mutable_store(&data->b));
       ApplyMethod chosen =
           SelectApplyMethod(data->a, data->b, *seq, fs, catalog, cluster);
       for (ApplyMethod m :

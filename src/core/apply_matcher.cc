@@ -38,8 +38,10 @@ ApplyMatcherFusedResult ApplyMatcherFused(
         lazy.Begin(&fs, &feature_ids, &a, pairs[i].first, &b,
                    pairs[i].second);
         int voted = 0;
-        bool match = forest.PredictWith(
-            [&lazy](int pos) { return lazy.Get(pos); }, &voted);
+        // `lazy` has thread storage duration, so the lambda names it
+        // without a capture.
+        bool match =
+            forest.PredictWith([](int pos) { return lazy.Get(pos); }, &voted);
         result.predictions[i] = match ? 1 : 0;
         (*counters)[kFeaturesComputed] += lazy.computed_count();
         (*counters)[kTreesVoted] += voted;

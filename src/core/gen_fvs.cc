@@ -17,9 +17,11 @@ GenFvsResult GenFvs(const Table& a, const Table& b,
                     Cluster* cluster, const char* job_name) {
   GenFvsResult result;
   result.fvs.resize(pairs.size());
-  // Set-based features run on interned token-id spans whenever the caller
-  // bound token stores to `fs` (see FeatureSet::BindTokenStores); this job
-  // needs no special handling for that — Compute dispatches per feature.
+  // Compute reads whatever the caller prepared beforehand
+  // (FeatureSet::Prepare): set-based features read the bound stores'
+  // interned views, Monge-Elkan and TF/IDF features read per-row word lists
+  // and TF/IDF vectors. Unprepared features take the string path; values
+  // are bitwise equal either way, so this job needs no special handling.
   // Input items are indices so output order matches input order even though
   // map tasks run per split.
   std::vector<size_t> idx(pairs.size());

@@ -241,6 +241,11 @@ Result<MatchResult> FalconPipeline::TakeResult() {
   return std::move(state_.out);
 }
 
+VDuration FalconPipeline::PrepareFeatures(const std::vector<int>& ids) {
+  return VDuration::Seconds(
+      internal::MeasureSeconds([&] { features_.Prepare(ids, *a_, *b_); }));
+}
+
 void FalconPipeline::AddMachine(const std::string& name, VDuration raw,
                                 VDuration unmasked) {
   RunMetrics& m = state_.out.metrics;
@@ -275,6 +280,7 @@ Status FalconPipeline::StageSamplePairs() {
 
 // --- (2) gen_fvs over S (blocking features) ---------------------------------
 Status FalconPipeline::StageGenFvsSample() {
+  VDuration prep = PrepareFeatures(features_.blocking_ids());
   GenFvsResult sfvs = GenFvs(*a_, *b_, state_.sample, features_,
                              features_.blocking_ids(), cluster_,
                              "gen_fvs(S)");
@@ -282,7 +288,7 @@ Status FalconPipeline::StageGenFvsSample() {
   state_.sample_fvs_ready = true;
   state_.out.metrics.alloc_count += sfvs.alloc_count;
   state_.out.metrics.alloc_bytes += sfvs.alloc_bytes;
-  AddMachine("gen_fvs", sfvs.time, sfvs.time);
+  AddMachine("gen_fvs", prep + sfvs.time, prep + sfvs.time);
   state_.next = PipelineStage::kBlockerAl;
   return Status::OK();
 }
@@ -314,9 +320,9 @@ Status FalconPipeline::StageBlockerAl() {
   state_.blocker_labels = std::move(blocker.labels);
 
   // O1a: while the blocker crowdsources, build rule-independent indexes.
-  // Token stores come first: tokenizing/interning both tables inside the
-  // mask window makes every later probe and feature computation run on
-  // integer ids.
+  // Token stores come first: gen_fvs(S) already built the views its set
+  // features read, so this interns only the remaining q-gram views the
+  // Levenshtein filters probe.
   if (config_.enable_masking && config_.mask_index_building) {
     VDuration dur = builder_.EnsureTokenStores(*b_, features_, &catalog_);
     dur += builder_.Ensure(IndexBuilder::GenericNeeds(features_), &catalog_);
@@ -602,13 +608,14 @@ Status FalconPipeline::StageGenFvsCand() {
     }
     out.metrics.candidate_size = out.candidates.size();
   }
+  VDuration prep = PrepareFeatures(features_.all_ids());
   GenFvsResult cfvs = GenFvs(*a_, *b_, out.candidates, features_,
                              features_.all_ids(), cluster_, "gen_fvs(C)");
   state_.cand_fvs = std::move(cfvs.fvs);
   state_.cand_fvs_ready = true;
   out.metrics.alloc_count += cfvs.alloc_count;
   out.metrics.alloc_bytes += cfvs.alloc_bytes;
-  AddMachine("gen_fvs(C)", cfvs.time, cfvs.time);
+  AddMachine("gen_fvs(C)", prep + cfvs.time, prep + cfvs.time);
   state_.next = PipelineStage::kMatcherAl;
   return Status::OK();
 }
@@ -654,11 +661,13 @@ Status FalconPipeline::StageApplyMatcher() {
   VDuration compile_time;
   FALCON_ASSIGN_OR_RETURN(FlatForest flat,
                           CompileMatcher(out.matcher, &compile_time));
+  // Already prepared by gen_fvs(C), unless this run resumed after it.
+  VDuration prep = PrepareFeatures(features_.all_ids());
   ApplyMatcherFusedResult predictions = ApplyMatcherFused(
       *a_, *b_, out.candidates, features_, features_.all_ids(), flat,
       cluster_);
   {
-    VDuration raw = compile_time + predictions.time;
+    VDuration raw = compile_time + prep + predictions.time;
     VDuration unmasked = raw;
     if (config_.enable_masking && config_.mask_speculative_execution &&
         state_.matcher_converged) {
@@ -758,6 +767,7 @@ Status FalconPipeline::Rehydrate(VDuration* rebuild_time) {
         (next == PipelineStage::kBlockerAl ||
          next == PipelineStage::kGetRules) &&
         !state_.sample_fvs_ready) {
+      total += PrepareFeatures(features_.blocking_ids());
       GenFvsResult sfvs = GenFvs(*a_, *b_, state_.sample, features_,
                                  features_.blocking_ids(), cluster_,
                                  "gen_fvs(S,rehydrate)");
@@ -768,6 +778,7 @@ Status FalconPipeline::Rehydrate(VDuration* rebuild_time) {
       total += sfvs.time;
     }
     if (next == PipelineStage::kMatcherAl && !state_.cand_fvs_ready) {
+      total += PrepareFeatures(features_.all_ids());
       GenFvsResult cfvs = GenFvs(*a_, *b_, state_.out.candidates, features_,
                                  features_.all_ids(), cluster_,
                                  "gen_fvs(C,rehydrate)");

@@ -271,6 +271,11 @@ class FalconPipeline {
   Status StageApplyMatcher();
   Status StageEstimateAccuracy();
 
+  /// Prepares the per-row inputs of the features in `ids` on A and B
+  /// (FeatureSet::Prepare) and returns the measured seconds that took
+  /// outside the cluster, which the calling stage charges like
+  /// CompileMatcher's compile time.
+  VDuration PrepareFeatures(const std::vector<int>& ids);
   /// Appends a machine-operator timing row and accumulates t_m / t_u.
   void AddMachine(const std::string& name, VDuration raw, VDuration unmasked);
   /// MaskBank withdrawal: charges a maskable task, returns its unmasked part.

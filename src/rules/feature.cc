@@ -4,6 +4,7 @@
 #include <cctype>
 #include <cmath>
 #include <limits>
+#include <map>
 
 #include "common/arena.h"
 #include "common/strings.h"
@@ -86,6 +87,7 @@ std::string FeatureName(const FeatureTemplate& t, const std::string& attr_a,
 FeatureSet FeatureSet::Generate(const Table& a, const Table& b,
                                 const FeatureGenOptions& options) {
   FeatureSet fs;
+  std::map<std::pair<int, Tokenization>, int> idf_of;
   auto prof_a = ProfileTable(a, options.profile);
   auto prof_b = ProfileTable(b, options.profile);
 
@@ -126,22 +128,90 @@ FeatureSet FeatureSet::Generate(const Table& a, const Table& b,
       f.usable_for_blocking = tmpl.blocking;
       if (tmpl.fn == SimFunction::kTfIdf ||
           tmpl.fn == SimFunction::kSoftTfIdf) {
-        // Build one IDF dictionary per (A attribute, tokenization), over A.
-        auto idf = std::make_unique<IdfDict>();
-        for (RowId r = 0; r < a.num_rows(); ++r) {
-          if (a.IsMissing(r, ca)) continue;
-          idf->AddDocument(ToTokenSet(Tokenize(a.Get(r, ca), tmpl.tok)));
+        // One IDF dictionary per (A attribute, tokenization), over A, which
+        // tfidf and soft_tfidf share.
+        auto it = idf_of.find({ca, tmpl.tok});
+        if (it == idf_of.end()) {
+          auto idf = std::make_unique<IdfDict>();
+          for (RowId r = 0; r < a.num_rows(); ++r) {
+            if (a.IsMissing(r, ca)) continue;
+            idf->AddDocument(ToTokenSet(Tokenize(a.Get(r, ca), tmpl.tok)));
+          }
+          idf->Finalize();
+          it = idf_of.emplace(std::make_pair(ca, tmpl.tok),
+                              static_cast<int>(fs.idfs_.size()))
+                   .first;
+          fs.idfs_.push_back(std::move(idf));
         }
-        idf->Finalize();
-        f.idf_index = static_cast<int>(fs.idfs_.size());
-        fs.idfs_.push_back(std::move(idf));
+        f.idf_index = it->second;
       }
       fs.all_ids_.push_back(f.id);
       if (f.usable_for_blocking) fs.blocking_ids_.push_back(f.id);
       fs.features_.push_back(std::move(f));
     }
   }
+  fs.inputs_a_.assign(fs.features_.size(), nullptr);
+  fs.inputs_b_.assign(fs.features_.size(), nullptr);
   return fs;
+}
+
+void FeatureSet::Prepare(const std::vector<int>& ids, const Table& a,
+                         const Table& b) {
+  const bool stores = store_a_ != nullptr && store_a_->table() == &a &&
+                      store_b_ != nullptr && store_b_->table() == &b;
+  for (int id : ids) {
+    const Feature& f = features_[id];
+    switch (f.fn) {
+      case SimFunction::kJaccard:
+      case SimFunction::kDice:
+      case SimFunction::kOverlap:
+      case SimFunction::kCosine:
+        if (stores) {
+          store_a_->EnsureView(f.col_a, f.tok);
+          store_b_->EnsureView(f.col_b, f.tok);
+        }
+        break;
+      case SimFunction::kMongeElkan:
+      case SimFunction::kTfIdf:
+      case SimFunction::kSoftTfIdf:
+        inputs_a_[id] = EnsureRowInputs(f, a, f.col_a);
+        inputs_b_[id] = EnsureRowInputs(f, b, f.col_b);
+        break;
+      default:
+        break;
+    }
+  }
+}
+
+const FeatureSet::RowInputs* FeatureSet::EnsureRowInputs(const Feature& f,
+                                                         const Table& t,
+                                                         int col) {
+  // Monge-Elkan always splits into words (see Compute).
+  const Tokenization tok =
+      f.fn == SimFunction::kMongeElkan ? Tokenization::kWord : f.tok;
+  for (const auto& in : row_inputs_) {
+    if (in->table == &t && in->col == col && in->tok == tok &&
+        in->idf_index == f.idf_index) {
+      return in.get();
+    }
+  }
+  auto in = std::make_unique<RowInputs>();
+  in->table = &t;
+  in->col = col;
+  in->tok = tok;
+  in->idf_index = f.idf_index;
+  // Missing rows get empty inputs; Compute returns NaN before reading them.
+  for (RowId r = 0; r < t.num_rows(); ++r) {
+    std::vector<std::string> tokens;
+    if (!t.IsMissing(r, col)) tokens = Tokenize(t.Get(r, col), tok);
+    if (f.idf_index < 0) {
+      in->words.push_back(std::move(tokens));
+    } else {
+      in->tfidf.Add(tokens, *idfs_[f.idf_index]);
+    }
+  }
+  row_inputs_.push_back(std::move(in));
+  return row_inputs_.back().get();
 }
 
 namespace {
@@ -183,6 +253,17 @@ bool FeatureSet::TokenViews(int id, const Table& a, const Table& b,
   *va = view_a;
   *vb = view_b;
   return true;
+}
+
+std::pair<const FeatureSet::RowInputs*, const FeatureSet::RowInputs*>
+FeatureSet::PreparedInputs(int id, const Table& a, const Table& b) const {
+  const RowInputs* in_a = inputs_a_[id];
+  const RowInputs* in_b = inputs_b_[id];
+  if (in_a == nullptr || in_a->table != &a || in_b == nullptr ||
+      in_b->table != &b) {
+    return {nullptr, nullptr};
+  }
+  return {in_a, in_b};
 }
 
 double FeatureSet::Compute(int id, const Table& a, RowId a_row,
@@ -234,6 +315,9 @@ double FeatureSet::Compute(int id, const Table& a, RowId a_row,
     case SimFunction::kJaroWinkler:
       return JaroWinklerSim(va, vb);
     case SimFunction::kMongeElkan:
+      if (auto [in_a, in_b] = PreparedInputs(id, a, b); in_a != nullptr) {
+        return MongeElkanSim(in_a->words[a_row], in_b->words[b_row]);
+      }
       return MongeElkanSim(WordTokens(va), WordTokens(vb));
     case SimFunction::kNeedlemanWunsch:
       return NeedlemanWunschSim(va, vb);
@@ -242,11 +326,18 @@ double FeatureSet::Compute(int id, const Table& a, RowId a_row,
     case SimFunction::kSmithWatermanGotoh:
       return SmithWatermanGotohSim(va, vb);
     case SimFunction::kTfIdf:
-      return TfIdfSim(Tokenize(va, f.tok), Tokenize(vb, f.tok),
-                      *idfs_[f.idf_index]);
-    case SimFunction::kSoftTfIdf:
-      return SoftTfIdfSim(Tokenize(va, f.tok), Tokenize(vb, f.tok),
-                          *idfs_[f.idf_index]);
+    case SimFunction::kSoftTfIdf: {
+      if (auto [in_a, in_b] = PreparedInputs(id, a, b); in_a != nullptr) {
+        TfIdfView x = in_a->tfidf[a_row];
+        TfIdfView y = in_b->tfidf[b_row];
+        return f.fn == SimFunction::kTfIdf ? TfIdfSim(x, y)
+                                           : SoftTfIdfSim(x, y);
+      }
+      const IdfDict& idf = *idfs_[f.idf_index];
+      return f.fn == SimFunction::kTfIdf
+                 ? TfIdfSim(Tokenize(va, f.tok), Tokenize(vb, f.tok), idf)
+                 : SoftTfIdfSim(Tokenize(va, f.tok), Tokenize(vb, f.tok), idf);
+    }
   }
   return std::numeric_limits<double>::quiet_NaN();
 }

@@ -14,6 +14,7 @@
 
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "learn/decision_tree.h"
@@ -36,7 +37,8 @@ struct Feature {
   /// Human-readable name, e.g. "jaccard_word(title,title)".
   std::string name;
   bool usable_for_blocking = false;
-  /// Index of the IDF dictionary for TF/IDF features; -1 otherwise.
+  /// Index of the IDF dictionary for TF/IDF features; -1 otherwise. tfidf
+  /// and soft_tfidf on one attribute share their dictionary.
   int idf_index = -1;
 };
 
@@ -77,15 +79,31 @@ class FeatureSet {
 
   /// Binds the token stores holding each table's interned token sets.
   /// While bound, set-based features compute over integer-id spans instead
-  /// of retokenizing strings — byte-identical results, no allocation. The
-  /// stores must outlive the binding; callers owning a shorter-lived catalog
-  /// must unbind (pass nullptr, nullptr) before destroying it. Compute falls
-  /// back to the string path for any (table, attribute, tokenization) the
-  /// bound stores do not cover.
-  void BindTokenStores(const TokenStore* a_store, const TokenStore* b_store) {
+  /// of retokenizing strings — byte-identical results, no allocation — and
+  /// Prepare builds the views they read. The stores must outlive the
+  /// binding; callers owning a shorter-lived catalog must unbind (pass
+  /// nullptr, nullptr) before destroying it. Compute falls back to the
+  /// string path for any (table, attribute, tokenization) the bound stores
+  /// do not cover.
+  void BindTokenStores(TokenStore* a_store, TokenStore* b_store) {
     store_a_ = a_store;
     store_b_ = b_store;
   }
+
+  /// Builds, once per row rather than once per pair, what the features in
+  /// `ids` read on `a` and `b`:
+  ///   - set-based features: the bound stores' views (TokenStore::
+  ///     EnsureView), when the stores are bound to `a` and `b`;
+  ///   - Monge-Elkan: each row's word list;
+  ///   - tfidf and soft_tfidf: each row's TF/IDF vector (TfIdfVectors),
+  ///     one per (table, attribute, tokenization, IDF dictionary), which
+  ///     both functions share.
+  /// Compute then reads these instead of retokenizing both values of every
+  /// pair; every value stays bitwise what the unprepared path computes.
+  /// Idempotent: what is already built is kept. The inputs are derived
+  /// state, never serialized. `a` and `b` must outlive them, and Prepare
+  /// must not run concurrently with Compute.
+  void Prepare(const std::vector<int>& ids, const Table& a, const Table& b);
 
   /// Exposes the interned token-set views feature `id` would compute over:
   /// true iff `id` is set-based and both bound stores cover the (table,
@@ -99,13 +117,35 @@ class FeatureSet {
                   const TokenSetView** va, const TokenSetView** vb) const;
 
  private:
+  /// Per-row inputs of one side of a Monge-Elkan or TF/IDF feature, built
+  /// by Prepare for one (table, attribute, tokenization, IDF dictionary).
+  struct RowInputs {
+    const Table* table = nullptr;
+    int col = -1;
+    Tokenization tok = Tokenization::kWord;
+    int idf_index = -1;  ///< -1: Monge-Elkan's word lists
+    std::vector<std::vector<std::string>> words;  ///< Monge-Elkan, per row
+    TfIdfVectors tfidf;                           ///< TF/IDF, per row
+  };
+  const RowInputs* EnsureRowInputs(const Feature& f, const Table& t, int col);
+  /// The inputs Prepare built for feature `id` on `a` and `b`, or nulls if
+  /// it has not prepared them for these tables.
+  std::pair<const RowInputs*, const RowInputs*> PreparedInputs(
+      int id, const Table& a, const Table& b) const;
+
   std::vector<Feature> features_;
   std::vector<int> blocking_ids_;
   std::vector<int> all_ids_;
+  /// One dictionary per (A attribute, tokenization); see Feature::idf_index.
   std::vector<std::unique_ptr<IdfDict>> idfs_;
   /// Optional dictionary-encoded fast path (not owned); see BindTokenStores.
-  const TokenStore* store_a_ = nullptr;
-  const TokenStore* store_b_ = nullptr;
+  TokenStore* store_a_ = nullptr;
+  TokenStore* store_b_ = nullptr;
+  /// Prepared per-row inputs, and the entry each feature id reads on each
+  /// side (null until Prepare); see Prepare.
+  std::vector<std::unique_ptr<RowInputs>> row_inputs_;
+  std::vector<const RowInputs*> inputs_a_;
+  std::vector<const RowInputs*> inputs_b_;
 };
 
 /// Lazy, memoized per-pair feature evaluation for the fused matching stage.

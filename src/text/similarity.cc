@@ -3,7 +3,9 @@
 #include <algorithm>
 #include <cctype>
 #include <cmath>
+#include <iterator>
 #include <limits>
+#include <memory>
 
 #include "common/strings.h"
 #include "text/tokenize.h"
@@ -182,16 +184,35 @@ double JaroSim(std::string_view a, std::string_view b) {
   if (la == 0 || lb == 0) return 0.0;
   const size_t window =
       std::max<size_t>(1, std::max(la, lb) / 2) - 1;
-  std::vector<char> a_matched(la, 0);
-  std::vector<char> b_matched(lb, 0);
+  // Matched flags, one bit per character, in 64-bit words. Both strings'
+  // words share a 64-byte stack buffer (two 256-character strings fill it);
+  // only longer pairs allocate.
+  const size_t words_a = (la + 63) / 64;
+  const size_t words_b = (lb + 63) / 64;
+  uint64_t stack_words[8];
+  std::unique_ptr<uint64_t[]> heap_words;
+  uint64_t* a_matched = stack_words;
+  if (words_a + words_b > std::size(stack_words)) {
+    heap_words = std::make_unique<uint64_t[]>(words_a + words_b);
+    a_matched = heap_words.get();
+  } else {
+    std::fill(stack_words, stack_words + words_a + words_b, uint64_t{0});
+  }
+  uint64_t* b_matched = a_matched + words_a;
+  auto test = [](const uint64_t* bits, size_t i) {
+    return ((bits[i / 64] >> (i % 64)) & 1) != 0;
+  };
+  auto set = [](uint64_t* bits, size_t i) {
+    bits[i / 64] |= uint64_t{1} << (i % 64);
+  };
   size_t matches = 0;
   for (size_t i = 0; i < la; ++i) {
     size_t lo = i > window ? i - window : 0;
     size_t hi = std::min(lb, i + window + 1);
     for (size_t j = lo; j < hi; ++j) {
-      if (!b_matched[j] && a[i] == b[j]) {
-        a_matched[i] = 1;
-        b_matched[j] = 1;
+      if (!test(b_matched, j) && a[i] == b[j]) {
+        set(a_matched, i);
+        set(b_matched, j);
         ++matches;
         break;
       }
@@ -201,8 +222,8 @@ double JaroSim(std::string_view a, std::string_view b) {
   size_t transpositions = 0;
   size_t j = 0;
   for (size_t i = 0; i < la; ++i) {
-    if (!a_matched[i]) continue;
-    while (!b_matched[j]) ++j;
+    if (!test(a_matched, i)) continue;
+    while (!test(b_matched, j)) ++j;
     if (a[i] != b[j]) ++transpositions;
     ++j;
   }
@@ -337,7 +358,6 @@ void IdfDict::Finalize() {
   for (auto& [token, df] : df_) {
     df = std::log(1.0 + static_cast<double>(num_docs_) / (1.0 + df));
   }
-  finalized_ = true;
 }
 
 double IdfDict::Idf(const std::string& token) const {
@@ -347,61 +367,111 @@ double IdfDict::Idf(const std::string& token) const {
   return std::log(1.0 + static_cast<double>(num_docs_));
 }
 
-namespace {
-
-std::unordered_map<std::string, double> TfIdfVector(
-    const std::vector<std::string>& tokens, const IdfDict& idf) {
+void TfIdfVectors::Add(const std::vector<std::string>& tokens,
+                       const IdfDict& idf) {
   std::unordered_map<std::string, double> tf;
   for (const auto& t : tokens) tf[t] += 1.0;
-  for (auto& [token, w] : tf) w *= idf.Idf(token);
-  return tf;
+  const size_t begin = tokens_.size();
+  double sum_sq = 0.0;
+  for (auto& [token, w] : tf) {
+    w *= idf.Idf(token);
+    sum_sq += w * w;
+    tokens_.push_back(token);
+    weights_.push_back(w);
+  }
+  const size_t n = tokens_.size() - begin;
+  for (uint32_t i = 0; i < n; ++i) by_token_.push_back(i);
+  std::sort(by_token_.end() - n, by_token_.end(),
+            [&](uint32_t x, uint32_t y) {
+              return tokens_[begin + x] < tokens_[begin + y];
+            });
+  offsets_.push_back(static_cast<uint32_t>(tokens_.size()));
+  norms_.push_back(std::sqrt(sum_sq));
 }
 
-double Norm(const std::unordered_map<std::string, double>& v) {
-  double s = 0.0;
-  for (const auto& [t, w] : v) s += w * w;
-  return std::sqrt(s);
+TfIdfView TfIdfVectors::operator[](size_t i) const {
+  const size_t begin = offsets_[i];
+  const size_t n = offsets_[i + 1] - begin;
+  return {std::span<const std::string>(tokens_.data() + begin, n),
+          std::span<const double>(weights_.data() + begin, n),
+          std::span<const uint32_t>(by_token_.data() + begin, n), norms_[i]};
+}
+
+namespace {
+
+/// Weight of `token` in `v`, or nullptr if `v` does not hold it.
+const double* FindWeight(const TfIdfView& v, const std::string& token) {
+  auto it = std::lower_bound(
+      v.by_token.begin(), v.by_token.end(), token,
+      [&](uint32_t pos, const std::string& t) { return v.tokens[pos] < t; });
+  if (it == v.by_token.end() || v.tokens[*it] != token) return nullptr;
+  return &v.weights[*it];
 }
 
 }  // namespace
 
+double TfIdfSim(const TfIdfView& x, const TfIdfView& y) {
+  if (x.tokens.empty() || y.tokens.empty()) {
+    return x.tokens.empty() && y.tokens.empty() ? 1.0 : 0.0;
+  }
+  double dot = 0.0;
+  for (size_t i = 0; i < x.tokens.size(); ++i) {
+    if (const double* wy = FindWeight(y, x.tokens[i])) {
+      dot += x.weights[i] * *wy;
+    }
+  }
+  double denom = x.norm * y.norm;
+  return denom == 0.0 ? 0.0 : dot / denom;
+}
+
+double SoftTfIdfSim(const TfIdfView& x, const TfIdfView& y, double theta) {
+  if (x.tokens.empty() || y.tokens.empty()) {
+    return x.tokens.empty() && y.tokens.empty() ? 1.0 : 0.0;
+  }
+  if (x.norm == 0.0 || y.norm == 0.0) return 0.0;
+  // Jaro-Winkler never exceeds 0.8 + 0.2 * min/max of the two lengths: Jaro
+  // is at most (2 + min/max) / 3, and a prefix of at most 4 adds at most
+  // 0.4 of the rest. So a pair with min < (5 theta - 4) * max scores below
+  // theta and is skipped; it can never be the first maximum that counts.
+  // The 1e-9 keeps the cut clear of rounding when theta is not a round
+  // number.
+  const double min_ratio = 5.0 * theta - 4.0 - 1e-9;
+  double score = 0.0;
+  for (size_t i = 0; i < x.tokens.size(); ++i) {
+    const std::string& tx = x.tokens[i];
+    double best_sim = 0.0;
+    double best_wy = 0.0;
+    for (size_t j = 0; j < y.tokens.size(); ++j) {
+      const std::string& ty = y.tokens[j];
+      const double lo = static_cast<double>(std::min(tx.size(), ty.size()));
+      const double hi = static_cast<double>(std::max(tx.size(), ty.size()));
+      if (lo < min_ratio * hi) continue;
+      double s = JaroWinklerSim(tx, ty);
+      if (s > best_sim) {
+        best_sim = s;
+        best_wy = y.weights[j];
+      }
+    }
+    if (best_sim >= theta) score += best_sim * x.weights[i] * best_wy;
+  }
+  return std::min(1.0, score / (x.norm * y.norm));
+}
+
 double TfIdfSim(const std::vector<std::string>& x,
                 const std::vector<std::string>& y, const IdfDict& idf) {
-  if (x.empty() || y.empty()) return x.empty() && y.empty() ? 1.0 : 0.0;
-  auto vx = TfIdfVector(x, idf);
-  auto vy = TfIdfVector(y, idf);
-  double dot = 0.0;
-  for (const auto& [t, w] : vx) {
-    auto it = vy.find(t);
-    if (it != vy.end()) dot += w * it->second;
-  }
-  double denom = Norm(vx) * Norm(vy);
-  return denom == 0.0 ? 0.0 : dot / denom;
+  TfIdfVectors v;
+  v.Add(x, idf);
+  v.Add(y, idf);
+  return TfIdfSim(v[0], v[1]);
 }
 
 double SoftTfIdfSim(const std::vector<std::string>& x,
                     const std::vector<std::string>& y, const IdfDict& idf,
                     double theta) {
-  if (x.empty() || y.empty()) return x.empty() && y.empty() ? 1.0 : 0.0;
-  auto vx = TfIdfVector(x, idf);
-  auto vy = TfIdfVector(y, idf);
-  double nx = Norm(vx);
-  double ny = Norm(vy);
-  if (nx == 0.0 || ny == 0.0) return 0.0;
-  double score = 0.0;
-  for (const auto& [tx, wx] : vx) {
-    double best_sim = 0.0;
-    double best_wy = 0.0;
-    for (const auto& [ty, wy] : vy) {
-      double s = JaroWinklerSim(tx, ty);
-      if (s > best_sim) {
-        best_sim = s;
-        best_wy = wy;
-      }
-    }
-    if (best_sim >= theta) score += best_sim * wx * best_wy;
-  }
-  return std::min(1.0, score / (nx * ny));
+  TfIdfVectors v;
+  v.Add(x, idf);
+  v.Add(y, idf);
+  return SoftTfIdfSim(v[0], v[1], theta);
 }
 
 }  // namespace falcon

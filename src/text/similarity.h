@@ -13,6 +13,7 @@
 #ifndef FALCON_TEXT_SIMILARITY_H_
 #define FALCON_TEXT_SIMILARITY_H_
 
+#include <cstdint>
 #include <span>
 #include <string>
 #include <string_view>
@@ -145,15 +146,58 @@ class IdfDict {
  private:
   std::unordered_map<std::string, double> df_;
   size_t num_docs_ = 0;
-  bool finalized_ = false;
 };
 
+/// One value's TF/IDF vector: its distinct tokens, each weighted tf * idf,
+/// and the vector's Euclidean norm. Read out of a TfIdfVectors.
+struct TfIdfView {
+  std::span<const std::string> tokens;
+  std::span<const double> weights;  ///< parallel to `tokens`
+  /// Positions into `tokens` in ascending token order (exact-token lookup).
+  std::span<const uint32_t> by_token;
+  double norm = 0.0;
+};
+
+/// The TF/IDF vectors of a sequence of values, in CSR layout: built once per
+/// value, then read by every pair the value is in.
+///
+/// A vector's tokens keep the iteration order of the hash map its term
+/// frequencies are accumulated in, and its norm sums the squared weights in
+/// that order. The kernels below sum in that order too, so every score is
+/// bitwise the one the per-pair hash-map computation gives.
+class TfIdfVectors {
+ public:
+  /// Appends the vector of one value's raw tokens (a repeated token raises
+  /// its term frequency); an empty list appends the empty vector.
+  void Add(const std::vector<std::string>& tokens, const IdfDict& idf);
+
+  TfIdfView operator[](size_t i) const;
+
+ private:
+  std::vector<std::string> tokens_;
+  std::vector<double> weights_;
+  std::vector<uint32_t> by_token_;  ///< value-local positions
+  /// Value i holds entries [offsets_[i], offsets_[i + 1]).
+  std::vector<uint32_t> offsets_{0};
+  std::vector<double> norms_;
+};
+
+/// TF/IDF cosine of two prepared vectors.
+double TfIdfSim(const TfIdfView& x, const TfIdfView& y);
+
+/// Soft TF/IDF (Cohen et al.) of two prepared vectors: like TF/IDF, but each
+/// token of x pairs with its most Jaro-Winkler-similar token of y (the first
+/// one on ties) and counts when that similarity reaches `theta`.
+double SoftTfIdfSim(const TfIdfView& x, const TfIdfView& y,
+                    double theta = 0.9);
+
 /// TF/IDF cosine over raw token vectors (term frequencies within each value).
+/// Builds both vectors, then runs the prepared-vector kernel.
 double TfIdfSim(const std::vector<std::string>& x,
                 const std::vector<std::string>& y, const IdfDict& idf);
 
-/// Soft TF/IDF (Cohen et al.): like TF/IDF but tokens pair up when their
-/// Jaro-Winkler similarity exceeds `theta` (default 0.9).
+/// Soft TF/IDF over raw token vectors (default theta 0.9). Builds both
+/// vectors, then runs the prepared-vector kernel.
 double SoftTfIdfSim(const std::vector<std::string>& x,
                     const std::vector<std::string>& y, const IdfDict& idf,
                     double theta = 0.9);

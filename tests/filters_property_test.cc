@@ -330,7 +330,8 @@ TEST(DictEncodedEquivalence, BoundFeatureComputeMatchesStringPath) {
   IndexCatalog catalog;
   IndexBuilder builder(&data.a, &cluster);
   builder.EnsureTokenStores(data.b, fs, &catalog);
-  fs.BindTokenStores(catalog.store(&data.a), catalog.store(&data.b));
+  fs.BindTokenStores(catalog.mutable_store(&data.a),
+                       catalog.mutable_store(&data.b));
 
   size_t nan_count = 0;
   for (RowId a = 0; a < data.a.num_rows(); ++a) {
@@ -397,7 +398,8 @@ TEST(DictEncodedEquivalence, ParallelApplyMatchesSerialWithStores) {
     IndexBuilder builder(&data.a, &cluster);
     builder.EnsureTokenStores(data.b, fs, &catalog);
     builder.Ensure(IndexBuilder::NeedsOfCnf(ToCnf(seq), fs), &catalog);
-    fs.BindTokenStores(catalog.store(&data.a), catalog.store(&data.b));
+    fs.BindTokenStores(catalog.mutable_store(&data.a),
+                       catalog.mutable_store(&data.b));
     auto res = ApplyBlockingRules(data.a, data.b, seq, fs, catalog, &cluster,
                                   ApplyMethod::kApplyPredicate,
                                   ApplyOptions{});

@@ -326,7 +326,8 @@ struct IntersectJobFixture {
     builder.Ensure(IndexBuilder::NeedsOfCnf(ToCnf(seq), fs), &catalog);
     // The pipeline always binds the interned token stores before applying
     // rules (StageApplyRules); do the same so features run on the id path.
-    fs.BindTokenStores(catalog.store(&data.a), catalog.store(&data.b));
+    fs.BindTokenStores(catalog.mutable_store(&data.a),
+                       catalog.mutable_store(&data.b));
   }
 
   ApplyResult Run(int threads) {

@@ -106,7 +106,7 @@ TEST(LazyPairFeaturesTest, MatchesComputeVectorWithBoundTokenStores) {
   IndexCatalog catalog;
   IndexBuilder builder(&d.a, &cluster);
   builder.EnsureTokenStores(d.b, fs, &catalog);
-  fs.BindTokenStores(catalog.store(&d.a), catalog.store(&d.b));
+  fs.BindTokenStores(catalog.mutable_store(&d.a), catalog.mutable_store(&d.b));
   CheckLazyAgainstEager(d, fs);
   fs.BindTokenStores(nullptr, nullptr);
 }
