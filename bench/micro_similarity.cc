@@ -1,10 +1,12 @@
 // Microbenchmarks: similarity functions and tokenizers (google-benchmark).
 // The custom main() first writes BENCH_micro_similarity.json with a direct
-// string-path vs TokenId-path comparison, then runs google-benchmark.
+// string-path vs TokenId-path comparison, the intersection kernel lanes and
+// the Jaro-Winkler kernel lanes, then runs google-benchmark.
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
 
 #include <benchmark/benchmark.h>
 
@@ -334,6 +336,62 @@ void WriteIntersectLanes(bench::BenchReport* report, size_t iters) {
                        std::max<size_t>(iters / 8, 1));
 }
 
+/// Times `op(i)` for i in [0, iters) and records `key/ns_per_op` and
+/// `key/fingerprint`, a hash of the values' bits cut to 53 bits so that any
+/// JSON reader keeps it exact. Two builds that compute the same values
+/// record the same fingerprint.
+template <typename Op>
+void KernelLane(bench::BenchReport* report, const std::string& key,
+                size_t iters, Op op) {
+  using Clock = std::chrono::steady_clock;
+  uint64_t fingerprint = 14695981039346656037ull;  // FNV-1a, one word a step
+  auto t0 = Clock::now();
+  for (size_t i = 0; i < iters; ++i) {
+    const double v = op(i);
+    uint64_t bits;
+    std::memcpy(&bits, &v, sizeof(bits));
+    fingerprint = (fingerprint ^ bits) * 1099511628211ull;
+  }
+  auto t1 = Clock::now();
+  const double ns = std::chrono::duration<double, std::nano>(t1 - t0).count() /
+                    static_cast<double>(iters);
+  report->Add(key + "/ns_per_op", ns);
+  report->Add(key + "/fingerprint",
+              static_cast<int64_t>(fingerprint & ((uint64_t{1} << 53) - 1)));
+  printf("%-20s %9.2f ns/op\n", key.c_str(), ns);
+}
+
+/// The Jaro-Winkler kernels of the matcher features, over the corpus' pair
+/// sequence: Jaro-Winkler on word pairs, Monge-Elkan on word lists and Soft
+/// TF/IDF at theta 0.9 on prepared TF/IDF vectors. The list lanes run a
+/// tenth of the iterations.
+void WriteKernelLanes(bench::BenchReport* report, size_t iters) {
+  const Corpus& c = GetCorpus();
+  std::vector<std::vector<std::string>> lists;
+  std::vector<std::string> words;
+  for (const auto& phrase : c.phrases) {
+    lists.push_back(WordTokens(phrase));
+    words.insert(words.end(), lists.back().begin(), lists.back().end());
+  }
+  IdfDict idf;
+  for (const auto& set : c.word_sets) idf.AddDocument(set);
+  idf.Finalize();
+  TfIdfVectors vectors;
+  for (const auto& list : lists) vectors.Add(list, idf);
+  const size_t n = lists.size();
+  const size_t list_iters = std::max<size_t>(iters / 10, 1);
+  KernelLane(report, "jaro_winkler", iters, [&](size_t i) {
+    return JaroWinklerSim(words[i % words.size()],
+                          words[(i * 7 + 3) % words.size()]);
+  });
+  KernelLane(report, "monge_elkan", list_iters, [&](size_t i) {
+    return MongeElkanSim(lists[i % n], lists[(i * 7 + 3) % n]);
+  });
+  KernelLane(report, "soft_tfidf", list_iters, [&](size_t i) {
+    return SoftTfIdfSim(vectors[i % n], vectors[(i * 7 + 3) % n], 0.9);
+  });
+}
+
 /// String-vs-TokenId comparison written to BENCH_micro_similarity.json.
 void WriteComparisonReport() {
   const Corpus& c = GetCorpus();
@@ -372,6 +430,7 @@ void WriteComparisonReport() {
   CompareSetSim(&report, "jaccard_3gram", c.gram_sets, c.gram_id_sets, j_s,
                 j_i, iters);
   WriteIntersectLanes(&report, iters);
+  WriteKernelLanes(&report, iters);
   std::string path = report.Write();
   printf("wrote %s\n", path.c_str());
 }

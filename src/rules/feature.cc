@@ -205,7 +205,7 @@ const FeatureSet::RowInputs* FeatureSet::EnsureRowInputs(const Feature& f,
     std::vector<std::string> tokens;
     if (!t.IsMissing(r, col)) tokens = Tokenize(t.Get(r, col), tok);
     if (f.idf_index < 0) {
-      in->words.push_back(std::move(tokens));
+      in->words.Add(std::move(tokens));
     } else {
       in->tfidf.Add(tokens, *idfs_[f.idf_index]);
     }

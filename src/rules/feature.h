@@ -94,10 +94,12 @@ class FeatureSet {
   /// `ids` read on `a` and `b`:
   ///   - set-based features: the bound stores' views (TokenStore::
   ///     EnsureView), when the stores are bound to `a` and `b`;
-  ///   - Monge-Elkan: each row's word list;
+  ///   - Monge-Elkan: each row's word list (TokenLists);
   ///   - tfidf and soft_tfidf: each row's TF/IDF vector (TfIdfVectors),
   ///     one per (table, attribute, tokenization, IDF dictionary), which
   ///     both functions share.
+  /// Word lists and TF/IDF vectors carry each token's CharSignature, from
+  /// which Monge-Elkan and Soft TF/IDF bound Jaro-Winkler.
   /// Compute then reads these instead of retokenizing both values of every
   /// pair; every value stays bitwise what the unprepared path computes.
   /// Idempotent: what is already built is kept. The inputs are derived
@@ -124,8 +126,8 @@ class FeatureSet {
     int col = -1;
     Tokenization tok = Tokenization::kWord;
     int idf_index = -1;  ///< -1: Monge-Elkan's word lists
-    std::vector<std::vector<std::string>> words;  ///< Monge-Elkan, per row
-    TfIdfVectors tfidf;                           ///< TF/IDF, per row
+    TokenLists words;    ///< Monge-Elkan, per row
+    TfIdfVectors tfidf;  ///< TF/IDF, per row
   };
   const RowInputs* EnsureRowInputs(const Feature& f, const Table& t, int col);
   /// The inputs Prepare built for feature `id` on `a` and `b`, or nulls if

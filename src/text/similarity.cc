@@ -1,6 +1,8 @@
 #include "text/similarity.h"
 
 #include <algorithm>
+#include <array>
+#include <bit>
 #include <cctype>
 #include <cmath>
 #include <iterator>
@@ -177,16 +179,64 @@ double LevenshteinSim(std::string_view a, std::string_view b) {
   return 1.0 - static_cast<double>(LevenshteinDistance(a, b)) / max_len;
 }
 
-double JaroSim(std::string_view a, std::string_view b) {
+namespace {
+
+/// What the greedy match of JaroSim finds: for each byte of a in turn, the
+/// first unmatched equal byte of b within the window.
+struct JaroCounts {
+  size_t matches = 0;
+  size_t transpositions = 0;
+};
+
+/// The greedy match over two strings of 1 to 64 bytes, one bit per
+/// position. The candidates for a[i] are the positions of b that hold its
+/// byte, lie in the window and are unmatched; the lowest is the one the
+/// flag-word scan reaches first.
+JaroCounts JaroMatchBits(std::string_view a, std::string_view b,
+                         size_t window) {
+  // The positions of each byte in b. Only the entries of bytes in a or b
+  // are written, and only those are read.
+  uint64_t positions[256];
+  for (unsigned char c : a) positions[c] = 0;
+  for (unsigned char c : b) positions[c] = 0;
+  for (size_t j = 0; j < b.size(); ++j) {
+    positions[static_cast<unsigned char>(b[j])] |= uint64_t{1} << j;
+  }
+  uint64_t a_matched = 0;
+  uint64_t b_matched = 0;
+  JaroCounts counts;
+  for (size_t i = 0; i < a.size(); ++i) {
+    const size_t lo = i > window ? i - window : 0;
+    const size_t hi = std::min(b.size(), i + window + 1);
+    // 1 <= hi <= 64 and lo <= i < 64 keep both shift counts below 64.
+    const uint64_t in_window =
+        (~uint64_t{0} >> (64 - hi)) & (~uint64_t{0} << lo);
+    const uint64_t open = positions[static_cast<unsigned char>(a[i])] &
+                          in_window & ~b_matched;
+    if (open != 0) {
+      b_matched |= uint64_t{1} << std::countr_zero(open);
+      a_matched |= uint64_t{1} << i;
+      ++counts.matches;
+    }
+  }
+  // The k-th matched byte of a pairs with the k-th matched byte of b.
+  while (a_matched != 0) {
+    if (a[std::countr_zero(a_matched)] != b[std::countr_zero(b_matched)]) {
+      ++counts.transpositions;
+    }
+    a_matched &= a_matched - 1;
+    b_matched &= b_matched - 1;
+  }
+  return counts;
+}
+
+/// The greedy match over strings of any length, with the matched flags as
+/// bits in 64-bit words. Both strings' words share a 64-byte stack buffer
+/// (two 256-byte strings fill it); only longer pairs allocate.
+JaroCounts JaroMatchFlags(std::string_view a, std::string_view b,
+                          size_t window) {
   const size_t la = a.size();
   const size_t lb = b.size();
-  if (la == 0 && lb == 0) return 1.0;
-  if (la == 0 || lb == 0) return 0.0;
-  const size_t window =
-      std::max<size_t>(1, std::max(la, lb) / 2) - 1;
-  // Matched flags, one bit per character, in 64-bit words. Both strings'
-  // words share a 64-byte stack buffer (two 256-character strings fill it);
-  // only longer pairs allocate.
   const size_t words_a = (la + 63) / 64;
   const size_t words_b = (lb + 63) / 64;
   uint64_t stack_words[8];
@@ -205,7 +255,7 @@ double JaroSim(std::string_view a, std::string_view b) {
   auto set = [](uint64_t* bits, size_t i) {
     bits[i / 64] |= uint64_t{1} << (i % 64);
   };
-  size_t matches = 0;
+  JaroCounts counts;
   for (size_t i = 0; i < la; ++i) {
     size_t lo = i > window ? i - window : 0;
     size_t hi = std::min(lb, i + window + 1);
@@ -213,22 +263,36 @@ double JaroSim(std::string_view a, std::string_view b) {
       if (!test(b_matched, j) && a[i] == b[j]) {
         set(a_matched, i);
         set(b_matched, j);
-        ++matches;
+        ++counts.matches;
         break;
       }
     }
   }
-  if (matches == 0) return 0.0;
-  size_t transpositions = 0;
   size_t j = 0;
   for (size_t i = 0; i < la; ++i) {
     if (!test(a_matched, i)) continue;
     while (!test(b_matched, j)) ++j;
-    if (a[i] != b[j]) ++transpositions;
+    if (a[i] != b[j]) ++counts.transpositions;
     ++j;
   }
-  double m = static_cast<double>(matches);
-  return (m / la + m / lb + (m - transpositions / 2.0) / m) / 3.0;
+  return counts;
+}
+
+}  // namespace
+
+double JaroSim(std::string_view a, std::string_view b) {
+  const size_t la = a.size();
+  const size_t lb = b.size();
+  if (la == 0 && lb == 0) return 1.0;
+  if (la == 0 || lb == 0) return 0.0;
+  const size_t window =
+      std::max<size_t>(1, std::max(la, lb) / 2) - 1;
+  const JaroCounts counts = la <= 64 && lb <= 64
+                                ? JaroMatchBits(a, b, window)
+                                : JaroMatchFlags(a, b, window);
+  if (counts.matches == 0) return 0.0;
+  double m = static_cast<double>(counts.matches);
+  return (m / la + m / lb + (m - counts.transpositions / 2.0) / m) / 3.0;
 }
 
 double JaroWinklerSim(std::string_view a, std::string_view b) {
@@ -239,18 +303,116 @@ double JaroWinklerSim(std::string_view a, std::string_view b) {
   return jaro + prefix * 0.1 * (1.0 - jaro);
 }
 
-double MongeElkanSim(const std::vector<std::string>& x,
-                     const std::vector<std::string>& y) {
-  if (x.empty() || y.empty()) return x.empty() && y.empty() ? 1.0 : 0.0;
+namespace {
+
+/// Signature bucket of each byte: a-z one each (word tokens are lowercase
+/// alphanumerics), digits two to a bucket in buckets 26-31, and any other
+/// byte in bucket c & 31, which it shares with a letter or digit bucket.
+constexpr std::array<uint8_t, 256> kSignatureBucket = [] {
+  std::array<uint8_t, 256> bucket{};
+  for (int c = 0; c < 256; ++c) bucket[c] = static_cast<uint8_t>(c & 31);
+  for (int c = 'a'; c <= 'z'; ++c) bucket[c] = static_cast<uint8_t>(c - 'a');
+  for (int c = '0'; c <= '9'; ++c) {
+    bucket[c] = static_cast<uint8_t>(26 + (c - '0') % 6);
+  }
+  return bucket;
+}();
+
+/// Sum over buckets of the smaller count: at least the number of equal
+/// bytes any match can pair up.
+uint32_t SharedCount(const CharSignature& x, const CharSignature& y) {
+  uint32_t shared = 0;
+  for (size_t k = 0; k < std::size(x.counts); ++k) {
+    shared += std::min(x.counts[k], y.counts[k]);
+  }
+  return shared;
+}
+
+std::vector<CharSignature> SignaturesOf(
+    const std::vector<std::string>& tokens) {
+  std::vector<CharSignature> sigs;
+  sigs.reserve(tokens.size());
+  for (const auto& t : tokens) sigs.push_back(SignatureOf(t));
+  return sigs;
+}
+
+/// The slack a bound gets over the score it bounds before a score is
+/// skipped on its account: far above the few ulps by which rounding can put
+/// the bound under the score.
+constexpr double kBoundSlack = 1e-9;
+
+}  // namespace
+
+CharSignature SignatureOf(std::string_view token) {
+  CharSignature sig{};
+  for (unsigned char c : token) {
+    uint8_t& n = sig.counts[kSignatureBucket[c]];
+    if (n < std::numeric_limits<uint8_t>::max()) ++n;
+  }
+  for (size_t k = 0; k < std::min<size_t>(4, token.size()); ++k) {
+    sig.head |= uint32_t{static_cast<unsigned char>(token[k])} << (8 * k);
+  }
+  sig.size = static_cast<uint32_t>(std::min<size_t>(
+      token.size(), std::numeric_limits<uint32_t>::max()));
+  return sig;
+}
+
+double JaroWinklerBound(const CharSignature& x, const CharSignature& y) {
+  const uint32_t shorter = std::min(x.size, y.size);
+  if (shorter == 0) return 1.0;  // two empty tokens score 1.0
+  // A count can saturate only in a token of more than 255 bytes.
+  const uint32_t m =
+      std::max(x.size, y.size) > std::numeric_limits<uint8_t>::max()
+          ? shorter
+          : SharedCount(x, y);
+  const uint32_t differ = x.head ^ y.head;
+  const uint32_t prefix = std::min<uint32_t>(
+      {4, shorter,
+       differ == 0 ? 4 : static_cast<uint32_t>(std::countr_zero(differ)) / 8});
+  const double dm = static_cast<double>(m);
+  const double jaro = (dm / x.size + dm / y.size + 1.0) / 3.0;
+  return jaro + prefix * 0.1 * (1.0 - jaro);
+}
+
+void TokenLists::Add(std::vector<std::string> tokens) {
+  for (auto& t : tokens) {
+    sigs_.push_back(SignatureOf(t));
+    tokens_.push_back(std::move(t));
+  }
+  offsets_.push_back(static_cast<uint32_t>(tokens_.size()));
+}
+
+TokenListView TokenLists::operator[](size_t i) const {
+  const size_t begin = offsets_[i];
+  const size_t n = offsets_[i + 1] - begin;
+  return {std::span<const std::string>(tokens_.data() + begin, n),
+          std::span<const CharSignature>(sigs_.data() + begin, n)};
+}
+
+double MongeElkanSim(const TokenListView& x, const TokenListView& y) {
+  if (x.tokens.empty() || y.tokens.empty()) {
+    return x.tokens.empty() && y.tokens.empty() ? 1.0 : 0.0;
+  }
   double total = 0.0;
-  for (const auto& tx : x) {
+  for (size_t i = 0; i < x.tokens.size(); ++i) {
+    // Jaro-Winkler never exceeds 1.0, so a best of 1.0 ends the scan.
     double best = 0.0;
-    for (const auto& ty : y) {
-      best = std::max(best, JaroWinklerSim(tx, ty));
+    for (size_t j = 0; j < y.tokens.size() && best < 1.0; ++j) {
+      if (JaroWinklerBound(x.sigs[i], y.sigs[j]) + kBoundSlack <= best) {
+        continue;
+      }
+      best = std::max(best, JaroWinklerSim(x.tokens[i], y.tokens[j]));
     }
     total += best;
   }
-  return total / x.size();
+  return total / x.tokens.size();
+}
+
+double MongeElkanSim(const std::vector<std::string>& x,
+                     const std::vector<std::string>& y) {
+  const std::vector<CharSignature> sx = SignaturesOf(x);
+  const std::vector<CharSignature> sy = SignaturesOf(y);
+  return MongeElkanSim(TokenListView{x, sx}, TokenListView{y, sy});
 }
 
 double NeedlemanWunschSim(std::string_view a, std::string_view b) {
@@ -289,13 +451,12 @@ double SmithWatermanCore(std::string_view a, std::string_view b,
   const double kNegInf = -1e18;
   std::vector<double> h_prev(lb + 1, 0.0);
   std::vector<double> h_cur(lb + 1, 0.0);
-  std::vector<double> e_cur(lb + 1, kNegInf);  // gap in a (horizontal)
   std::vector<double> f_prev(lb + 1, kNegInf);  // gap in b (vertical)
   std::vector<double> f_cur(lb + 1, kNegInf);
   double best = 0.0;
   for (size_t i = 1; i <= la; ++i) {
     h_cur[0] = 0.0;
-    double e = kNegInf;
+    double e = kNegInf;  // gap in a (horizontal)
     for (size_t j = 1; j <= lb; ++j) {
       if (affine) {
         e = std::max(h_cur[j - 1] - gap_open, e - gap_extend);
@@ -304,7 +465,6 @@ double SmithWatermanCore(std::string_view a, std::string_view b,
         e = h_cur[j - 1] - gap_open;
         f_cur[j] = h_prev[j] - gap_open;
       }
-      e_cur[j] = e;
       double diag =
           h_prev[j - 1] + (a[i - 1] == b[j - 1] ? kMatch : kMismatch);
       h_cur[j] = std::max({0.0, diag, e, f_cur[j]});
@@ -377,6 +537,7 @@ void TfIdfVectors::Add(const std::vector<std::string>& tokens,
     w *= idf.Idf(token);
     sum_sq += w * w;
     tokens_.push_back(token);
+    sigs_.push_back(SignatureOf(token));
     weights_.push_back(w);
   }
   const size_t n = tokens_.size() - begin;
@@ -393,6 +554,7 @@ TfIdfView TfIdfVectors::operator[](size_t i) const {
   const size_t begin = offsets_[i];
   const size_t n = offsets_[i + 1] - begin;
   return {std::span<const std::string>(tokens_.data() + begin, n),
+          std::span<const CharSignature>(sigs_.data() + begin, n),
           std::span<const double>(weights_.data() + begin, n),
           std::span<const uint32_t>(by_token_.data() + begin, n), norms_[i]};
 }
@@ -429,24 +591,17 @@ double SoftTfIdfSim(const TfIdfView& x, const TfIdfView& y, double theta) {
     return x.tokens.empty() && y.tokens.empty() ? 1.0 : 0.0;
   }
   if (x.norm == 0.0 || y.norm == 0.0) return 0.0;
-  // Jaro-Winkler never exceeds 0.8 + 0.2 * min/max of the two lengths: Jaro
-  // is at most (2 + min/max) / 3, and a prefix of at most 4 adds at most
-  // 0.4 of the rest. So a pair with min < (5 theta - 4) * max scores below
-  // theta and is skipped; it can never be the first maximum that counts.
-  // The 1e-9 keeps the cut clear of rounding when theta is not a round
-  // number.
-  const double min_ratio = 5.0 * theta - 4.0 - 1e-9;
   double score = 0.0;
   for (size_t i = 0; i < x.tokens.size(); ++i) {
-    const std::string& tx = x.tokens[i];
     double best_sim = 0.0;
     double best_wy = 0.0;
     for (size_t j = 0; j < y.tokens.size(); ++j) {
-      const std::string& ty = y.tokens[j];
-      const double lo = static_cast<double>(std::min(tx.size(), ty.size()));
-      const double hi = static_cast<double>(std::max(tx.size(), ty.size()));
-      if (lo < min_ratio * hi) continue;
-      double s = JaroWinklerSim(tx, ty);
+      // A token whose score stays under theta, or cannot beat the running
+      // max, can never be the first maximum that counts.
+      const double bound =
+          JaroWinklerBound(x.sigs[i], y.sigs[j]) + kBoundSlack;
+      if (bound < theta || bound <= best_sim) continue;
+      double s = JaroWinklerSim(x.tokens[i], y.tokens[j]);
       if (s > best_sim) {
         best_sim = s;
         best_wy = y.weights[j];

@@ -100,12 +100,66 @@ size_t LevenshteinDistance(std::string_view a, std::string_view b);
 /// 1 - dist / max(len); 1.0 for two empty strings.
 double LevenshteinSim(std::string_view a, std::string_view b);
 
+/// Jaro similarity. Two strings of at most 64 bytes run the greedy match
+/// bit-parallel; longer ones run it over flag words. Both give one value.
 double JaroSim(std::string_view a, std::string_view b);
 /// Jaro-Winkler with prefix scale 0.1, max prefix 4.
 double JaroWinklerSim(std::string_view a, std::string_view b);
 
+/// What JaroWinklerBound reads of a token instead of its bytes: how many of
+/// its bytes fall in each of 32 buckets (a-z one each, digits and other
+/// bytes sharing), its first four bytes and its length. Counts and length
+/// saturate, which only loosens the bound.
+struct CharSignature {
+  uint8_t counts[32];
+  uint32_t head;  ///< bytes 0-3 in the low-to-high bytes, zero-padded
+  uint32_t size;
+};
+
+CharSignature SignatureOf(std::string_view token);
+
+/// An upper bound on the Jaro-Winkler similarity of the two tokens:
+/// J + p * 0.1 * (1 - J) with J = (m/|x| + m/|y| + 1) / 3, p their common
+/// prefix (at most 4) and m the sum over buckets of the smaller count, which
+/// no match count exceeds (the shorter length when a count could saturate).
+/// Rounding can put the bound a few ulps under the score it bounds, so a
+/// caller must give it slack before skipping a score on its account.
+double JaroWinklerBound(const CharSignature& x, const CharSignature& y);
+
+/// A token list and its tokens' signatures. Read out of a TokenLists, or
+/// over a caller's tokens and signatures. (No default constructor, so that
+/// `MongeElkanSim({}, {})` means two empty string lists.)
+struct TokenListView {
+  TokenListView(std::span<const std::string> tokens_in,
+                std::span<const CharSignature> sigs_in)
+      : tokens(tokens_in), sigs(sigs_in) {}
+
+  std::span<const std::string> tokens;
+  std::span<const CharSignature> sigs;  ///< parallel to `tokens`
+};
+
+/// Token lists in CSR layout with each token's signature, built once per
+/// value and read by every pair the value is in.
+class TokenLists {
+ public:
+  void Add(std::vector<std::string> tokens);
+  TokenListView operator[](size_t i) const;
+
+ private:
+  std::vector<std::string> tokens_;
+  std::vector<CharSignature> sigs_;
+  /// List i holds entries [offsets_[i], offsets_[i + 1]).
+  std::vector<uint32_t> offsets_{0};
+};
+
 /// Monge-Elkan: mean over tokens of x of the max Jaro-Winkler against
-/// tokens of y (token vectors need not be sorted/unique).
+/// tokens of y (token lists need not be sorted/unique). A y token whose
+/// bound cannot beat the running max is not scored, and a scan that reaches
+/// 1.0 ends, so the value is the plain max loop's, bit for bit.
+double MongeElkanSim(const TokenListView& x, const TokenListView& y);
+
+/// Monge-Elkan over raw token lists: builds both lists' signatures, then
+/// runs the prepared-list kernel.
 double MongeElkanSim(const std::vector<std::string>& x,
                      const std::vector<std::string>& y);
 
@@ -152,7 +206,8 @@ class IdfDict {
 /// and the vector's Euclidean norm. Read out of a TfIdfVectors.
 struct TfIdfView {
   std::span<const std::string> tokens;
-  std::span<const double> weights;  ///< parallel to `tokens`
+  std::span<const CharSignature> sigs;  ///< parallel to `tokens`
+  std::span<const double> weights;      ///< parallel to `tokens`
   /// Positions into `tokens` in ascending token order (exact-token lookup).
   std::span<const uint32_t> by_token;
   double norm = 0.0;
@@ -175,6 +230,7 @@ class TfIdfVectors {
 
  private:
   std::vector<std::string> tokens_;
+  std::vector<CharSignature> sigs_;
   std::vector<double> weights_;
   std::vector<uint32_t> by_token_;  ///< value-local positions
   /// Value i holds entries [offsets_[i], offsets_[i + 1]).
@@ -187,7 +243,9 @@ double TfIdfSim(const TfIdfView& x, const TfIdfView& y);
 
 /// Soft TF/IDF (Cohen et al.) of two prepared vectors: like TF/IDF, but each
 /// token of x pairs with its most Jaro-Winkler-similar token of y (the first
-/// one on ties) and counts when that similarity reaches `theta`.
+/// one on ties) and counts when that similarity reaches `theta`. A y token
+/// whose bound cannot reach `theta` or beat the running max is not scored;
+/// it could never be that first maximum.
 double SoftTfIdfSim(const TfIdfView& x, const TfIdfView& y,
                     double theta = 0.9);
 

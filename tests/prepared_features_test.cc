@@ -1,8 +1,10 @@
 // Prepared feature inputs (FeatureSet::Prepare) and the kernels they feed:
-// prepared values must equal the unprepared string path bitwise, the
-// bit-flag Jaro must equal the vector-flag algorithm it replaced, Soft
-// TF/IDF's length cut must never change a score, and the matcher-only
-// plan's gen_fvs(C) must leave every set-based view it computed over.
+// prepared values must equal the unprepared string path bitwise, both Jaro
+// kernels must equal the vector-flag algorithm, the Jaro-Winkler bound must
+// never change a Soft TF/IDF or Monge-Elkan score, the edit-distance kernels
+// must equal full-matrix DPs, and the matcher-only plan's gen_fvs(C) must
+// leave every set-based view it computed over.
+#include <algorithm>
 #include <cmath>
 #include <cstring>
 #include <string>
@@ -72,6 +74,19 @@ double RefJaroWinkler(std::string_view a, std::string_view b) {
   size_t max_prefix = std::min<size_t>({4, a.size(), b.size()});
   while (prefix < max_prefix && a[prefix] == b[prefix]) ++prefix;
   return jaro + prefix * 0.1 * (1.0 - jaro);
+}
+
+/// A plain max loop: every token pair scored.
+double RefMongeElkan(const std::vector<std::string>& x,
+                     const std::vector<std::string>& y) {
+  if (x.empty() || y.empty()) return x.empty() && y.empty() ? 1.0 : 0.0;
+  double total = 0.0;
+  for (const auto& tx : x) {
+    double best = 0.0;
+    for (const auto& ty : y) best = std::max(best, RefJaroWinkler(tx, ty));
+    total += best;
+  }
+  return total / x.size();
 }
 
 using RefVector = std::unordered_map<std::string, double>;
@@ -263,9 +278,43 @@ TEST(PreparedFeaturesTest, JaroBitFlagsMatchVectorFlagReference) {
     }
   }
   EXPECT_EQ(compared, lengths.size() * lengths.size());
+
+  // Every byte value, at lengths around the bit-parallel kernel's 64-byte
+  // edge. a runs through a shuffled permutation of the 256 values; b is a
+  // with bytes swapped within the window, replaced, dropped or appended, so
+  // matches sit at every window offset.
+  std::vector<char> bytes(256);
+  for (int v = 0; v < 256; ++v) bytes[v] = static_cast<char>(v);
+  rng.Shuffle(&bytes);
+  size_t edge_pairs = 0;
+  for (size_t start = 0; start < 256; start += 64) {
+    for (size_t la = 60; la <= 68; ++la) {
+      std::string a;
+      for (size_t k = 0; k < la; ++k) a.push_back(bytes[(start + k) % 256]);
+      for (size_t lb = 60; lb <= 68; ++lb) {
+        std::string b = a;
+        for (int e = 0; e < 6; ++e) {
+          const size_t i = rng.NextBelow(b.size());
+          const size_t j = std::min(b.size() - 1, i + rng.NextBelow(8));
+          std::swap(b[i], b[j]);
+        }
+        b[rng.NextBelow(b.size())] = static_cast<char>(rng.NextBelow(256));
+        while (b.size() > lb) b.erase(rng.NextBelow(b.size()), 1);
+        while (b.size() < lb) b.push_back(bytes[rng.NextBelow(256)]);
+        for (const auto& [x, y] : {std::pair(a, b), std::pair(b, a)}) {
+          ASSERT_TRUE(SameBits(JaroSim(x, y), RefJaro(x, y)))
+              << "|x|=" << x.size() << " |y|=" << y.size();
+          ASSERT_TRUE(SameBits(JaroWinklerSim(x, y), RefJaroWinkler(x, y)))
+              << "|x|=" << x.size() << " |y|=" << y.size();
+          ++edge_pairs;
+        }
+      }
+    }
+  }
+  EXPECT_EQ(edge_pairs, 4u * 9 * 9 * 2);
 }
 
-// --- (3) Soft TF/IDF's length cut never changes a score ----------------------
+// --- (3) Soft TF/IDF's bound never changes a score ---------------------------
 
 /// A token `len` bytes long drawn from a few letters, so that typo'd and
 /// truncated variants still score high Jaro-Winkler against it.
@@ -273,6 +322,34 @@ std::string RandomToken(Rng* rng, size_t len) {
   std::string s(len, 'a');
   for (char& c : s) c = static_cast<char>('a' + rng->NextBelow(4));
   return s;
+}
+
+/// Tokens that stress the Jaro-Winkler bound: exact repeats, anagrams (one
+/// signature, lower scores), bytes >= 0x80 that share a signature bucket
+/// with each other and with 'a', tokens at the bit-parallel kernel's 64-byte
+/// edge and past 255 bytes, where a count could saturate, and a character
+/// repeated more than 255 times, where one does.
+std::vector<std::string> AdversarialTokens(Rng* rng) {
+  std::vector<std::string> tokens = {
+      "listen", "silent", "enlist", "tinsel", "inlets", "listens",
+      "abcd", "abcdabcd", "dcba", "bacd", "abdc",
+      "\x80\xa0\xc0\xe0", "\xe0\xc0\xa0\x80", "a\x80\xa0", "aaa",
+      "\x80\x80\x80",
+      std::string(300, 'a'), std::string(299, 'a') + "b",
+      std::string(256, 'a'), std::string(255, 'a')};
+  for (size_t len : {63, 64, 65, 300}) {
+    const std::string base = RandomToken(rng, len);
+    std::string anagram = base;
+    for (size_t i = anagram.size() - 1; i > 0; --i) {
+      std::swap(anagram[i], anagram[rng->NextBelow(i + 1)]);
+    }
+    tokens.push_back(base);
+    tokens.push_back(ApplyTypo(base, rng));
+    tokens.push_back(anagram);
+    tokens.push_back(base.substr(1) + base[0]);
+    tokens.push_back("zz" + base.substr(2));
+  }
+  return tokens;
 }
 
 TEST(PreparedFeaturesTest, SoftTfIdfPruningMatchesUnprunedLoop) {
@@ -316,6 +393,20 @@ TEST(PreparedFeaturesTest, SoftTfIdfPruningMatchesUnprunedLoop) {
     }
     docs.emplace_back(std::move(x), std::move(y));
   }
+  // Adversarial documents: adversarial tokens against themselves and each
+  // other.
+  const std::vector<std::string> pool = AdversarialTokens(&rng);
+  for (int d = 0; d < 60; ++d) {
+    std::vector<std::string> x;
+    std::vector<std::string> y;
+    const size_t n = 1 + rng.NextBelow(5);
+    for (size_t i = 0; i < n; ++i) {
+      const std::string& t = pool[rng.NextBelow(pool.size())];
+      x.push_back(t);
+      y.push_back(rng.NextBelow(2) == 0 ? t : pool[rng.NextBelow(pool.size())]);
+    }
+    docs.emplace_back(std::move(x), std::move(y));
+  }
   IdfDict idf;
   for (size_t d = 0; d < docs.size(); d += 2) {
     idf.AddDocument(ToTokenSet(docs[d].first));
@@ -339,9 +430,10 @@ TEST(PreparedFeaturesTest, SoftTfIdfPruningMatchesUnprunedLoop) {
   }
   EXPECT_GT(nonzero, docs.size());
 
-  // The cut at theta = 0.9 is 2 * min < max: a 4-letter prefix of an
-  // 8-letter token still pairs (Jaro-Winkler reaches 0.9 exactly there),
-  // and only a shorter one is cut.
+  // A prefix's bound reduces to a length cut, at theta = 0.9 2 * min < max:
+  // a 4-letter prefix of an 8-letter token still pairs (bound and
+  // Jaro-Winkler both reach 0.9 exactly there), and only a shorter one is
+  // cut.
   IdfDict one;
   one.AddDocument({"abcd"});
   one.Finalize();
@@ -353,7 +445,138 @@ TEST(PreparedFeaturesTest, SoftTfIdfPruningMatchesUnprunedLoop) {
                        RefSoftTfIdf({"abcd"}, {"abcdefghi"}, one, 0.9)));
 }
 
-// --- (4) the matcher-only plan leaves every set-based view -------------------
+// --- (4) Monge-Elkan's bound never changes a score --------------------------
+
+TEST(PreparedFeaturesTest, MongeElkanMatchesPlainMaxLoop) {
+  Rng rng(91);
+  std::vector<std::string> pool = AdversarialTokens(&rng);
+  // Near-duplicates with shared prefixes, so a running max often sits just
+  // under a later token's score.
+  for (int k = 0; k < 12; ++k) {
+    const std::string base = RandomToken(&rng, 4 + rng.NextBelow(9));
+    pool.push_back(base);
+    pool.push_back(ApplyTypo(base, &rng));
+    pool.push_back(base + RandomToken(&rng, 1 + rng.NextBelow(3)));
+  }
+  // The bound holds on every token pair (with the kernels' 1e-9 slack for
+  // rounding).
+  for (const auto& tx : pool) {
+    for (const auto& ty : pool) {
+      ASSERT_GE(JaroWinklerBound(SignatureOf(tx), SignatureOf(ty)) + 1e-9,
+                RefJaroWinkler(tx, ty))
+          << "|x|=" << tx.size() << " |y|=" << ty.size();
+    }
+  }
+  // And for every byte value, so a byte whose bucket count is lost shows:
+  // a token holding it three times bounds its own score of 1.0 and its
+  // reverse's.
+  for (int v = 0; v < 256; ++v) {
+    const std::string t = "q" + std::string(3, static_cast<char>(v)) + "z";
+    const std::string reversed(t.rbegin(), t.rend());
+    for (const auto& ty : {t, reversed}) {
+      ASSERT_GE(JaroWinklerBound(SignatureOf(t), SignatureOf(ty)) + 1e-9,
+                RefJaroWinkler(t, ty))
+          << "byte " << v;
+    }
+  }
+
+  std::vector<std::vector<std::string>> lists = {{}};
+  for (int l = 0; l < 40; ++l) {
+    std::vector<std::string> list;
+    const size_t n = 1 + rng.NextBelow(6);
+    for (size_t k = 0; k < n; ++k) {
+      list.push_back(pool[rng.NextBelow(pool.size())]);
+    }
+    if (rng.NextBelow(3) == 0) list.push_back(list.front());
+    lists.push_back(std::move(list));
+  }
+  TokenLists prepared;
+  for (const auto& list : lists) prepared.Add(list);
+  size_t partial = 0;
+  for (size_t i = 0; i < lists.size(); ++i) {
+    for (size_t j = 0; j < lists.size(); ++j) {
+      const double want = RefMongeElkan(lists[i], lists[j]);
+      ASSERT_TRUE(SameBits(MongeElkanSim(lists[i], lists[j]), want))
+          << "lists " << i << ", " << j << ": got "
+          << MongeElkanSim(lists[i], lists[j]) << " plain loop " << want;
+      ASSERT_TRUE(SameBits(MongeElkanSim(prepared[i], prepared[j]), want))
+          << "prepared lists " << i << ", " << j;
+      partial += want > 0.0 && want < 1.0;
+    }
+  }
+  EXPECT_GT(partial, lists.size() * lists.size() / 2);
+}
+
+// --- (5) edit-distance kernels == full-matrix DPs ---------------------------
+
+size_t RefLevenshtein(std::string_view a, std::string_view b) {
+  std::vector<std::vector<size_t>> d(a.size() + 1,
+                                     std::vector<size_t>(b.size() + 1));
+  for (size_t i = 0; i <= a.size(); ++i) d[i][0] = i;
+  for (size_t j = 0; j <= b.size(); ++j) d[0][j] = j;
+  for (size_t i = 1; i <= a.size(); ++i) {
+    for (size_t j = 1; j <= b.size(); ++j) {
+      d[i][j] = std::min({d[i - 1][j] + 1, d[i][j - 1] + 1,
+                          d[i - 1][j - 1] + (a[i - 1] != b[j - 1])});
+    }
+  }
+  return d[a.size()][b.size()];
+}
+
+/// Smith-Waterman over full H, E (gap in a) and F (gap in b) matrices;
+/// linear gaps cost gap_open each.
+double RefSmithWaterman(std::string_view a, std::string_view b,
+                        double gap_open, double gap_extend, bool affine) {
+  if (a.empty() || b.empty()) return a.empty() && b.empty() ? 1.0 : 0.0;
+  const double kNegInf = -1e18;
+  using Matrix = std::vector<std::vector<double>>;
+  Matrix h(a.size() + 1, std::vector<double>(b.size() + 1, 0.0));
+  Matrix e(a.size() + 1, std::vector<double>(b.size() + 1, kNegInf));
+  Matrix f(a.size() + 1, std::vector<double>(b.size() + 1, kNegInf));
+  double best = 0.0;
+  for (size_t i = 1; i <= a.size(); ++i) {
+    for (size_t j = 1; j <= b.size(); ++j) {
+      e[i][j] = affine ? std::max(h[i][j - 1] - gap_open,
+                                  e[i][j - 1] - gap_extend)
+                       : h[i][j - 1] - gap_open;
+      f[i][j] = affine ? std::max(h[i - 1][j] - gap_open,
+                                  f[i - 1][j] - gap_extend)
+                       : h[i - 1][j] - gap_open;
+      const double diag = h[i - 1][j - 1] + (a[i - 1] == b[j - 1] ? 1.0 : -1.0);
+      h[i][j] = std::max({0.0, diag, e[i][j], f[i][j]});
+      best = std::max(best, h[i][j]);
+    }
+  }
+  return best / std::min(a.size(), b.size());
+}
+
+TEST(PreparedFeaturesTest, LevenshteinAndSmithWatermanMatchFullMatrixDp) {
+  Rng rng(4242);
+  // Empty, short and long strings, in every pairing.
+  const std::vector<size_t> lengths = {0, 1, 7, 64, 200, 255, 256, 257, 300};
+  for (size_t la : lengths) {
+    for (size_t lb : lengths) {
+      const std::string a = RandomToken(&rng, la);
+      // b is a with substitutions, cut or extended to lb.
+      std::string b = a;
+      for (size_t k = 0; k < b.size() / 8; ++k) {
+        b[rng.NextBelow(b.size())] = static_cast<char>('a' + rng.NextBelow(4));
+      }
+      b.resize(std::min(b.size(), lb));
+      b += RandomToken(&rng, lb - b.size());
+      ASSERT_EQ(LevenshteinDistance(a, b), RefLevenshtein(a, b))
+          << "|a|=" << la << " |b|=" << lb;
+      ASSERT_TRUE(SameBits(SmithWatermanSim(a, b),
+                           RefSmithWaterman(a, b, 1.0, 1.0, false)))
+          << "|a|=" << la << " |b|=" << lb;
+      ASSERT_TRUE(SameBits(SmithWatermanGotohSim(a, b),
+                           RefSmithWaterman(a, b, 1.0, 0.5, true)))
+          << "|a|=" << la << " |b|=" << lb;
+    }
+  }
+}
+
+// --- (6) the matcher-only plan leaves every set-based view -------------------
 
 TEST(PreparedFeaturesTest, MatcherOnlyGenFvsBuildsEverySetView) {
   WorkloadOptions opt;
