@@ -1,6 +1,6 @@
 // Microbenchmarks: index build and probe paths (google-benchmark). The
 // custom main() first writes BENCH_micro_index.json — token-store probe
-// cost, a keep-rule kernel A/B and index-build heap allocations — then runs
+// cost, keep-rule cost and index-build heap allocations — then runs
 // google-benchmark. FALCON_BENCH_SMOKE=1 shrinks the dataset so the binary
 // doubles as a ctest smoke test.
 #include <algorithm>
@@ -15,6 +15,7 @@
 #include "blocking/apply.h"
 #include "blocking/filters.h"
 #include "blocking/index_builder.h"
+#include "common/counters.h"
 #include "text/intersect.h"
 #include "index/btree_index.h"
 #include "index/hash_index.h"
@@ -169,10 +170,11 @@ void WriteComparisonReport() {
              std::chrono::duration<double, std::micro>(t1 - t0).count() /
                  probes);
 
-  // Rule-application A/B: the same Keep() sweep with the adaptive
-  // intersection kernels (plus the single-reader threshold fast path) on vs
-  // forced onto the scalar merge. Every keep decision must agree — the
-  // adaptive path is a pure strategy swap — or the bench exits fatally.
+  // Rule application: a Keep() sweep over the bound feature set, where the
+  // adaptive intersection kernels and the single-reader threshold fast path
+  // decide the predicate. Every keep decision must equal the value path's —
+  // an applier over a freshly generated, unbound feature set computes the
+  // full similarity with no fast path — or the bench exits fatally.
   // The rule uses the word jaccard on descr when generated: description
   // token sets (~18 words per row vs ~7 for titles) clear the fast path's
   // minimum-size gate, so the sweep actually exercises the early-exit
@@ -194,62 +196,56 @@ void WriteComparisonReport() {
     fx->fs.BindTokenStores(fx->catalog.mutable_store(&d.a),
                            fx->catalog.mutable_store(&d.b));
     RuleApplier applier(seq, &fx->fs, &d.a, &d.b);
+    const FeatureSet unbound = FeatureSet::Generate(d.a, d.b);
+    RuleApplier value_applier(seq, &unbound, &d.a, &d.b);
     // Strided A sample x every B row keeps the sweep O(seconds) at full size.
     const size_t a_step = std::max<size_t>(d.a.num_rows() / 64, 1);
-    auto sweep = [&](std::vector<char>* decisions) {
+    auto sweep = [&](const RuleApplier& app, std::vector<char>* decisions) {
       decisions->clear();
       for (RowId br = 0; br < d.b.num_rows(); ++br) {
         for (RowId ar = 0; ar < d.a.num_rows();
              ar += static_cast<RowId>(a_step)) {
-          decisions->push_back(applier.Keep(ar, br) ? 1 : 0);
+          decisions->push_back(app.Keep(ar, br) ? 1 : 0);
         }
       }
     };
-    std::vector<char> keep_scalar, keep_adaptive;
-    SetIntersectForceScalar(true);
+    std::vector<char> keep_value, keep_adaptive;
+    sweep(value_applier, &keep_value);
+    const CounterSet before = ThreadCounters();
     auto tA = Clock::now();
-    sweep(&keep_scalar);
+    sweep(applier, &keep_adaptive);
     auto tB = Clock::now();
-    SetIntersectForceScalar(false);
-    const IntersectCounts before = IntersectCountsSnapshot();
-    auto tC = Clock::now();
-    sweep(&keep_adaptive);
-    auto tD = Clock::now();
-    const IntersectCounts delta = IntersectCountsSnapshot() - before;
-    if (keep_scalar != keep_adaptive) {
+    const CounterSet delta = ThreadCounters() - before;
+    if (keep_value != keep_adaptive) {
       fprintf(stderr,
-              "FATAL: adaptive kernels changed a RuleApplier::Keep "
-              "decision (scalar sweep kept %zu, adaptive kept %zu)\n",
+              "FATAL: the threshold fast path changed a RuleApplier::Keep "
+              "decision (value path kept %zu, bound applier kept %zu)\n",
               static_cast<size_t>(
-                  std::count(keep_scalar.begin(), keep_scalar.end(), 1)),
+                  std::count(keep_value.begin(), keep_value.end(), 1)),
               static_cast<size_t>(std::count(keep_adaptive.begin(),
                                              keep_adaptive.end(), 1)));
       exit(1);
     }
-    const double pairs = static_cast<double>(keep_scalar.size());
-    const double scalar_us =
-        std::chrono::duration<double, std::micro>(tB - tA).count() / pairs;
+    const double pairs = static_cast<double>(keep_adaptive.size());
     const double adaptive_us =
-        std::chrono::duration<double, std::micro>(tD - tC).count() / pairs;
-    report.Add("keep/pairs", static_cast<int64_t>(keep_scalar.size()));
-    report.Add("keep/scalar_us_per_pair", scalar_us);
+        std::chrono::duration<double, std::micro>(tB - tA).count() / pairs;
+    report.Add("keep/pairs", static_cast<int64_t>(keep_adaptive.size()));
     report.Add("keep/adaptive_us_per_pair", adaptive_us);
-    report.Add("keep/speedup",
-               adaptive_us > 0.0 ? scalar_us / adaptive_us : 0.0);
-    report.Add("keep/intersect_small", static_cast<int64_t>(delta.small));
-    report.Add("keep/intersect_gallop", static_cast<int64_t>(delta.gallop));
-    report.Add("keep/intersect_simd", static_cast<int64_t>(delta.simd));
+    report.Add("keep/intersect_small",
+               static_cast<int64_t>(delta[Counter::kIntersectSmall]));
+    report.Add("keep/intersect_gallop",
+               static_cast<int64_t>(delta[Counter::kIntersectGallop]));
+    report.Add("keep/intersect_simd",
+               static_cast<int64_t>(delta[Counter::kIntersectSimd]));
     report.Add("keep/intersect_early_exit",
-               static_cast<int64_t>(delta.early_exit));
+               static_cast<int64_t>(delta[Counter::kIntersectEarlyExit]));
     report.Add("keep/simd_kernel", std::string(SimdIntersectKernelName()));
-    printf("keep A/B: scalar %.3f us/pair, adaptive %.3f us/pair (%.2fx)\n",
-           scalar_us, adaptive_us,
-           adaptive_us > 0.0 ? scalar_us / adaptive_us : 0.0);
+    printf("keep: %.3f us/pair\n", adaptive_us);
   }
 
-  // Index build (jobs 1-3 + store views) from a cold catalog. The alloc/*
-  // counters in each job's stats are real heap traffic: task-arena page
-  // acquisitions.
+  // Index build (jobs 1-3 + store views) from a cold catalog. The
+  // allocation counters in each job's stats are real heap traffic:
+  // task-arena page acquisitions.
   {
     Cluster cluster((ClusterConfig()));
     IndexCatalog catalog;
@@ -262,12 +258,8 @@ void WriteComparisonReport() {
     int64_t alloc_count = 0;
     int64_t alloc_bytes = 0;
     for (const JobStats& js : cluster.JobHistorySnapshot()) {
-      if (auto it = js.counters.find("alloc/count"); it != js.counters.end()) {
-        alloc_count += it->second;
-      }
-      if (auto it = js.counters.find("alloc/bytes"); it != js.counters.end()) {
-        alloc_bytes += it->second;
-      }
+      alloc_count += static_cast<int64_t>(js.counters[Counter::kAllocCount]);
+      alloc_bytes += static_cast<int64_t>(js.counters[Counter::kAllocBytes]);
     }
     report.Add("build/full_ms",
                std::chrono::duration<double, std::milli>(tB - tA).count());

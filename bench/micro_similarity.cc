@@ -12,6 +12,7 @@
 
 #include "harness.h"
 
+#include "common/counters.h"
 #include "common/rng.h"
 #include "text/intersect.h"
 #include "text/similarity.h"
@@ -257,12 +258,13 @@ std::vector<TokenId> RandomIdSet(uint64_t seed, size_t size,
   return v;
 }
 
-/// Adaptive-vs-scalar-merge A/B over one synthetic shape regime. Both sweeps
-/// run the SAME pair sequence through SortedIntersectionSize — first with
-/// SetIntersectForceScalar(true) (the pre-adaptive baseline), then adaptive —
-/// and the summed counts must match exactly or the process exits: a wrong
-/// kernel must fail the bench, not ship a speedup. Records ns/op for both,
-/// the speedup, and which strategy counters the adaptive sweep moved.
+/// Adaptive-vs-scalar-merge comparison over one synthetic shape regime. Both
+/// sweeps run the SAME pair sequence — first through intersect::ScalarMerge
+/// (the pre-adaptive baseline), then through the adaptive
+/// SortedIntersectionSize — and the summed counts must match exactly or the
+/// process exits: a wrong kernel must fail the bench, not ship a speedup.
+/// Records ns/op for both, the speedup, and which strategy counters the
+/// adaptive sweep moved on this thread.
 void CompareIntersectLane(bench::BenchReport* report, const std::string& key,
                           size_t na, size_t nb, size_t iters) {
   using Clock = std::chrono::steady_clock;
@@ -275,18 +277,15 @@ void CompareIntersectLane(bench::BenchReport* report, const std::string& key,
   }
 
   size_t sum_scalar = 0;
-  SetIntersectForceScalar(true);
   auto t0 = Clock::now();
   for (size_t i = 0; i < iters; ++i) {
-    sum_scalar += SortedIntersectionSize(
-        std::span<const TokenId>(xs[i % kPairs]),
-        std::span<const TokenId>(ys[(i * 7 + 3) % kPairs]));
+    sum_scalar += intersect::ScalarMerge(xs[i % kPairs],
+                                         ys[(i * 7 + 3) % kPairs]);
   }
   auto t1 = Clock::now();
-  SetIntersectForceScalar(false);
 
   size_t sum_adaptive = 0;
-  const IntersectCounts before = IntersectCountsSnapshot();
+  const CounterSet before = ThreadCounters();
   auto t2 = Clock::now();
   for (size_t i = 0; i < iters; ++i) {
     sum_adaptive += SortedIntersectionSize(
@@ -294,7 +293,7 @@ void CompareIntersectLane(bench::BenchReport* report, const std::string& key,
         std::span<const TokenId>(ys[(i * 7 + 3) % kPairs]));
   }
   auto t3 = Clock::now();
-  const IntersectCounts delta = IntersectCountsSnapshot() - before;
+  const CounterSet delta = ThreadCounters() - before;
 
   if (sum_scalar != sum_adaptive) {
     fprintf(stderr,
@@ -313,10 +312,14 @@ void CompareIntersectLane(bench::BenchReport* report, const std::string& key,
   report->Add(key + "/adaptive_ns_per_op", adaptive_ns);
   report->Add(key + "/speedup", adaptive_ns > 0.0 ? scalar_ns / adaptive_ns
                                                   : 0.0);
-  report->Add(key + "/intersect_small", static_cast<int64_t>(delta.small));
-  report->Add(key + "/intersect_gallop", static_cast<int64_t>(delta.gallop));
-  report->Add(key + "/intersect_simd", static_cast<int64_t>(delta.simd));
-  report->Add(key + "/intersect_scalar", static_cast<int64_t>(delta.scalar));
+  report->Add(key + "/intersect_small",
+              static_cast<int64_t>(delta[Counter::kIntersectSmall]));
+  report->Add(key + "/intersect_gallop",
+              static_cast<int64_t>(delta[Counter::kIntersectGallop]));
+  report->Add(key + "/intersect_simd",
+              static_cast<int64_t>(delta[Counter::kIntersectSimd]));
+  report->Add(key + "/intersect_scalar",
+              static_cast<int64_t>(delta[Counter::kIntersectScalar]));
   printf("%-20s scalar %7.2f ns  adaptive %7.2f ns  speedup %5.2fx\n",
          key.c_str(), scalar_ns, adaptive_ns,
          adaptive_ns > 0.0 ? scalar_ns / adaptive_ns : 0.0);

@@ -202,13 +202,11 @@ int main(int argc, char** argv) {
       report.Add(base_key + "/apply_seconds", row.o->result.time.seconds);
       report.Add(base_key + "/pairs",
                  static_cast<int64_t>(row.o->result.pairs.size()));
-      auto counter = [&job](const char* key) {
-        auto it = job.counters.find(key);
-        return it == job.counters.end() ? int64_t{0} : it->second;
-      };
-      report.Add(base_key + "/skew_shards", counter("skew/shards"));
-      report.Add(base_key + "/skew_split_blocks",
-                 counter("skew/split_blocks"));
+      report.Add(base_key + "/skew_shards",
+                 static_cast<int64_t>(job.counters[Counter::kSkewShards]));
+      report.Add(
+          base_key + "/skew_split_blocks",
+          static_cast<int64_t>(job.counters[Counter::kSkewSplitBlocks]));
       AddLoadMetrics(&report, base_key + "/reduce", load);
     }
 

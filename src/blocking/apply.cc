@@ -1,7 +1,6 @@
 #include "blocking/apply.h"
 
 #include <algorithm>
-#include <atomic>
 #include <bit>
 #include <cmath>
 #include <map>
@@ -10,6 +9,7 @@
 
 #include "blocking/index_builder.h"
 #include "common/arena.h"
+#include "common/counters.h"
 #include "mapreduce/job.h"
 #include "text/intersect.h"
 
@@ -171,10 +171,8 @@ bool RuleApplier::Keep(RowId a_row, RowId b_row) const {
       // Threshold fast path: a set-based ordering predicate whose slot has
       // no other reader can be decided by the early-exit intersection
       // kernel, skipping the full similarity (bit-identical decision; see
-      // EvalSetPredicate). Left ungated on SIMD so forced-scalar benches can
-      // A/B it via IntersectForceScalar.
-      if (p.threshold_ok && slot_stamps[p.slot] != slot_epoch &&
-          !IntersectForceScalar()) {
+      // EvalSetPredicate).
+      if (p.threshold_ok && slot_stamps[p.slot] != slot_epoch) {
         const Feature& f = fs_->feature(p.feature_id);
         const std::span<const TokenId> x = p.view_a->row(a_row);
         const std::span<const TokenId> y = p.view_b->row(b_row);
@@ -317,18 +315,11 @@ double MinRuleSelectivity(const RuleSequence& seq) {
   return s;
 }
 
-bool ShouldShipIds(const ApplyOptions& opts, const Cluster& cluster,
-                   const Table& b, const RuleSequence& seq) {
-  switch (opts.ship_ids) {
-    case ApplyOptions::ShipIds::kOn:
-      return true;
-    case ApplyOptions::ShipIds::kOff:
-      return false;
-    case ApplyOptions::ShipIds::kAuto:
-      break;
-  }
-  // Paper rule: only if an id index of B fits in reducer memory AND the rule
-  // sequence keeps enough pairs that the intermediate output is huge.
+/// Intermediate-output optimization (Section 7.3, optimization 2): ship only
+/// B-row ids to reducers when an id index of B fits in reducer memory AND
+/// the rule sequence keeps enough pairs that the intermediate output is huge.
+bool ShuffleIdsOnly(const Cluster& cluster, const Table& b,
+                    const RuleSequence& seq) {
   return b.MemoryUsage() <= cluster.config().reducer_memory_bytes &&
          MinRuleSelectivity(seq) >= 1e-4;
 }
@@ -375,7 +366,7 @@ Result<ApplyResult> RunKeyedByA(
     double map_setup_seconds) {
   ClauseProber prober(&catalog, &fs, a.num_rows());
   RuleApplier applier(seq, &fs, &a, &b);
-  bool ship_ids = ShouldShipIds(opts, *cluster, b, seq);
+  bool ship_ids = ShuffleIdsOnly(*cluster, b, seq);
   const uint32_t b_bytes =
       ship_ids ? 8 : static_cast<uint32_t>(AvgRowBytes(b));
   const uint32_t a_bytes = static_cast<uint32_t>(AvgRowBytes(a));
@@ -395,8 +386,6 @@ Result<ApplyResult> RunKeyedByA(
       result.index_profile.skew >= 2.0) {
     jopts.num_splits = static_cast<size_t>(4 * cluster->total_map_slots());
   }
-  // Reduce partitions run concurrently; the examined-pairs tally is atomic.
-  std::atomic<size_t> candidates_examined{0};
   auto input = InterleavedInput(a.num_rows(), b.num_rows());
   auto job = RunMapReduce<TaggedRow, RowId, ShuffleVal, CandidatePair>(
       cluster, input, jopts,
@@ -417,7 +406,7 @@ Result<ApplyResult> RunKeyedByA(
           TaskVector<CandidatePair>* out) {
         for (const auto& v : vals) {
           if (v.tag < 0) continue;  // the A-record marker
-          candidates_examined.fetch_add(1, std::memory_order_relaxed);
+          Count(Counter::kCandidatesExamined);
           RowId b_row = static_cast<RowId>(v.tag);
           if (applier.Keep(a_row, b_row)) out->emplace_back(a_row, b_row);
         }
@@ -425,7 +414,8 @@ Result<ApplyResult> RunKeyedByA(
   result.pairs = std::move(job.output);
   result.main_job = job.stats;
   result.time = job.stats.Total();
-  result.candidates_examined = candidates_examined.load();
+  result.candidates_examined =
+      job.stats.counters[Counter::kCandidatesExamined];
   if (result.time > opts.virtual_time_limit) {
     return Status::Cancelled(name + " exceeded virtual time limit (" +
                              result.time.ToString() + ")");
@@ -453,7 +443,7 @@ Result<ApplyResult> RunKeyedByPair(const Table& a, const Table& b,
                                    double map_setup_seconds) {
   ClauseProber prober(&catalog, &fs, a.num_rows());
   RuleApplier applier(seq, &fs, &a, &b);
-  bool ship_ids = ShouldShipIds(opts, *cluster, b, seq);
+  bool ship_ids = ShuffleIdsOnly(*cluster, b, seq);
   const uint32_t pair_bytes =
       ship_ids ? 12 : static_cast<uint32_t>(AvgRowBytes(a) + AvgRowBytes(b));
 
@@ -478,7 +468,6 @@ Result<ApplyResult> RunKeyedByPair(const Table& a, const Table& b,
 
   ApplyResult result;
   result.index_profile = catalog.MergedBlockProfile();
-  std::atomic<size_t> candidates_examined{0};
   // Keyed by pair: buckets are tiny (one per surviving pair) but the reduce
   // reads vals[0] and aggregates a clause mask over the whole bucket, so it
   // is NOT splittable; the skew-aware partitioner still bin-packs whole
@@ -528,13 +517,14 @@ Result<ApplyResult> RunKeyedByPair(const Table& a, const Table& b,
               static_cast<uint32_t>(std::popcount(mask)) >= k_b;
         }
         if (!survives) return;
-        candidates_examined.fetch_add(1, std::memory_order_relaxed);
+        Count(Counter::kCandidatesExamined);
         if (applier.Keep(a_row, b_row)) out->emplace_back(a_row, b_row);
       });
   result.pairs = std::move(job.output);
   result.main_job = job.stats;
   result.time = job.stats.Total();
-  result.candidates_examined = candidates_examined.load();
+  result.candidates_examined =
+      job.stats.counters[Counter::kCandidatesExamined];
   if (result.time > opts.virtual_time_limit) {
     return Status::Cancelled(name + " exceeded virtual time limit (" +
                              result.time.ToString() + ")");

@@ -57,11 +57,6 @@ struct ApplyOptions {
   /// baselines on large tables). Projection is sample-based.
   VDuration virtual_time_limit =
       VDuration::Seconds(std::numeric_limits<double>::infinity());
-  /// Intermediate-output optimization (Section 7.3, optimization 2): ship
-  /// only B-row ids to reducers when an id->tuple index of B fits in reducer
-  /// memory. kAuto applies the paper's rule; kOn/kOff force it.
-  enum class ShipIds { kAuto, kOn, kOff };
-  ShipIds ship_ids = ShipIds::kAuto;
 };
 
 struct ApplyResult {

@@ -19,10 +19,10 @@
 //                     peak capacity forever.
 //
 // Allocation accounting: Arena exposes monotonic page-acquisition counters,
-// so the MapReduce engine can report real heap traffic per task
-// ("alloc/count", "alloc/bytes") through the normal counter plumbing. These
-// counters measure the machine, not the computation: a warm arena reports
-// zero page acquisitions for a whole task.
+// so the MapReduce engine can charge real heap traffic to each task
+// (Counter::kAllocCount and kAllocBytes, common/counters.h). These counters
+// measure the machine, not the computation: a warm arena reports zero page
+// acquisitions for a whole task.
 #ifndef FALCON_COMMON_ARENA_H_
 #define FALCON_COMMON_ARENA_H_
 

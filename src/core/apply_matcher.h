@@ -2,15 +2,19 @@
 // candidate pair with a map-only job, fused with feature generation. Each
 // map task evaluates features lazily (LazyPairFeatures) against a compiled
 // FlatForest with short-circuit voting, so features no traversed tree tests
-// are never computed and no feature-vector array is materialized.
-// Predictions are byte-identical to RandomForest::Predict over the full
-// ComputeVector of each pair.
+// are never computed and no feature-vector array is materialized. Each pair
+// counts the features it computed and the trees it traversed
+// (Counter::kFeaturesComputed, kTreesVoted), so the job's counters show the
+// work the lazy evaluation and early voting saved. Predictions are
+// byte-identical to RandomForest::Predict over the full ComputeVector of each
+// pair.
 #ifndef FALCON_CORE_APPLY_MATCHER_H_
 #define FALCON_CORE_APPLY_MATCHER_H_
 
 #include <cstdint>
 #include <vector>
 
+#include "common/counters.h"
 #include "crowd/crowd.h"
 #include "learn/flat_forest.h"
 #include "learn/random_forest.h"
@@ -19,21 +23,19 @@
 
 namespace falcon {
 
-/// Work actually performed by a fused apply_matcher job, aggregated from
-/// the job's per-split counters. The per-pair averages feed Table-4-style
-/// reporting; virtual time already reflects the reduced work because map
-/// task seconds are measured, not modeled.
+/// Work actually performed by a fused apply_matcher job. The per-pair
+/// averages feed Table-4-style reporting; virtual time already reflects the
+/// reduced work because map task seconds are measured, not modeled.
 struct FusedMatcherWork {
-  uint64_t features_computed = 0;  ///< lazy feature evaluations, all pairs
-  uint64_t trees_voted = 0;        ///< trees traversed before early exit
   size_t pairs = 0;
   size_t vector_width = 0;   ///< full feature-vector layout width
   size_t used_features = 0;  ///< layout positions any tree references
   size_t num_trees = 0;
-  /// Heap allocations the engine charged to the fused job (task arenas make
-  /// this page acquisitions, not per-pair vectors).
-  uint64_t alloc_count = 0;
-  uint64_t alloc_bytes = 0;
+  /// The job's counters: lazy feature evaluations (kFeaturesComputed) and
+  /// trees traversed before early exit (kTreesVoted) over all pairs, plus
+  /// the arena pages the engine charged (task arenas make these page
+  /// acquisitions, not per-pair vectors).
+  CounterSet counters;
 };
 
 struct ApplyMatcherFusedResult {

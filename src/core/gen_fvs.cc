@@ -3,13 +3,6 @@
 #include "mapreduce/job.h"
 
 namespace falcon {
-namespace {
-
-// Interned once; the map function runs per pair.
-const std::string kAllocCount = "alloc/count";
-const std::string kAllocBytes = "alloc/bytes";
-
-}  // namespace
 
 GenFvsResult GenFvs(const Table& a, const Table& b,
                     const std::vector<PairQuestion>& pairs,
@@ -28,26 +21,18 @@ GenFvsResult GenFvs(const Table& a, const Table& b,
   for (size_t i = 0; i < idx.size(); ++i) idx[i] = i;
   auto job = RunMapOnly<size_t, int>(
       cluster, idx, {.name = job_name},
-      [&](const size_t& i, TaskVector<int>*, Counters* counters) {
+      [&](const size_t& i, TaskVector<int>*) {
         result.fvs[i] = fs.ComputeVector(feature_ids, a, pairs[i].first, b,
                                          pairs[i].second);
         // Each materialized FeatureVec is one heap vector the engine's
         // task-arena accounting cannot see (it lands in caller-owned
         // result.fvs, not task scratch); count it so eager-vs-fused alloc
         // comparisons stay honest.
-        (*counters)[kAllocCount] += 1;
-        (*counters)[kAllocBytes] +=
-            static_cast<int64_t>(feature_ids.size() * sizeof(double));
+        Count(Counter::kAllocCount);
+        Count(Counter::kAllocBytes, feature_ids.size() * sizeof(double));
       });
   result.time = job.stats.Total();
-  if (auto it = job.stats.counters.find(kAllocCount);
-      it != job.stats.counters.end()) {
-    result.alloc_count = static_cast<uint64_t>(it->second);
-  }
-  if (auto it = job.stats.counters.find(kAllocBytes);
-      it != job.stats.counters.end()) {
-    result.alloc_bytes = static_cast<uint64_t>(it->second);
-  }
+  result.counters = job.stats.counters;
   return result;
 }
 

@@ -1,10 +1,13 @@
 // Operator gen_fvs (Section 8): converts tuple pairs into feature vectors
-// with a map-only job.
+// with a map-only job. Each materialized vector is a heap allocation the
+// job's task arenas cannot see, so the map function counts it
+// (Counter::kAllocCount, kAllocBytes) beside the engine's arena pages.
 #ifndef FALCON_CORE_GEN_FVS_H_
 #define FALCON_CORE_GEN_FVS_H_
 
 #include <vector>
 
+#include "common/counters.h"
 #include "crowd/crowd.h"
 #include "learn/decision_tree.h"
 #include "mapreduce/cluster.h"
@@ -15,10 +18,9 @@ namespace falcon {
 struct GenFvsResult {
   std::vector<FeatureVec> fvs;  ///< parallel to the input pairs
   VDuration time;
-  /// Heap allocations this stage performed (the materialized vectors plus
-  /// whatever the engine charged to the job), from JobStats::counters.
-  uint64_t alloc_count = 0;
-  uint64_t alloc_bytes = 0;
+  /// The job's counters. Its allocation counters cover the engine's arena
+  /// pages plus one allocation per materialized vector.
+  CounterSet counters;
 };
 
 /// Computes the features `feature_ids` (positions define the vector layout)

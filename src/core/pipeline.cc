@@ -15,44 +15,41 @@
 namespace falcon {
 namespace {
 
-/// Folds the fused apply_matcher work counters into the run metrics.
+/// Folds the allocation counters of an instrumented stage's job (gen_fvs,
+/// apply_block_rules, apply_matcher) into the run metrics.
+void RecordAllocs(const CounterSet& c, RunMetrics* m) {
+  m->alloc_count += c[Counter::kAllocCount];
+  m->alloc_bytes += c[Counter::kAllocBytes];
+}
+
+/// Folds an apply_block_rules job's counters into the run metrics: its
+/// allocations and its intersection-kernel activity.
+void RecordBlockingJob(const JobStats& stats, RunMetrics* m) {
+  const CounterSet& c = stats.counters;
+  RecordAllocs(c, m);
+  m->intersect_scalar += c[Counter::kIntersectScalar];
+  m->intersect_small += c[Counter::kIntersectSmall];
+  m->intersect_gallop += c[Counter::kIntersectGallop];
+  m->intersect_simd += c[Counter::kIntersectSimd];
+  m->intersect_early_exit += c[Counter::kIntersectEarlyExit];
+  m->intersect_contains += c[Counter::kIntersectContains];
+}
+
+/// Folds the fused apply_matcher work into the run metrics.
 void RecordMatcherWork(const FusedMatcherWork& work, RunMetrics* m) {
+  const CounterSet& c = work.counters;
   double pairs = static_cast<double>(work.pairs);
   m->matcher_features_per_pair =
-      work.pairs == 0 ? 0.0 : static_cast<double>(work.features_computed) / pairs;
+      work.pairs == 0
+          ? 0.0
+          : static_cast<double>(c[Counter::kFeaturesComputed]) / pairs;
   m->matcher_trees_per_pair =
-      work.pairs == 0 ? 0.0 : static_cast<double>(work.trees_voted) / pairs;
+      work.pairs == 0 ? 0.0
+                      : static_cast<double>(c[Counter::kTreesVoted]) / pairs;
   m->matcher_vector_width = work.vector_width;
   m->matcher_used_features = work.used_features;
   m->matcher_num_trees = work.num_trees;
-  m->alloc_count += work.alloc_count;
-  m->alloc_bytes += work.alloc_bytes;
-}
-
-/// Folds a job's engine-charged allocation counters (task-arena page
-/// acquisitions, i.e. real heap traffic) into the run metrics.
-void RecordJobAllocs(const JobStats& stats, RunMetrics* m) {
-  if (auto it = stats.counters.find("alloc/count");
-      it != stats.counters.end()) {
-    m->alloc_count += static_cast<uint64_t>(it->second);
-  }
-  if (auto it = stats.counters.find("alloc/bytes");
-      it != stats.counters.end()) {
-    m->alloc_bytes += static_cast<uint64_t>(it->second);
-  }
-  // The intersect/* counters ride the same JobStats plumbing; fold them into
-  // the run-level kernel-activity rollup alongside the allocs.
-  auto fold = [&](const char* key, uint64_t* into) {
-    if (auto it = stats.counters.find(key); it != stats.counters.end()) {
-      *into += static_cast<uint64_t>(it->second);
-    }
-  };
-  fold("intersect/scalar", &m->intersect_scalar);
-  fold("intersect/small", &m->intersect_small);
-  fold("intersect/gallop", &m->intersect_gallop);
-  fold("intersect/simd", &m->intersect_simd);
-  fold("intersect/early_exit", &m->intersect_early_exit);
-  fold("intersect/contains", &m->intersect_contains);
+  RecordAllocs(c, m);
 }
 
 /// Compiles the learned matcher for the fused apply phase and verifies the
@@ -286,8 +283,7 @@ Status FalconPipeline::StageGenFvsSample() {
                              "gen_fvs(S)");
   state_.sample_fvs = std::move(sfvs.fvs);
   state_.sample_fvs_ready = true;
-  state_.out.metrics.alloc_count += sfvs.alloc_count;
-  state_.out.metrics.alloc_bytes += sfvs.alloc_bytes;
+  RecordAllocs(sfvs.counters, &state_.out.metrics);
   AddMachine("gen_fvs", prep + sfvs.time, prep + sfvs.time);
   state_.next = PipelineStage::kBlockerAl;
   return Status::OK();
@@ -517,7 +513,7 @@ Status FalconPipeline::StageApplyRules() {
     apply_unmasked = filtered.time;
     m.spec_rule_reused = true;
     m.apply_method = preferred;
-    RecordJobAllocs(filtered.stats, &m);
+    RecordBlockingJob(filtered.stats, &m);
   } else if (in_flight != nullptr && in_flight_selected) {
     // Algorithm 2, lines 12-27: steer the in-flight job.
     const JobStats& stats = in_flight->result.main_job;
@@ -548,8 +544,8 @@ Status FalconPipeline::StageApplyRules() {
       apply_unmasked = Max(in_flight->remaining, zy.time) + zx.time;
       m.spec_rule_reused = true;
       m.apply_method = preferred;
-      RecordJobAllocs(zx.stats, &m);
-      RecordJobAllocs(zy.stats, &m);
+      RecordBlockingJob(zx.stats, &m);
+      RecordBlockingJob(zy.stats, &m);
     } else if (greedy_ok) {
       // Map phase + apply_greedy: let the job finish; its reducers evaluate
       // the full sequence.
@@ -561,7 +557,7 @@ Status FalconPipeline::StageApplyRules() {
       apply_unmasked = Max(in_flight->remaining, filtered.time);
       m.spec_rule_reused = true;
       m.apply_method = ApplyMethod::kApplyGreedy;
-      RecordJobAllocs(filtered.stats, &m);
+      RecordBlockingJob(filtered.stats, &m);
     } else {
       // Kill the job; start fresh below.
       apply_fresh = true;
@@ -579,7 +575,7 @@ Status FalconPipeline::StageApplyRules() {
     apply_raw = applied.time;
     apply_unmasked = applied.time;
     m.apply_method = used;
-    RecordJobAllocs(applied.main_job, &m);
+    RecordBlockingJob(applied.main_job, &m);
   }
   AddMachine("apply_block_rules", apply_raw, apply_unmasked);
   // Canonical order: which Algorithm-2 reuse path ran depends on measured
@@ -613,8 +609,7 @@ Status FalconPipeline::StageGenFvsCand() {
                              features_.all_ids(), cluster_, "gen_fvs(C)");
   state_.cand_fvs = std::move(cfvs.fvs);
   state_.cand_fvs_ready = true;
-  out.metrics.alloc_count += cfvs.alloc_count;
-  out.metrics.alloc_bytes += cfvs.alloc_bytes;
+  RecordAllocs(cfvs.counters, &out.metrics);
   AddMachine("gen_fvs(C)", prep + cfvs.time, prep + cfvs.time);
   state_.next = PipelineStage::kMatcherAl;
   return Status::OK();
@@ -773,8 +768,7 @@ Status FalconPipeline::Rehydrate(VDuration* rebuild_time) {
                                  "gen_fvs(S,rehydrate)");
       state_.sample_fvs = std::move(sfvs.fvs);
       state_.sample_fvs_ready = true;
-      state_.out.metrics.alloc_count += sfvs.alloc_count;
-      state_.out.metrics.alloc_bytes += sfvs.alloc_bytes;
+      RecordAllocs(sfvs.counters, &state_.out.metrics);
       total += sfvs.time;
     }
     if (next == PipelineStage::kMatcherAl && !state_.cand_fvs_ready) {
@@ -784,8 +778,7 @@ Status FalconPipeline::Rehydrate(VDuration* rebuild_time) {
                                  "gen_fvs(C,rehydrate)");
       state_.cand_fvs = std::move(cfvs.fvs);
       state_.cand_fvs_ready = true;
-      state_.out.metrics.alloc_count += cfvs.alloc_count;
-      state_.out.metrics.alloc_bytes += cfvs.alloc_bytes;
+      RecordAllocs(cfvs.counters, &state_.out.metrics);
       total += cfvs.time;
     }
 

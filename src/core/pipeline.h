@@ -87,12 +87,11 @@ struct RunMetrics {
   /// Intersection-kernel activity across the MapReduce jobs of the
   /// apply_block_rules stage (text/intersect.h); other stages' jobs are not
   /// folded in. Counts which strategy the adaptive entry points resolved to,
-  /// per call, plus threshold early exits and membership probes. Totals are
-  /// deterministic per workload + build flavor + Algorithm-2 reuse path
-  /// (every intersection runs exactly once regardless of thread count);
-  /// per-job attribution can shift under concurrent sessions, like the alloc
-  /// counters. Diagnostics only — not part of the determinism contract and
-  /// never serialized.
+  /// per call, plus threshold early exits and membership probes. A job
+  /// counts only its own tasks' calls, so totals are the same at any thread
+  /// count and under concurrent sessions; they depend on the workload, the
+  /// build flavor and the Algorithm-2 reuse path. Diagnostics only — not
+  /// part of the determinism contract and never serialized.
   uint64_t intersect_scalar = 0;
   uint64_t intersect_small = 0;
   uint64_t intersect_gallop = 0;

@@ -13,13 +13,13 @@
 #define FALCON_MAPREDUCE_CLUSTER_H_
 
 #include <cstdint>
-#include <map>
 #include <memory>
 #include <mutex>
 #include <string>
 #include <vector>
 
 #include "common/arena.h"
+#include "common/counters.h"
 #include "common/status.h"
 #include "common/vtime.h"
 
@@ -95,9 +95,6 @@ struct TaskLoadStats {
   double straggler_ratio = 1.0;  ///< max/mean; 1.0 when tasks <= 1
 };
 
-/// Hadoop-style named counters.
-using Counters = std::map<std::string, int64_t>;
-
 /// Virtual-time breakdown of one executed job.
 struct JobStats {
   std::string name;
@@ -111,7 +108,9 @@ struct JobStats {
   size_t intermediate_records = 0;
   size_t intermediate_bytes = 0;
   size_t output_records = 0;
-  Counters counters;
+  /// Work counted by this job's own map and reduce tasks, plus the heap
+  /// pages its task and shuffle arenas acquired (common/counters.h).
+  CounterSet counters;
   /// Per-task load distributions (map splits, reduce tasks).
   TaskLoadStats map_load;
   TaskLoadStats reduce_load;

@@ -8,7 +8,7 @@
 // Execution is genuinely multi-threaded: map splits and reduce partitions
 // run concurrently on the cluster's shared thread pool (see
 // ClusterConfig::local_threads; 1 selects the exact legacy serial path).
-// Two contracts are preserved regardless of thread count:
+// Three contracts are preserved regardless of thread count:
 //
 //   Determinism — each split owns a private Emitter; emitted pairs are merged
 //   into shuffle partitions in split-index order and reduce outputs are
@@ -22,17 +22,23 @@
 //   each other's measured durations and the virtual makespan matches the
 //   serial baseline within measurement noise.
 //
+//   Counters — each task's counts are the change in its executing thread's
+//   CounterSet (common/counters.h) across the task, so JobStats::counters
+//   holds exactly the job's own tasks' work: the same at any thread count,
+//   however many other jobs or sessions run meanwhile (the allocation
+//   counters below excepted).
+//
 // Memory discipline (common/arena.h): every map/reduce task leases a bump
 // arena from the cluster's ArenaPool for its buffers — emitter pairs
 // (pre-sized from the split-size hint), shuffle bucket vectors, split and
 // reduce outputs — and the arena is reset, not freed, at task end, so a warm
 // pool serves whole jobs without heap traffic. Per-task heap allocations
-// (arena page acquisitions) are reported through the normal counter
-// plumbing as "alloc/count"/"alloc/bytes". These two counters measure real
-// memory-system behavior — pool warmth, thread scheduling — so unlike user
-// counters they are not required to be identical between serial and
-// parallel runs; job outputs still are. Worker-thread scratch
-// (ThreadScratch) is likewise reset after every task.
+// (arena page acquisitions) are charged to Counter::kAllocCount and
+// kAllocBytes. These two counters measure real memory-system behavior —
+// pool warmth, thread scheduling — so unlike the work counters they are not
+// required to be identical between serial and parallel runs; job outputs
+// still are. Worker-thread scratch (ThreadScratch) is likewise reset after
+// every task.
 #ifndef FALCON_MAPREDUCE_JOB_H_
 #define FALCON_MAPREDUCE_JOB_H_
 
@@ -50,12 +56,12 @@
 #include <vector>
 
 #include "common/arena.h"
+#include "common/counters.h"
 #include "common/status.h"
 #include "common/strings.h"
 #include "common/thread_pool.h"
 #include "mapreduce/cluster.h"
 #include "mapreduce/skew.h"
-#include "text/intersect.h"
 
 namespace falcon {
 
@@ -93,8 +99,7 @@ using ValueList = ArenaVector<V>;
 // --- emitter -----------------------------------------------------------------
 
 /// Collects (key, value) pairs emitted by one map task. Each map task owns a
-/// private Emitter, so user map functions never share one across threads;
-/// counters are merged into JobStats in split-index order after the map phase.
+/// private Emitter, so user map functions never share one across threads.
 template <typename K, typename V>
 class Emitter {
  public:
@@ -112,19 +117,13 @@ class Emitter {
     bytes_ += EstimateBytes(key) + EstimateBytes(value);
     pairs_.emplace_back(std::move(key), std::move(value));
   }
-  /// Hadoop-style counter, aggregated into JobStats::counters.
-  void Increment(const std::string& counter, int64_t by = 1) {
-    counters_[counter] += by;
-  }
 
   TaskVector<std::pair<K, V>>& pairs() { return pairs_; }
   size_t bytes() const { return bytes_; }
-  Counters& counters() { return counters_; }
 
  private:
   TaskVector<std::pair<K, V>> pairs_;
   size_t bytes_ = 0;
-  Counters counters_;
 };
 
 /// Options controlling split/partition counts and virtual setup cost.
@@ -226,25 +225,6 @@ uint64_t StableKeyHash(const std::pair<A, B>& p) {
   return Fnv1a(h, sizeof(h));
 }
 
-/// Runs fn(0..n-1) on the cluster pool, or inline in index order when the
-/// job opted out of parallelism, the task count is trivial, or the cluster
-/// resolves to a single local thread. The executing thread's scratch arena
-/// is reset after every task (per-task reset discipline: scratch capacity
-/// never outlives the task that grew it by more than the retention bound).
-inline void RunTasks(Cluster* cluster, bool serial, size_t n,
-                     const std::function<void(size_t)>& fn) {
-  const std::function<void(size_t)> task = [&fn](size_t i) {
-    fn(i);
-    ThreadScratch().Reset();
-  };
-  ThreadPool* pool = (serial || n <= 1) ? nullptr : cluster->pool();
-  if (pool == nullptr) {
-    for (size_t i = 0; i < n; ++i) task(i);
-    return;
-  }
-  pool->ParallelFor(n, task);
-}
-
 /// Per-task arena leases for one job phase. Acquires `n` arenas from the
 /// cluster's pool and returns them — reset, pages retained — on
 /// ReleaseAll/destruction. Leasing happens on the coordinating thread; each
@@ -264,15 +244,16 @@ class ArenaLease {
   ArenaLease& operator=(const ArenaLease&) = delete;
 
   Arena* operator[](size_t i) const { return leases_[i].arena; }
+  size_t size() const { return leases_.size(); }
 
   /// Charges the heap allocations of task `i` — the pages its arena
-  /// acquired since the lease began — to `c` as "alloc/count"/"alloc/bytes".
-  void AddAllocCounters(size_t i, Counters* c) const {
+  /// acquired since the lease began — to `c`.
+  void AddAllocCounters(size_t i, CounterSet* c) const {
     const Lease& l = leases_[i];
-    (*c)["alloc/count"] +=
-        static_cast<int64_t>(l.arena->total_pages_acquired() - l.base_pages);
-    (*c)["alloc/bytes"] += static_cast<int64_t>(
-        l.arena->total_page_bytes_acquired() - l.base_bytes);
+    (*c)[Counter::kAllocCount] +=
+        l.arena->total_pages_acquired() - l.base_pages;
+    (*c)[Counter::kAllocBytes] +=
+        l.arena->total_page_bytes_acquired() - l.base_bytes;
   }
 
   /// Callers must destroy (or finish reading) everything allocated from the
@@ -293,22 +274,34 @@ class ArenaLease {
   std::vector<Lease> leases_;
 };
 
-/// Folds the intersection-kernel activity since `base` into the job's
-/// counters as "intersect/*" (only the strategies that actually ran, so
-/// counter maps stay sparse). Totals are deterministic per workload + build
-/// flavor; per-job attribution, like alloc/*, can shift when concurrent
-/// sessions overlap on one cluster.
-inline void AddIntersectDelta(const IntersectCounts& base, Counters* c) {
-  const IntersectCounts d = IntersectCountsSnapshot() - base;
-  if (d.scalar > 0) (*c)["intersect/scalar"] += static_cast<int64_t>(d.scalar);
-  if (d.small > 0) (*c)["intersect/small"] += static_cast<int64_t>(d.small);
-  if (d.gallop > 0) (*c)["intersect/gallop"] += static_cast<int64_t>(d.gallop);
-  if (d.simd > 0) (*c)["intersect/simd"] += static_cast<int64_t>(d.simd);
-  if (d.early_exit > 0) {
-    (*c)["intersect/early_exit"] += static_cast<int64_t>(d.early_exit);
+/// Runs fn(0..n-1), one task per leased arena (n = arenas.size()), on the
+/// cluster pool, or inline in index order when the job opted out of
+/// parallelism, the task count is trivial, or the cluster resolves to a
+/// single local thread. Adds each task's work to `*counters`: the change in
+/// its executing thread's CounterSet across the task, plus the pages its
+/// arena acquired. The executing thread's scratch arena is reset after every
+/// task (per-task reset discipline: scratch capacity never outlives the task
+/// that grew it by more than the retention bound).
+inline void RunTasks(Cluster* cluster, bool serial, const ArenaLease& arenas,
+                     const std::function<void(size_t)>& fn,
+                     CounterSet* counters) {
+  const size_t n = arenas.size();
+  std::vector<CounterSet> task_counts(n);
+  const std::function<void(size_t)> task = [&](size_t i) {
+    const CounterSet before = ThreadCounters();
+    fn(i);
+    task_counts[i] = ThreadCounters() - before;
+    ThreadScratch().Reset();
+  };
+  ThreadPool* pool = (serial || n <= 1) ? nullptr : cluster->pool();
+  if (pool == nullptr) {
+    for (size_t i = 0; i < n; ++i) task(i);
+  } else {
+    pool->ParallelFor(n, task);
   }
-  if (d.contains > 0) {
-    (*c)["intersect/contains"] += static_cast<int64_t>(d.contains);
+  for (size_t i = 0; i < n; ++i) {
+    *counters += task_counts[i];
+    arenas.AddAllocCounters(i, counters);
   }
 }
 
@@ -335,7 +328,6 @@ JobOutput<OutT> RunMapReduce(
   stats.name = opts.name;
   stats.startup = cluster->config().job_startup;
   stats.input_records = input.size();
-  const IntersectCounts isect_base = IntersectCountsSnapshot();
 
   const size_t num_splits =
       opts.num_splits > 0
@@ -362,21 +354,21 @@ JobOutput<OutT> RunMapReduce(
                           splits[t].second - splits[t].first);
   }
   std::vector<double> map_task_seconds(splits.size());
-  internal::RunTasks(cluster, opts.serial, splits.size(), [&](size_t t) {
-    const auto [begin, end] = splits[t];
-    Emitter<K, V>* emitter = &emitters[t];
-    map_task_seconds[t] = internal::MeasureSeconds([&] {
-      for (size_t i = begin; i < end; ++i) map_fn(input[i], emitter);
-    });
-    map_task_seconds[t] += opts.map_setup_seconds;
-  });
-  for (size_t t = 0; t < splits.size(); ++t) {
-    map_arenas.AddAllocCounters(t, &emitters[t].counters());
-  }
+  internal::RunTasks(
+      cluster, opts.serial, map_arenas,
+      [&](size_t t) {
+        const auto [begin, end] = splits[t];
+        Emitter<K, V>* emitter = &emitters[t];
+        map_task_seconds[t] = internal::MeasureSeconds([&] {
+          for (size_t i = begin; i < end; ++i) map_fn(input[i], emitter);
+        });
+        map_task_seconds[t] += opts.map_setup_seconds;
+      },
+      &stats.counters);
 
-  // Merge in split-index order: counters, byte counts, and the shuffle all
-  // see the same sequence a serial run produces. Bucket vectors live in a
-  // per-job shuffle arena that outlives the reduce phase.
+  // Merge in split-index order: byte counts and the shuffle see the same
+  // sequence a serial run produces. Bucket vectors live in a per-job shuffle
+  // arena that outlives the reduce phase.
   internal::ArenaLease shuffle_arena(cluster, 1);
   const ArenaAllocator<V> bucket_alloc(shuffle_arena[0]);
   std::vector<std::unordered_map<K, ValueList<V>>> partitions(num_reducers);
@@ -385,7 +377,6 @@ JobOutput<OutT> RunMapReduce(
   for (auto& emitter : emitters) {
     intermediate_records += emitter.pairs().size();
     intermediate_bytes += emitter.bytes();
-    for (auto& [counter, v] : emitter.counters()) stats.counters[counter] += v;
     // Partition the emitted pairs by stable key hash (the shuffle).
     for (auto& [k, v] : emitter.pairs()) {
       size_t p = internal::StableKeyHash(k) % num_reducers;
@@ -429,16 +420,16 @@ JobOutput<OutT> RunMapReduce(
       reduce_outputs.emplace_back(ArenaAllocator<OutT>(reduce_arenas[t]));
     }
     reduce_task_seconds.assign(active.size(), 0.0);
-    internal::RunTasks(cluster, opts.serial, active.size(), [&](size_t t) {
-      auto& groups = partitions[active[t]];
-      TaskVector<OutT>* out = &reduce_outputs[t];
-      reduce_task_seconds[t] = internal::MeasureSeconds([&] {
-        for (auto& [key, values] : groups) reduce_fn(key, values, out);
-      });
-    });
-    for (size_t t = 0; t < active.size(); ++t) {
-      reduce_arenas.AddAllocCounters(t, &stats.counters);
-    }
+    internal::RunTasks(
+        cluster, opts.serial, reduce_arenas,
+        [&](size_t t) {
+          auto& groups = partitions[active[t]];
+          TaskVector<OutT>* out = &reduce_outputs[t];
+          reduce_task_seconds[t] = internal::MeasureSeconds([&] {
+            for (auto& [key, values] : groups) reduce_fn(key, values, out);
+          });
+        },
+        &stats.counters);
     for (auto& out : reduce_outputs) {
       result.output.insert(result.output.end(),
                            std::make_move_iterator(out.begin()),
@@ -480,9 +471,8 @@ JobOutput<OutT> RunMapReduce(
         ++split_blocks;
       }
     }
-    stats.counters["skew/shards"] += static_cast<int64_t>(plan.shards.size());
-    stats.counters["skew/split_blocks"] += static_cast<int64_t>(split_blocks);
-    stats.counters["skew/budget"] += static_cast<int64_t>(plan.budget);
+    stats.counters[Counter::kSkewShards] += plan.shards.size();
+    stats.counters[Counter::kSkewSplitBlocks] += split_blocks;
 
     // Bins with work become reduce tasks, in bin-index order.
     std::vector<std::vector<size_t>> bin_shards(num_reducers);
@@ -507,33 +497,33 @@ JobOutput<OutT> RunMapReduce(
           ArenaAllocator<OutT>(reduce_arenas[task_of_bin[plan.bin_of[s]]]));
     }
     reduce_task_seconds.assign(active.size(), 0.0);
-    internal::RunTasks(cluster, opts.serial, active.size(), [&](size_t t) {
-      Arena* arena = reduce_arenas[t];
-      reduce_task_seconds[t] = internal::MeasureSeconds([&] {
-        for (size_t s : bin_shards[active[t]]) {
-          const ReduceShard& shard = plan.shards[s];
-          const BlockRef& block = blocks[shard.block];
-          TaskVector<OutT>* out = &fragments[s];
-          if (shard.begin == 0 && shard.end == block.values->size()) {
-            reduce_fn(*block.key, *block.values, out);
-          } else {
-            // Split shard: materialize the contiguous value sub-range on
-            // this task's arena. The copy is charged to the task — it models
-            // the extra shuffle traffic a real engine pays to fan a hot
-            // block out across reducers.
-            ValueList<V> slice{ArenaAllocator<V>(arena)};
-            slice.reserve(shard.end - shard.begin);
-            for (size_t i = shard.begin; i < shard.end; ++i) {
-              slice.push_back((*block.values)[i]);
+    internal::RunTasks(
+        cluster, opts.serial, reduce_arenas,
+        [&](size_t t) {
+          Arena* arena = reduce_arenas[t];
+          reduce_task_seconds[t] = internal::MeasureSeconds([&] {
+            for (size_t s : bin_shards[active[t]]) {
+              const ReduceShard& shard = plan.shards[s];
+              const BlockRef& block = blocks[shard.block];
+              TaskVector<OutT>* out = &fragments[s];
+              if (shard.begin == 0 && shard.end == block.values->size()) {
+                reduce_fn(*block.key, *block.values, out);
+              } else {
+                // Split shard: materialize the contiguous value sub-range
+                // on this task's arena. The copy is charged to the task —
+                // it models the extra shuffle traffic a real engine pays to
+                // fan a hot block out across reducers.
+                ValueList<V> slice{ArenaAllocator<V>(arena)};
+                slice.reserve(shard.end - shard.begin);
+                for (size_t i = shard.begin; i < shard.end; ++i) {
+                  slice.push_back((*block.values)[i]);
+                }
+                reduce_fn(*block.key, slice, out);
+              }
             }
-            reduce_fn(*block.key, slice, out);
-          }
-        }
-      });
-    });
-    for (size_t t = 0; t < active.size(); ++t) {
-      reduce_arenas.AddAllocCounters(t, &stats.counters);
-    }
+          });
+        },
+        &stats.counters);
     // Canonical shard order == the hash path's (block, pair-range) order.
     for (auto& frag : fragments) {
       result.output.insert(result.output.end(),
@@ -552,27 +542,24 @@ JobOutput<OutT> RunMapReduce(
   partitions.clear();
   shuffle_arena.ReleaseAll();
 
-  internal::AddIntersectDelta(isect_base, &stats.counters);
   cluster->RecordJob(stats);
   return result;
 }
 
-/// Runs a map-only job whose map function also maintains Hadoop-style
-/// counters: `map_fn(item, output, counters)`. Each split owns a private
-/// Counters object merged into JobStats::counters in split-index order after
-/// the map phase (mirroring RunMapReduce's emitter counters), so counter
-/// totals are identical in serial and parallel execution.
+/// Runs a map-only job: `map_fn(item, output)` appends output records.
+///
+/// Unless `opts.serial` is set, splits run concurrently; each split appends
+/// to a private output vector and the vectors are concatenated in split
+/// order, so output order matches the serial path exactly.
 template <typename InT, typename OutT>
 JobOutput<OutT> RunMapOnly(
     Cluster* cluster, const std::vector<InT>& input, const JobOptions& opts,
-    const std::function<void(const InT&, TaskVector<OutT>*, Counters*)>&
-        map_fn) {
+    const std::function<void(const InT&, TaskVector<OutT>*)>& map_fn) {
   JobOutput<OutT> result;
   JobStats& stats = result.stats;
   stats.name = opts.name;
   stats.startup = cluster->config().job_startup;
   stats.input_records = input.size();
-  const IntersectCounts isect_base = IntersectCountsSnapshot();
 
   const size_t num_splits =
       opts.num_splits > 0
@@ -588,20 +575,18 @@ JobOutput<OutT> RunMapOnly(
     split_outputs.emplace_back(ArenaAllocator<OutT>(arenas[t]));
     split_outputs.back().reserve(splits[t].second - splits[t].first);
   }
-  std::vector<Counters> split_counters(splits.size());
   std::vector<double> task_seconds(splits.size());
-  internal::RunTasks(cluster, opts.serial, splits.size(), [&](size_t t) {
-    const auto [begin, end] = splits[t];
-    TaskVector<OutT>* out = &split_outputs[t];
-    Counters* counters = &split_counters[t];
-    task_seconds[t] = internal::MeasureSeconds([&] {
-      for (size_t i = begin; i < end; ++i) map_fn(input[i], out, counters);
-    });
-    task_seconds[t] += opts.map_setup_seconds;
-  });
-  for (size_t t = 0; t < splits.size(); ++t) {
-    arenas.AddAllocCounters(t, &split_counters[t]);
-  }
+  internal::RunTasks(
+      cluster, opts.serial, arenas,
+      [&](size_t t) {
+        const auto [begin, end] = splits[t];
+        TaskVector<OutT>* out = &split_outputs[t];
+        task_seconds[t] = internal::MeasureSeconds([&] {
+          for (size_t i = begin; i < end; ++i) map_fn(input[i], out);
+        });
+        task_seconds[t] += opts.map_setup_seconds;
+      },
+      &stats.counters);
   for (auto& out : split_outputs) {
     result.output.insert(result.output.end(),
                          std::make_move_iterator(out.begin()),
@@ -609,33 +594,12 @@ JobOutput<OutT> RunMapOnly(
   }
   split_outputs.clear();
   arenas.ReleaseAll();
-  for (auto& counters : split_counters) {
-    for (auto& [counter, v] : counters) stats.counters[counter] += v;
-  }
   stats.map_time =
       cluster->ScheduleMakespan(task_seconds, cluster->total_map_slots());
   stats.map_load = cluster->ComputeTaskLoad(task_seconds);
   stats.output_records = result.output.size();
-  internal::AddIntersectDelta(isect_base, &stats.counters);
   cluster->RecordJob(stats);
   return result;
-}
-
-/// Runs a map-only job: `map_fn(item, output)` appends output records.
-///
-/// Unless `opts.serial` is set, splits run concurrently; each split appends
-/// to a private output vector and the vectors are concatenated in split
-/// order, so output order matches the serial path exactly.
-template <typename InT, typename OutT>
-JobOutput<OutT> RunMapOnly(
-    Cluster* cluster, const std::vector<InT>& input, const JobOptions& opts,
-    const std::function<void(const InT&, TaskVector<OutT>*)>& map_fn) {
-  return RunMapOnly<InT, OutT>(
-      cluster, input, opts,
-      std::function<void(const InT&, TaskVector<OutT>*, Counters*)>(
-          [&map_fn](const InT& item, TaskVector<OutT>* out, Counters*) {
-            map_fn(item, out);
-          }));
 }
 
 }  // namespace falcon

@@ -263,7 +263,9 @@ uint64_t ConfigFingerprint(const FalconConfig& config) {
   w.U64(config.pair_selection_mask_threshold);
   w.U64(config.matcher_only_max_bytes);
   w.F64(config.apply.virtual_time_limit.seconds);
-  w.U32(static_cast<uint32_t>(config.apply.ship_ids));
+  // Retired ship-ids override, always kAuto (0) when it existed: the slot
+  // stays so fingerprints, and the snapshots that carry them, still match.
+  w.U32(0);
   w.U64(config.seed);
   return Fnv1a(w.data());
 }

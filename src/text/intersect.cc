@@ -1,9 +1,9 @@
 #include "text/intersect.h"
 
 #include <algorithm>
-#include <atomic>
 #include <bit>
-#include <mutex>
+
+#include "common/counters.h"
 
 #if defined(FALCON_SIMD) && defined(__x86_64__) && \
     (defined(__GNUC__) || defined(__clang__))
@@ -13,82 +13,6 @@
 
 namespace falcon {
 namespace {
-
-// --- per-thread activity counters -------------------------------------------
-
-enum CounterIdx {
-  kIdxScalar = 0,
-  kIdxSmall,
-  kIdxGallop,
-  kIdxSimd,
-  kIdxEarlyExit,
-  kIdxContains,
-  kNumCounters,
-};
-
-/// One cache line per thread: only the owning thread writes (relaxed
-/// atomic_ref store — a plain mov on x86, no lock prefix), snapshot readers
-/// do relaxed atomic_ref loads, so there is never a data race and never
-/// cross-thread cache-line ping-pong on the hot increment.
-struct alignas(64) ThreadCounters {
-  uint64_t v[kNumCounters] = {};
-};
-
-/// Registry of live per-thread counter blocks plus the folded totals of
-/// exited threads. Leaked singleton: thread-exit destructors may run
-/// arbitrarily late, so the registry must outlive every thread.
-class CounterRegistry {
- public:
-  static CounterRegistry& Instance() {
-    static CounterRegistry* r = new CounterRegistry();
-    return *r;
-  }
-
-  void Register(ThreadCounters* c) {
-    std::lock_guard<std::mutex> lock(mu_);
-    live_.push_back(c);
-  }
-
-  void Retire(ThreadCounters* c) {
-    std::lock_guard<std::mutex> lock(mu_);
-    for (int k = 0; k < kNumCounters; ++k) {
-      retired_[k] +=
-          std::atomic_ref<uint64_t>(c->v[k]).load(std::memory_order_relaxed);
-    }
-    live_.erase(std::remove(live_.begin(), live_.end(), c), live_.end());
-  }
-
-  void Sum(uint64_t out[kNumCounters]) {
-    std::lock_guard<std::mutex> lock(mu_);
-    for (int k = 0; k < kNumCounters; ++k) out[k] = retired_[k];
-    for (ThreadCounters* c : live_) {
-      for (int k = 0; k < kNumCounters; ++k) {
-        out[k] +=
-            std::atomic_ref<uint64_t>(c->v[k]).load(std::memory_order_relaxed);
-      }
-    }
-  }
-
- private:
-  std::mutex mu_;
-  std::vector<ThreadCounters*> live_;
-  uint64_t retired_[kNumCounters] = {};
-};
-
-struct TlsCounters {
-  ThreadCounters counters;
-  TlsCounters() { CounterRegistry::Instance().Register(&counters); }
-  ~TlsCounters() { CounterRegistry::Instance().Retire(&counters); }
-};
-
-inline void Bump(int k) {
-  thread_local TlsCounters tls;
-  std::atomic_ref<uint64_t> ref(tls.counters.v[k]);
-  ref.store(ref.load(std::memory_order_relaxed) + 1,
-            std::memory_order_relaxed);
-}
-
-std::atomic<bool> g_force_scalar{false};
 
 // --- kernel internals -------------------------------------------------------
 
@@ -249,18 +173,18 @@ bool AtLeastMerge(std::span<const TokenId> a, std::span<const TokenId> b,
     i += av <= bv;
     j += bv <= av;
     if (count >= alpha) {
-      Bump(kIdxEarlyExit);
+      Count(Counter::kIntersectEarlyExit);
       return true;
     }
     if (--budget_check == 0) {
       budget_check = 16;
       if (count + std::min(n - i, m - j) < alpha) {
-        Bump(kIdxEarlyExit);
+        Count(Counter::kIntersectEarlyExit);
         return false;
       }
     }
   }
-  Bump(kIdxScalar);
+  Count(Counter::kIntersectScalar);
   return count >= alpha;
 }
 
@@ -274,16 +198,16 @@ bool AtLeastGallop(std::span<const TokenId> shorter,
   size_t count = 0;
   for (size_t i = 0; i < n; ++i) {
     if (count >= alpha) {
-      Bump(kIdxEarlyExit);
+      Count(Counter::kIntersectEarlyExit);
       return true;
     }
     if (count + (n - i) < alpha) {
-      Bump(kIdxEarlyExit);
+      Count(Counter::kIntersectEarlyExit);
       return false;
     }
     j = GallopLowerBound(longer, j, shorter[i]);
     if (j >= longer.size()) {
-      Bump(kIdxEarlyExit);
+      Count(Counter::kIntersectEarlyExit);
       return false;  // count < alpha here (checked above, unchanged since)
     }
     if (longer[j] == shorter[i]) {
@@ -291,7 +215,7 @@ bool AtLeastGallop(std::span<const TokenId> shorter,
       ++j;
     }
   }
-  Bump(kIdxGallop);
+  Count(Counter::kIntersectGallop);
   return count >= alpha;
 }
 
@@ -376,38 +300,26 @@ bool SimdIntersectAvailable() { return Simd().fn != nullptr; }
 
 const char* SimdIntersectKernelName() { return Simd().name; }
 
-void SetIntersectForceScalar(bool force) {
-  g_force_scalar.store(force, std::memory_order_relaxed);
-}
-
-bool IntersectForceScalar() {
-  return g_force_scalar.load(std::memory_order_relaxed);
-}
-
 size_t SortedIntersectionSize(std::span<const TokenId> a,
                               std::span<const TokenId> b) {
   if (a.empty() || b.empty()) return 0;  // trivial; not worth a counter bump
-  if (IntersectForceScalar()) {
-    Bump(kIdxScalar);
-    return intersect::ScalarMerge(a, b);
-  }
   switch (ChooseIntersectStrategy(a.size(), b.size())) {
     case IntersectStrategy::kGallop:
-      Bump(kIdxGallop);
+      Count(Counter::kIntersectGallop);
       return intersect::Gallop(a, b);
     case IntersectStrategy::kSmall:
-      Bump(kIdxSmall);
+      Count(Counter::kIntersectSmall);
       return intersect::SmallMerge(a, b);
     case IntersectStrategy::kSimd:
       if (const SimdDispatch& d = Simd(); d.fn != nullptr) {
-        Bump(kIdxSimd);
+        Count(Counter::kIntersectSimd);
         return d.fn(a, b);
       }
       [[fallthrough]];
     case IntersectStrategy::kScalar:
       break;
   }
-  Bump(kIdxScalar);
+  Count(Counter::kIntersectScalar);
   return intersect::ScalarMerge(a, b);
 }
 
@@ -437,11 +349,6 @@ bool SortedIntersectionAtLeast(std::span<const TokenId> a,
   const size_t n = std::min(a.size(), b.size());
   const size_t m = std::max(a.size(), b.size());
   if (n < alpha) return false;  // free verdict, no counter bump
-  if (IntersectForceScalar()) {
-    // True baseline for A/B runs: full merge, no early exit.
-    Bump(kIdxScalar);
-    return intersect::ScalarMerge(a, b) >= alpha;
-  }
   if (UseGallop(n, m)) {
     return a.size() <= b.size() ? AtLeastGallop(a, b, alpha)
                                 : AtLeastGallop(b, a, alpha);
@@ -450,7 +357,7 @@ bool SortedIntersectionAtLeast(std::span<const TokenId> a,
 }
 
 bool SortedSetContains(std::span<const TokenId> sorted, TokenId v) {
-  Bump(kIdxContains);
+  Count(Counter::kIntersectContains);
   size_t lo = 0;
   size_t hi = sorted.size();
   while (lo < hi) {
@@ -462,14 +369,6 @@ bool SortedSetContains(std::span<const TokenId> sorted, TokenId v) {
     }
   }
   return lo < sorted.size() && sorted[lo] == v;
-}
-
-IntersectCounts IntersectCountsSnapshot() {
-  uint64_t v[kNumCounters];
-  CounterRegistry::Instance().Sum(v);
-  return IntersectCounts{v[kIdxScalar],    v[kIdxSmall],
-                         v[kIdxGallop],    v[kIdxSimd],
-                         v[kIdxEarlyExit], v[kIdxContains]};
 }
 
 }  // namespace falcon

@@ -26,10 +26,12 @@
 // Strategy selection is a pure function of the two lengths (never of the
 // element values, the thread, or timing), and every kernel returns exactly
 // |a ∩ b|, so results are byte-identical across thread counts, build flavors
-// (FALCON_SIMD on/off), and CPUs — only the per-strategy activity counters
-// below reveal which kernel ran. The counters flow through the MapReduce
-// engine into JobStats ("intersect/*") and RunMetrics so benches can report
-// which regime dominates each workload.
+// (FALCON_SIMD on/off), and CPUs — only the activity counters reveal which
+// kernel ran. Each adaptive call counts the strategy that resolved it
+// (Counter::kIntersectScalar .. kIntersectContains, common/counters.h) on
+// the calling thread; the MapReduce engine charges those counts to the task
+// that made them, and from JobStats they reach RunMetrics, so benches can
+// report which regime dominates each workload.
 #ifndef FALCON_TEXT_INTERSECT_H_
 #define FALCON_TEXT_INTERSECT_H_
 
@@ -90,13 +92,6 @@ bool SimdIntersectAvailable();
 /// "avx2", "sse2", or "none" — which block-compare kernel dispatch resolved.
 const char* SimdIntersectKernelName();
 
-/// Forces every entry point onto the scalar merge regardless of shape
-/// (process-wide). Benches use this for in-process adaptive-vs-merge A/B
-/// runs without rebuilding; it also disables the threshold early-exit path
-/// in consumers that query `IntersectForceScalar`.
-void SetIntersectForceScalar(bool force);
-bool IntersectForceScalar();
-
 // --- raw kernels (exposed for the property tests and benches) ---------------
 //
 // Each returns exactly |a ∩ b| for sorted unique inputs and never touches
@@ -111,37 +106,6 @@ size_t Gallop(std::span<const TokenId> a, std::span<const TokenId> b);
 size_t SimdMerge(std::span<const TokenId> a, std::span<const TokenId> b);
 
 }  // namespace intersect
-
-// --- activity counters ------------------------------------------------------
-
-/// Process-wide kernel activity, summed over all threads. Maintained as
-/// per-thread cache-line-private counters (relaxed atomic_ref stores by the
-/// owning thread only — no contention, TSan-clean) folded into a registry on
-/// thread exit, so snapshots are cheap and increments are ~1 ns.
-///
-/// Totals are deterministic for a given workload and build flavor (every
-/// intersection happens exactly once regardless of thread count); per-job
-/// attribution of the deltas, like the alloc counters, can shift when
-/// concurrent sessions overlap on one cluster.
-struct IntersectCounts {
-  uint64_t scalar = 0;      ///< adaptive calls resolved by the scalar merge
-  uint64_t small = 0;       ///< ... by the branchless small-list merge
-  uint64_t gallop = 0;      ///< ... by galloping search
-  uint64_t simd = 0;        ///< ... by the SSE2/AVX2 block kernel
-  uint64_t early_exit = 0;  ///< threshold calls decided before full merge
-  uint64_t contains = 0;    ///< SortedSetContains membership probes
-
-  uint64_t total() const {
-    return scalar + small + gallop + simd + early_exit + contains;
-  }
-  IntersectCounts operator-(const IntersectCounts& o) const {
-    return IntersectCounts{scalar - o.scalar,         small - o.small,
-                           gallop - o.gallop,         simd - o.simd,
-                           early_exit - o.early_exit, contains - o.contains};
-  }
-};
-
-IntersectCounts IntersectCountsSnapshot();
 
 }  // namespace falcon
 

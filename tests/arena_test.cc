@@ -266,12 +266,10 @@ TEST(EngineAllocCountersTest, JobsReportRealHeapTraffic) {
   // warm pool reuses them, so it reports fewer page acquisitions.
   JobStats cold = run();
   JobStats warm = run();
-  ASSERT_TRUE(cold.counters.count("alloc/count"));
-  ASSERT_TRUE(cold.counters.count("alloc/bytes"));
-  ASSERT_TRUE(warm.counters.count("alloc/count"));
-  EXPECT_GT(cold.counters["alloc/count"], 0);
-  EXPECT_GT(cold.counters["alloc/bytes"], 0);
-  EXPECT_LT(warm.counters["alloc/count"], cold.counters["alloc/count"]);
+  EXPECT_GT(cold.counters[Counter::kAllocCount], 0u);
+  EXPECT_GT(cold.counters[Counter::kAllocBytes], 0u);
+  EXPECT_LT(warm.counters[Counter::kAllocCount],
+            cold.counters[Counter::kAllocCount]);
 }
 
 }  // namespace

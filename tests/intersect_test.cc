@@ -11,14 +11,17 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <cstdint>
 #include <random>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
 #include "blocking/apply.h"
 #include "blocking/index_builder.h"
+#include "common/counters.h"
 #include "mapreduce/cluster.h"
 #include "rules/feature.h"
 #include "rules/rule.h"
@@ -214,7 +217,7 @@ TEST(IntersectCountersTest, AdaptiveCallsBumpTheMatchingCounter) {
   auto short_s = MakeSet(24, 20, 1 << 14);
   auto long_s = MakeSet(25, 2000, 1 << 14);
 
-  IntersectCounts before = IntersectCountsSnapshot();
+  CounterSet before = ThreadCounters();
   SortedIntersectionSize(std::span<const TokenId>(tiny_a),
                          std::span<const TokenId>(tiny_b));
   SortedIntersectionSize(std::span<const TokenId>(bal_a),
@@ -222,53 +225,32 @@ TEST(IntersectCountersTest, AdaptiveCallsBumpTheMatchingCounter) {
   SortedIntersectionSize(std::span<const TokenId>(short_s),
                          std::span<const TokenId>(long_s));
   SortedSetContains(bal_a, bal_a[0]);
-  IntersectCounts delta = IntersectCountsSnapshot() - before;
+  CounterSet delta = ThreadCounters() - before;
 
-  EXPECT_EQ(delta.small, 1u);
-  EXPECT_EQ(delta.gallop, 1u);
+  EXPECT_EQ(delta[Counter::kIntersectSmall], 1u);
+  EXPECT_EQ(delta[Counter::kIntersectGallop], 1u);
   if (SimdIntersectAvailable()) {
-    EXPECT_EQ(delta.simd, 1u);
-    EXPECT_EQ(delta.scalar, 0u);
+    EXPECT_EQ(delta[Counter::kIntersectSimd], 1u);
+    EXPECT_EQ(delta[Counter::kIntersectScalar], 0u);
   } else {
-    EXPECT_EQ(delta.simd, 0u);
-    EXPECT_EQ(delta.scalar, 1u);
+    EXPECT_EQ(delta[Counter::kIntersectSimd], 0u);
+    EXPECT_EQ(delta[Counter::kIntersectScalar], 1u);
   }
-  EXPECT_EQ(delta.contains, 1u);
+  EXPECT_EQ(delta[Counter::kIntersectContains], 1u);
 
   // Early exit on a decidable threshold call.
-  before = IntersectCountsSnapshot();
+  before = ThreadCounters();
   EXPECT_TRUE(SortedIntersectionAtLeast(bal_a, bal_a, 1));
-  delta = IntersectCountsSnapshot() - before;
-  EXPECT_EQ(delta.early_exit, 1u);
+  delta = ThreadCounters() - before;
+  EXPECT_EQ(delta[Counter::kIntersectEarlyExit], 1u);
 
   // Raw kernels never count.
-  before = IntersectCountsSnapshot();
+  before = ThreadCounters();
   ScalarMerge(bal_a, bal_b);
   SmallMerge(tiny_a, tiny_b);
   Gallop(short_s, long_s);
   SimdMerge(bal_a, bal_b);
-  delta = IntersectCountsSnapshot() - before;
-  EXPECT_EQ(delta.total(), 0u);
-}
-
-TEST(IntersectCountersTest, ForceScalarRoutesEverythingToScalarMerge) {
-  auto bal_a = MakeSet(30, 64, 512);
-  auto bal_b = MakeSet(31, 64, 512);
-  const size_t want = RefCount(bal_a, bal_b);
-  SetIntersectForceScalar(true);
-  IntersectCounts before = IntersectCountsSnapshot();
-  EXPECT_EQ(SortedIntersectionSize(std::span<const TokenId>(bal_a),
-                                   std::span<const TokenId>(bal_b)),
-            want);
-  EXPECT_EQ(SortedIntersectionAtLeast(bal_a, bal_b, 1), want >= 1);
-  IntersectCounts delta = IntersectCountsSnapshot() - before;
-  SetIntersectForceScalar(false);
-  EXPECT_EQ(delta.scalar, 2u);
-  EXPECT_EQ(delta.simd, 0u);
-  EXPECT_EQ(delta.small, 0u);
-  EXPECT_EQ(delta.gallop, 0u);
-  EXPECT_EQ(delta.early_exit, 0u);
-  EXPECT_FALSE(IntersectForceScalar());
+  EXPECT_TRUE(ThreadCounters() == before);
 }
 
 TEST(IntersectStringPathTest, MatchesIdPathSemantics) {
@@ -349,24 +331,80 @@ TEST(IntersectJobTest, ByteIdenticalAcrossThreadsAndKernels) {
   EXPECT_EQ(serial.pairs, threaded.pairs);
   EXPECT_EQ(serial.candidates_examined, threaded.candidates_examined);
 
-  // Forcing the scalar merge (which also disables the threshold fast path)
-  // must not change a single candidate: the adaptive kernels and the
-  // early-exit predicate evaluation are pure strategy swaps.
-  SetIntersectForceScalar(true);
-  ApplyResult scalar = fixture.Run(4);
-  SetIntersectForceScalar(false);
-  EXPECT_EQ(serial.pairs, scalar.pairs);
-  EXPECT_EQ(serial.candidates_examined, scalar.candidates_examined);
+  // The threshold fast path must not change a single keep decision: an
+  // applier over the bound feature set (adaptive kernels, early-exit
+  // predicate evaluation) agrees on every A x B pair with one over a freshly
+  // generated, unbound feature set, which computes every similarity in full.
+  const FeatureSet unbound = FeatureSet::Generate(fixture.data.a,
+                                                  fixture.data.b);
+  RuleApplier bound_applier(fixture.seq, &fixture.fs, &fixture.data.a,
+                            &fixture.data.b);
+  RuleApplier value_applier(fixture.seq, &unbound, &fixture.data.a,
+                            &fixture.data.b);
+  size_t kept = 0;
+  for (RowId ar = 0; ar < fixture.data.a.num_rows(); ++ar) {
+    for (RowId br = 0; br < fixture.data.b.num_rows(); ++br) {
+      const bool keep = value_applier.Keep(ar, br);
+      ASSERT_EQ(bound_applier.Keep(ar, br), keep) << ar << "," << br;
+      kept += keep ? 1 : 0;
+    }
+  }
+  EXPECT_EQ(kept, serial.pairs.size());
 }
 
 TEST(IntersectJobTest, JobStatsCarryIntersectCounters) {
   IntersectJobFixture fixture;
   ApplyResult res = fixture.Run(2);
-  uint64_t total = 0;
-  for (const auto& [key, value] : res.main_job.counters) {
-    if (key.rfind("intersect/", 0) == 0) total += value;
-  }
-  EXPECT_GT(total, 0u) << "blocking job recorded no intersect/* activity";
+  const CounterSet& c = res.main_job.counters;
+  const uint64_t total =
+      c[Counter::kIntersectScalar] + c[Counter::kIntersectSmall] +
+      c[Counter::kIntersectGallop] + c[Counter::kIntersectSimd] +
+      c[Counter::kIntersectEarlyExit] + c[Counter::kIntersectContains];
+  EXPECT_GT(total, 0u) << "blocking job recorded no intersection activity";
+}
+
+/// The job's intersection counters and examined candidates: the work counts
+/// that must not depend on threads or on other threads' work (the
+/// allocation counters depend on arena-pool warmth).
+std::vector<uint64_t> WorkCounts(const ApplyResult& res) {
+  const CounterSet& c = res.main_job.counters;
+  return {c[Counter::kIntersectScalar],    c[Counter::kIntersectSmall],
+          c[Counter::kIntersectGallop],    c[Counter::kIntersectSimd],
+          c[Counter::kIntersectEarlyExit], c[Counter::kIntersectContains],
+          c[Counter::kCandidatesExamined]};
+}
+
+TEST(JobCountersTest, SameAtOneAndFourThreads) {
+  IntersectJobFixture fixture;
+  const ApplyResult serial = fixture.Run(1);
+  const ApplyResult threaded = fixture.Run(4);
+  EXPECT_GT(serial.candidates_examined, 0u);
+  EXPECT_EQ(WorkCounts(serial), WorkCounts(threaded));
+}
+
+// A job's counters are its own tasks' work, not whatever the process did
+// while it ran: another thread intersecting for the whole job changes none
+// of them.
+TEST(JobCountersTest, ExactWhileAnotherThreadIntersects) {
+  IntersectJobFixture fixture;
+  const ApplyResult solo = fixture.Run(4);
+
+  const std::vector<TokenId> set = MakeSet(40, 64, 512);
+  std::atomic<bool> started{false};
+  std::atomic<bool> stop{false};
+  std::thread noise([&] {
+    while (!stop.load(std::memory_order_relaxed)) {
+      SortedSetContains(set, set[0]);
+      started.store(true, std::memory_order_relaxed);
+    }
+  });
+  while (!started.load(std::memory_order_relaxed)) std::this_thread::yield();
+  const ApplyResult busy = fixture.Run(4);
+  stop.store(true, std::memory_order_relaxed);
+  noise.join();
+
+  EXPECT_EQ(solo.pairs, busy.pairs);
+  EXPECT_EQ(WorkCounts(solo), WorkCounts(busy));
 }
 
 }  // namespace

@@ -181,20 +181,22 @@ TEST(ApplyMatcherFusedTest, PredictionsIdenticalToEagerPath) {
   EXPECT_LE(w.used_features, w.vector_width);
   // Lazy evaluation: never more work than materializing every vector, and
   // bounded by the forest's used-feature set.
-  EXPECT_LT(w.features_computed, w.pairs * w.vector_width);
-  EXPECT_LE(w.features_computed, w.pairs * w.used_features);
-  EXPECT_GT(w.features_computed, 0u);
+  const uint64_t features_computed = w.counters[Counter::kFeaturesComputed];
+  EXPECT_LT(features_computed, w.pairs * w.vector_width);
+  EXPECT_LE(features_computed, w.pairs * w.used_features);
+  EXPECT_GT(features_computed, 0u);
   // Short-circuit voting: strictly fewer tree traversals than T per pair on
   // a decided majority (every unanimous vote exits at ceil(T/2) or earlier
   // than T), never more.
-  EXPECT_LE(w.trees_voted, w.pairs * w.num_trees);
-  EXPECT_GT(w.trees_voted, 0u);
+  const uint64_t trees_voted = w.counters[Counter::kTreesVoted];
+  EXPECT_LE(trees_voted, w.pairs * w.num_trees);
+  EXPECT_GT(trees_voted, 0u);
   EXPECT_GT(fused.time.seconds, 0.0);
 }
 
 // Same predictions and counters regardless of the cluster's local thread
-// count: the map tasks write disjoint prediction slots and per-split
-// counters are merged in split order. Run under FALCON_SANITIZE=thread this
+// count: the map tasks write disjoint prediction slots and each task's
+// counts are charged to the job exactly. Run under FALCON_SANITIZE=thread this
 // also makes TSan exercise the fused job's sharing discipline.
 TEST(ApplyMatcherFusedTest, DeterministicAcrossThreadCounts) {
   auto d = DirtyProducts(31);
@@ -213,8 +215,10 @@ TEST(ApplyMatcherFusedTest, DeterministicAcrossThreadCounts) {
   auto serial = run(1);
   auto wide = run(4);
   EXPECT_EQ(wide.predictions, serial.predictions);
-  EXPECT_EQ(wide.work.features_computed, serial.work.features_computed);
-  EXPECT_EQ(wide.work.trees_voted, serial.work.trees_voted);
+  EXPECT_EQ(wide.work.counters[Counter::kFeaturesComputed],
+            serial.work.counters[Counter::kFeaturesComputed]);
+  EXPECT_EQ(wide.work.counters[Counter::kTreesVoted],
+            serial.work.counters[Counter::kTreesVoted]);
 }
 
 }  // namespace

@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include "common/counters.h"
 #include "common/strings.h"
 #include "common/thread_pool.h"
 #include "mapreduce/cluster.h"
@@ -178,19 +179,21 @@ TEST(MapReduceTest, WordCount) {
   EXPECT_GT(result.stats.Total().seconds, 0.0);
 }
 
+// The map functions below count on registered ids the engine never bumps
+// itself, so the job's counters hold exactly what the map tasks counted.
 TEST(MapReduceTest, CountersAggregate) {
   Cluster cluster(FastConfig());
   std::vector<int> input = {1, 2, 3, 4, 5};
   auto result = RunMapReduce<int, int, int, int>(
       &cluster, input, {.name = "counters"},
       [](const int& v, Emitter<int, int>* em) {
-        if (v % 2 == 0) em->Increment("evens");
+        if (v % 2 == 0) Count(Counter::kCandidatesExamined);
         em->Emit(0, v);
       },
       [](const int&, const ValueList<int>& vals, TaskVector<int>* out) {
         out->push_back(static_cast<int>(vals.size()));
       });
-  EXPECT_EQ(result.stats.counters.at("evens"), 2);
+  EXPECT_EQ(result.stats.counters[Counter::kCandidatesExamined], 2u);
 }
 
 TEST(MapReduceTest, EmptyInput) {
@@ -340,16 +343,16 @@ TEST(ParallelMapReduceTest, CountersExactUnderConcurrency) {
   auto result = RunMapReduce<int, int, int, std::pair<int, int>>(
       &cluster, input, {.name = "counters-mt", .num_splits = 32},
       [](const int& v, Emitter<int, int>* em) {
-        em->Increment("seen");
-        if (v % 2 == 0) em->Increment("evens");
+        Count(Counter::kCandidatesExamined);               // seen
+        if (v % 2 == 0) Count(Counter::kFeaturesComputed);  // evens
         em->Emit(v % 8, v);
       },
       [](const int& k, const ValueList<int>& vals,
          TaskVector<std::pair<int, int>>* out) {
         out->emplace_back(k, static_cast<int>(vals.size()));
       });
-  EXPECT_EQ(result.stats.counters.at("seen"), 1000);
-  EXPECT_EQ(result.stats.counters.at("evens"), 500);
+  EXPECT_EQ(result.stats.counters[Counter::kCandidatesExamined], 1000u);
+  EXPECT_EQ(result.stats.counters[Counter::kFeaturesComputed], 500u);
   EXPECT_EQ(result.stats.input_records, 1000u);
   EXPECT_EQ(result.stats.intermediate_records, 1000u);
 }

@@ -96,6 +96,14 @@ TEST(SessionSnapshotTest, MetaReadbackAndIdentityChecks) {
   EXPECT_EQ(r2.status().code(), StatusCode::kInvalidArgument);
 }
 
+// Snapshots carry ConfigFingerprint and resume only under an equal one, so
+// the default config's fingerprint is pinned: a change to the fingerprinted
+// fields or their encoding would orphan every snapshot already written.
+TEST(SessionSnapshotTest, DefaultConfigFingerprintIsStable) {
+  EXPECT_EQ(ConfigFingerprint(FalconConfig{}), 0xaf9e704bdd6c9697ull);
+  EXPECT_EQ(kSnapshotVersion, 2u);
+}
+
 TEST(SessionSnapshotTest, RejectsCorruptionTruncationAndFutureVersions) {
   GeneratedDataset data = MatcherOnlyData(11);
   FalconConfig cfg = MatcherOnlyConfig();

@@ -251,10 +251,9 @@ TEST(SkewPartitionerTest, HotBlocksActuallySplitOnZipfData) {
   EXPECT_GE(fixture.catalog.MergedBlockProfile().skew, 2.0);
   ApplyResult skew = fixture.Run(ApplyMethod::kApplyAll,
                                  ShufflePartitioner::kSkewAware, 1);
-  auto it = skew.main_job.counters.find("skew/split_blocks");
-  ASSERT_NE(it, skew.main_job.counters.end());
-  EXPECT_GT(it->second, 0) << "no block exceeded the pair budget; the "
-                              "fixture no longer exercises splitting";
+  EXPECT_GT(skew.main_job.counters[Counter::kSkewSplitBlocks], 0u)
+      << "no block exceeded the pair budget; the fixture no longer "
+         "exercises splitting";
 }
 
 TEST(SkewPartitionerTest, IndexProfileReportsPostingDistribution) {
