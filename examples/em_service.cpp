@@ -10,8 +10,9 @@
 //   # fair-share step scheduling, budget ledgers, and an admission cap:
 //   ./build/examples/em_service --tenants 8 --workers 2 --max-resident 4
 //
-//   # real tables, you label the pairs yourself (Example 1's no-crowd path):
-//   ./build/examples/em_service --a left.csv --b right.csv \
+//   # real tables, you label the pairs yourself (Example 1's no-crowd path;
+//   # one command line):
+//   ./build/examples/em_service --a left.csv --b right.csv
 //       --out matches.csv --rules rules.txt --interactive
 #include <cstdio>
 #include <cstring>

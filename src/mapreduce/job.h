@@ -14,8 +14,12 @@
 //   into shuffle partitions in split-index order and reduce outputs are
 //   concatenated in partition order, so a parallel run is byte-identical to
 //   a serial run. Partitioning uses a stable FNV-1a key hash (not the
-//   implementation-defined std::hash), so partition assignment and output
-//   order are also identical across standard libraries.
+//   implementation-defined std::hash), so partition assignment is identical
+//   across standard libraries. Output order within a partition is not: each
+//   partition groups keys in a std::unordered_map and reduces them in its
+//   iteration order, which is implementation-defined, so two standard
+//   libraries may order one partition's outputs differently (one build
+//   still gives the same order at every thread count).
 //
 //   Virtual time — per-task seconds are measured with per-thread CPU time
 //   (CLOCK_THREAD_CPUTIME_ID), so concurrently running tasks do not inflate

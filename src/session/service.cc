@@ -227,13 +227,15 @@ struct EmService::Submission {
   /// The budget-enforcing wrapper the session journals through; owns no
   /// crowd state of its own beyond counters, so it survives evict/resume.
   std::unique_ptr<LedgeredCrowd> crowd;
-  /// Live pipeline state while admitted; null while queued, evicted or
-  /// finished. Declared after `crowd` so it is destroyed first: the
-  /// session's journal wraps that crowd.
+  /// Live pipeline state once stepped; null while queued, evicted or
+  /// finished, and from admission until the first step builds it.
+  /// Declared after `crowd` so it is destroyed first: the session's journal
+  /// wraps that crowd.
   std::unique_ptr<WorkflowSession> session;
 
   State state = State::kQueued;
-  std::string snapshot;  ///< pipeline state while evicted
+  /// Pipeline state from eviction until the next step resumes it.
+  std::string snapshot;
   uint64_t admit_seq = 0;
   size_t steps_since_admit = 0;
   /// This submission's share of tenant->inflight_vruntime_s while kStepping.
@@ -335,24 +337,11 @@ void EmService::AdmitLocked() {
     }
     Submission* sub = *best;
     queue_.erase(best);
+    // The slot is taken now; the worker that first steps the submission
+    // builds its session (StepOnce), outside mu_.
     if (sub->state == Submission::State::kEvicted) {
-      Result<std::unique_ptr<WorkflowSession>> resumed =
-          WorkflowSession::Resume(sub->snapshot, sub->a, sub->b,
-                                  sub->crowd.get(), cluster_, sub->config);
-      if (!resumed.ok()) {
-        sub->state = Submission::State::kFailed;
-        sub->final_status = AnnotateSessionStatus(sub->id, resumed.status());
-        ++sub->tenant->failed;
-        ++stats_.failed;
-        continue;
-      }
-      sub->session = std::move(resumed).value();
-      sub->snapshot.clear();
-      sub->snapshot.shrink_to_fit();
       ++stats_.resumes;
     } else {
-      sub->session = std::make_unique<WorkflowSession>(
-          sub->id, sub->a, sub->b, sub->crowd.get(), cluster_, sub->config);
       ++stats_.admissions;
     }
     sub->state = Submission::State::kResident;
@@ -390,8 +379,13 @@ void EmService::MaybeEvictLocked() {
     }
   }
   if (victim == nullptr) return;
-  victim->snapshot = victim->session->SaveSnapshot();
-  victim->session.reset();
+  // A victim admitted but never stepped (possible only at
+  // min_steps_before_evict 0) has no session: it keeps the snapshot or
+  // fresh config it was admitted with.
+  if (victim->session != nullptr) {
+    victim->snapshot = victim->session->SaveSnapshot();
+    victim->session.reset();
+  }
   resident_.erase(std::find(resident_.begin(), resident_.end(), victim));
   victim->state = Submission::State::kEvicted;
   queue_.push_back(victim);
@@ -445,57 +439,88 @@ Result<StepEvent> EmService::StepOnce() {
       MeanChargeLocked() / std::max(sub->tenant->config.weight, 1e-9);
   sub->tenant->inflight_vruntime_s += sub->provisional_vruntime_s;
   WorkflowSession* session = sub->session.get();
-  StepEvent event;
-  event.session_id = sub->id;
-  event.tenant = sub->tenant->name;
-  event.stage = session->next_stage();
-
+  std::string snapshot = std::exchange(sub->snapshot, std::string());
   lock.unlock();
-  const auto t0 = std::chrono::steady_clock::now();
-  Status step_status = session->Step();
-  const auto t1 = std::chrono::steady_clock::now();
-  lock.lock();
 
-  event.wall_ms =
-      std::chrono::duration<double, std::milli>(t1 - t0).count();
-  SettleLocked(sub, step_status, &event);
+  // A submission admitted since its last step has no session yet. The
+  // worker that steps it builds it here, outside mu_, from its snapshot if
+  // it was evicted after running and fresh otherwise, and installs it under
+  // the lock at settle. Everything read here is fixed at submit, and no
+  // other worker touches a kStepping submission.
+  std::unique_ptr<WorkflowSession> built;
+  Status status;
+  if (session == nullptr) {
+    if (snapshot.empty()) {
+      built = std::make_unique<WorkflowSession>(
+          sub->id, sub->a, sub->b, sub->crowd.get(), cluster_, sub->config);
+    } else {
+      Result<std::unique_ptr<WorkflowSession>> resumed =
+          WorkflowSession::Resume(snapshot, sub->a, sub->b, sub->crowd.get(),
+                                  cluster_, sub->config);
+      snapshot.clear();
+      snapshot.shrink_to_fit();
+      if (resumed.ok()) {
+        built = std::move(resumed).value();
+      } else {
+        status = resumed.status();
+      }
+    }
+    session = built.get();
+  }
+  StepEvent event{.session_id = sub->id, .tenant = sub->tenant->name};
+  if (session != nullptr) {
+    event.stage = session->next_stage();
+    const auto t0 = std::chrono::steady_clock::now();
+    status = session->Step();
+    const auto t1 = std::chrono::steady_clock::now();
+    event.wall_ms =
+        std::chrono::duration<double, std::milli>(t1 - t0).count();
+  }
+
+  lock.lock();
+  if (built != nullptr) sub->session = std::move(built);
+  SettleLocked(sub, status, &event);
   cv_.notify_all();
   return event;
 }
 
-void EmService::SettleLocked(Submission* sub, const Status& step_status,
+void EmService::SettleLocked(Submission* sub, const Status& status,
                              StepEvent* event) {
-  WorkflowSession* session = sub->session.get();
-  ++stats_.steps;
-  ++sub->tenant->steps;
-  ++sub->steps_since_admit;
-
-  // Charge the step's consumption delta to the tenant. Metrics must be read
-  // BEFORE TakeResult (which moves them out with the result).
-  const RunMetrics& m = session->pipeline().state().out.metrics;
-  const double machine_s = m.machine_time.seconds;
-  const double cost = m.cost;
-  const double delta_machine = machine_s - sub->machine_watermark_s;
-  const double delta_cost = cost - sub->cost_watermark;
-  sub->machine_watermark_s = machine_s;
-  sub->cost_watermark = cost;
-  const double charged =
-      delta_machine + config_.crowd_cost_vtime_weight * delta_cost;
   Tenant* t = sub->tenant;
-  // True up: retire the provisional pick-time debit, land the real charge.
+  // True up: retire the provisional pick-time debit; a step that ran lands
+  // its real charge below.
   t->inflight_vruntime_s =
       std::max(0.0, t->inflight_vruntime_s - sub->provisional_vruntime_s);
   sub->provisional_vruntime_s = 0.0;
-  charge_sum_s_ += charged;
-  ++charge_count_;
-  t->machine_vtime_s += delta_machine;
-  t->crowd_cost += delta_cost;
-  t->vruntime_s += charged / std::max(t->config.weight, 1e-9);
-  event->charged_vtime_s = charged;
 
-  if (!step_status.ok()) {
+  // Null only if the session failed to build, so nothing ran to charge.
+  WorkflowSession* session = sub->session.get();
+  if (session != nullptr) {
+    ++stats_.steps;
+    ++t->steps;
+    ++sub->steps_since_admit;
+    // Charge the step's consumption delta to the tenant. Metrics must be
+    // read BEFORE TakeResult (which moves them out with the result).
+    const RunMetrics& m = session->pipeline().state().out.metrics;
+    const double machine_s = m.machine_time.seconds;
+    const double cost = m.cost;
+    const double delta_machine = machine_s - sub->machine_watermark_s;
+    const double delta_cost = cost - sub->cost_watermark;
+    sub->machine_watermark_s = machine_s;
+    sub->cost_watermark = cost;
+    const double charged =
+        delta_machine + config_.crowd_cost_vtime_weight * delta_cost;
+    charge_sum_s_ += charged;
+    ++charge_count_;
+    t->machine_vtime_s += delta_machine;
+    t->crowd_cost += delta_cost;
+    t->vruntime_s += charged / std::max(t->config.weight, 1e-9);
+    event->charged_vtime_s = charged;
+  }
+
+  if (!status.ok()) {
     sub->state = Submission::State::kFailed;
-    sub->final_status = AnnotateSessionStatus(sub->id, step_status);
+    sub->final_status = AnnotateSessionStatus(sub->id, status);
     event->session_failed = true;
     ++t->failed;
     ++stats_.failed;

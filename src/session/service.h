@@ -1,8 +1,8 @@
 // Multi-tenant EM service scheduler (the paper's Example 1 as a system).
 //
 // EmService multiplexes many tenants' matching workflows over one shared
-// Cluster. Each submission owns a resumable WorkflowSession while it is
-// resident (none while queued, evicted or finished); the service schedules
+// Cluster. Each submission owns a resumable WorkflowSession from its first
+// step after admission until it is evicted or finishes; the service schedules
 // pipeline *steps* — operator boundaries, not whole runs — so one
 // tenant's giant job cannot monopolize the cluster between checkpoints.
 //
@@ -37,7 +37,12 @@
 // Thread safety: every public method is safe to call from any thread, and
 // Drain(workers) steps distinct sessions from several worker threads at
 // once (sessions are isolated by construction; the cluster's pool is
-// shared). A session is only ever stepped by one worker at a time.
+// shared). A session is only ever stepped by one worker at a time. The
+// service mutex covers the scheduling decisions (admit, evict, pick,
+// settle) and an eviction's snapshot, but not the sessions' work: admission
+// only takes a slot, and the worker whose turn first picks the admitted
+// submission builds its session (resumed from the snapshot, or fresh)
+// outside the lock, steps it, and installs it at settle.
 #ifndef FALCON_SESSION_SERVICE_H_
 #define FALCON_SESSION_SERVICE_H_
 
@@ -185,7 +190,7 @@ struct TenantStats {
 
 /// Point-in-time service accounting.
 struct ServiceStats {
-  size_t resident = 0;       ///< sessions with live pipeline state
+  size_t resident = 0;       ///< submissions holding a slot
   size_t queued = 0;         ///< waiting for admission (fresh or evicted)
   size_t peak_resident = 0;  ///< high-water mark; never exceeds the cap
   uint64_t admissions = 0;   ///< fresh sessions admitted
@@ -230,9 +235,11 @@ class EmService {
                 FalconConfig config);
 
   /// One scheduler turn: performs any pending admissions/evictions, then
-  /// steps the fair-share pick. Returns kNotFound when there is nothing
+  /// steps the fair-share pick, first building its session if it was
+  /// admitted since its last step. Returns kNotFound when there is nothing
   /// left to do. The event's step_status-equivalent is folded into
-  /// session_failed (query FinalStatus for the error).
+  /// session_failed (query FinalStatus for the error); a session that fails
+  /// to build fails its submission the same way.
   Result<StepEvent> StepOnce();
 
   /// Runs scheduler turns from `workers` threads until every submitted
@@ -272,17 +279,21 @@ class EmService {
   /// Fills free resident slots deficit-aware: each slot goes to the queued
   /// submission of the least-served (minimum-vruntime) tenant; equal
   /// vruntime prefers the tenant holding fewer resident slots, then queue
-  /// position, so order stays FIFO within a tenant.
+  /// position, so order stays FIFO within a tenant. Builds no session: the
+  /// first StepOnce that picks the submission does, outside the lock.
   void AdmitLocked();
   /// Under queue pressure, snapshots the most-served tenant's idle session
-  /// out of the resident set (respecting min_steps_before_evict).
+  /// out of the resident set (respecting min_steps_before_evict). A victim
+  /// never stepped since admission has no session and is requeued as is.
   void MaybeEvictLocked();
   /// The deficit/fair-share pick: idle resident session of the minimum-
   /// vruntime tenant (FIFO admission order within a tenant).
   Submission* PickLocked();
-  /// Charges the step to the tenant and retires done/failed sessions.
-  void SettleLocked(Submission* sub, const Status& step_status,
-                    StepEvent* event);
+  /// Retires the pick-time provisional charge, charges the step to the
+  /// tenant, and retires done/failed sessions. A null `sub->session` means
+  /// the session failed to build with `status`: nothing ran, so nothing is
+  /// charged.
+  void SettleLocked(Submission* sub, const Status& status, StepEvent* event);
 
   ServiceConfig config_;
   Cluster* cluster_;

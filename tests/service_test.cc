@@ -8,11 +8,15 @@
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
+#include <condition_variable>
 #include <deque>
 #include <memory>
+#include <mutex>
 #include <optional>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "../examples/em_service_args.h"
@@ -331,6 +335,117 @@ TEST(ServiceTest, FairSharePickKeepsEqualTenantsConverged) {
   EXPECT_LE(max_mt / min_mt, 1.5);
 }
 
+// Three tenants submit two tiny sessions each through two resident slots,
+// and one caller steps the service until it is drained. Returns each turn
+// as "<session> <stage it ran>", with " done" appended to a session's last.
+//
+// A step's charge includes measured CPU seconds, so tenants with equal
+// weights and equal work tie up to timing noise. Weights 1, 10 and 100 keep
+// every cross-tenant comparison apart by far more than that noise, which
+// makes the schedule a pure function of the scheduling rules.
+std::vector<std::string> SingleCallerSchedule(size_t min_steps_before_evict) {
+  Cluster cluster(FastCluster(1));
+  ServiceConfig scfg;
+  scfg.max_resident_sessions = 2;
+  scfg.min_steps_before_evict = min_steps_before_evict;
+  EmService service(&cluster, scfg);
+  for (const auto& [tenant, weight] :
+       {std::pair{"a", 1.0}, std::pair{"b", 10.0}, std::pair{"c", 100.0}}) {
+    TenantConfig tc;
+    tc.weight = weight;
+    EXPECT_TRUE(service.RegisterTenant(tenant, tc).ok());
+  }
+  GeneratedDataset data = TinyData(7);
+  std::deque<CrowdChain> chains;
+  for (int i = 0; i < 6; ++i) {
+    const std::string tenant(1, static_cast<char>('a' + i / 2));
+    chains.push_back(PlainCrowd(600 + i, data.truth.MakeOracle()));
+    EXPECT_TRUE(service
+                    .Submit(tenant, tenant + "/" + std::to_string(i % 2),
+                            &data.a, &data.b, chains.back().top,
+                            TinyConfig(600 + i))
+                    .ok());
+  }
+  std::vector<std::string> turns;
+  for (;;) {
+    Result<StepEvent> event = service.StepOnce();
+    if (!event.ok()) {
+      EXPECT_EQ(event.status().code(), StatusCode::kNotFound);
+      break;
+    }
+    EXPECT_FALSE(event->session_failed) << event->session_id;
+    turns.push_back(event->session_id + " " +
+                    PipelineStageName(event->stage) +
+                    (event->session_done ? " done" : ""));
+  }
+  EXPECT_EQ(service.stats().completed, 6u);
+  return turns;
+}
+
+// Building a session on its first step, outside the service lock, must not
+// change one scheduling decision: both golden lists were recorded with the
+// scheduler that still built sessions at admission, under the lock. At
+// min_steps_before_evict 0 a session can be evicted before it was ever
+// stepped, so that list also covers requeuing a session that was never
+// built.
+TEST(ServiceTest, SingleCallerScheduleMatchesParent) {
+  const std::vector<std::string> evict_after_one = {
+      "a/0 init",
+      "b/0 init",
+      "c/0 init",
+      "c/1 init",
+      "c/0 al_matcher(matcher)",
+      "b/1 init",
+      "b/0 al_matcher(matcher)",
+      "a/1 init",
+      "a/0 al_matcher(matcher)",
+      "c/1 al_matcher(matcher)",
+      "c/0 apply_matcher",
+      "c/1 apply_matcher",
+      "c/0 estimate_accuracy done",
+      "c/1 estimate_accuracy done",
+      "b/1 al_matcher(matcher)",
+      "b/0 apply_matcher",
+      "b/1 apply_matcher",
+      "b/0 estimate_accuracy done",
+      "b/1 estimate_accuracy done",
+      "a/1 al_matcher(matcher)",
+      "a/1 apply_matcher",
+      "a/1 estimate_accuracy done",
+      "a/0 apply_matcher",
+      "a/0 estimate_accuracy done",
+  };
+  EXPECT_EQ(SingleCallerSchedule(1), evict_after_one);
+
+  const std::vector<std::string> evict_anytime = {
+      "a/0 init",
+      "b/0 init",
+      "c/0 init",
+      "c/1 init",
+      "c/0 al_matcher(matcher)",
+      "b/1 init",
+      "b/1 al_matcher(matcher)",
+      "a/1 init",
+      "a/1 al_matcher(matcher)",
+      "c/0 apply_matcher",
+      "c/0 estimate_accuracy done",
+      "c/1 al_matcher(matcher)",
+      "c/1 apply_matcher",
+      "c/1 estimate_accuracy done",
+      "b/1 apply_matcher",
+      "b/0 al_matcher(matcher)",
+      "b/1 estimate_accuracy done",
+      "b/0 apply_matcher",
+      "b/0 estimate_accuracy done",
+      "a/0 al_matcher(matcher)",
+      "a/0 apply_matcher",
+      "a/0 estimate_accuracy done",
+      "a/1 apply_matcher",
+      "a/1 estimate_accuracy done",
+  };
+  EXPECT_EQ(SingleCallerSchedule(0), evict_anytime);
+}
+
 // ---------------------------------------------------------------------------
 // Budget isolation
 // ---------------------------------------------------------------------------
@@ -491,6 +606,143 @@ TEST(ServiceEvictTest, BlockingPlanResumesByteIdentical) {
   for (int threads : {1, 4}) {
     CheckEvictResume(&BlockingData, &BlockingConfig, threads);
   }
+}
+
+// A SimulatedCrowd whose state restore, the crowd's part of
+// WorkflowSession::Resume, either fails or, the first time it runs, waits
+// until the test thread calls Release(). The wait gives up after about ten
+// seconds, so a scheduler that resumes while holding its lock fails the test
+// instead of hanging it.
+class GatedRestoreCrowd : public SimulatedCrowd {
+ public:
+  GatedRestoreCrowd(uint64_t seed, TruthOracle oracle, bool fail)
+      : SimulatedCrowd(CrowdConfig(seed), std::move(oracle)), fail_(fail) {}
+
+  /// Waits until the first restore has begun; false on timeout.
+  bool WaitForRestore() {
+    std::unique_lock<std::mutex> lock(mu_);
+    return cv_.wait_for(lock, kTimeout, [&] { return restoring_; });
+  }
+  /// Lets the waiting restore continue.
+  void Release() {
+    std::lock_guard<std::mutex> lock(mu_);
+    released_ = true;
+    cv_.notify_all();
+  }
+  /// Whether the restore was released before its wait timed out.
+  bool released_in_time() const {
+    std::lock_guard<std::mutex> lock(mu_);
+    return released_in_time_;
+  }
+
+ protected:
+  Status RestoreDerivedState(BinaryReader* r) override {
+    if (fail_) return Status::IoError("injected restore failure");
+    {
+      std::unique_lock<std::mutex> lock(mu_);
+      if (!restoring_) {
+        restoring_ = true;
+        cv_.notify_all();
+        released_in_time_ =
+            cv_.wait_for(lock, kTimeout, [&] { return released_; });
+      }
+    }
+    return SimulatedCrowd::RestoreDerivedState(r);
+  }
+
+ private:
+  static constexpr std::chrono::seconds kTimeout{10};
+  const bool fail_;
+  mutable std::mutex mu_;
+  std::condition_variable cv_;
+  bool restoring_ = false;
+  bool released_ = false;
+  bool released_in_time_ = false;
+};
+
+// One slot, eviction after every step, and x submitted by alice and y by
+// bob. alice's weight of 2 halves her charges, so after one step each she is
+// the less served: turn one steps x, turn two evicts x to step y, and turn
+// three evicts y and resumes x.
+void SubmitEvictionPair(EmService* service, const GeneratedDataset& data,
+                        CrowdPlatform* x_crowd, CrowdPlatform* y_crowd) {
+  TenantConfig alice;
+  alice.weight = 2.0;
+  ASSERT_TRUE(service->RegisterTenant("alice", alice).ok());
+  ASSERT_TRUE(
+      service->Submit("alice", "x", &data.a, &data.b, x_crowd, TinyConfig(7))
+          .ok());
+  ASSERT_TRUE(
+      service->Submit("bob", "y", &data.a, &data.b, y_crowd, TinyConfig(8))
+          .ok());
+}
+
+ServiceConfig EvictEveryStep() {
+  ServiceConfig scfg;
+  scfg.max_resident_sessions = 1;
+  scfg.min_steps_before_evict = 1;
+  return scfg;
+}
+
+// The resume at turn three must not hold the service lock: stats() answers
+// while it is in progress, and the resuming submission already holds the
+// slot.
+TEST(ServiceEvictTest, ResumeRunsOutsideTheServiceLock) {
+  Cluster cluster(FastCluster(1));
+  EmService service(&cluster, EvictEveryStep());
+  GeneratedDataset data = TinyData(7);
+  GatedRestoreCrowd gated(7, data.truth.MakeOracle(), /*fail=*/false);
+  CrowdChain plain = PlainCrowd(8, data.truth.MakeOracle());
+  SubmitEvictionPair(&service, data, &gated, plain.top);
+  ASSERT_FALSE(HasFatalFailure());
+
+  std::thread drain([&] { EXPECT_TRUE(service.Drain(1).ok()); });
+  EXPECT_TRUE(gated.WaitForRestore());
+  const ServiceStats during = service.stats();
+  gated.Release();
+  drain.join();
+
+  EXPECT_TRUE(gated.released_in_time())
+      << "stats() waited for the resume to finish";
+  EXPECT_EQ(during.resident, 1u);
+  EXPECT_EQ(during.queued, 1u);
+  EXPECT_EQ(during.steps, 2u);
+  EXPECT_EQ(during.evictions, 2u);
+  EXPECT_EQ(during.resumes, 1u);
+  const ServiceStats after = service.stats();
+  EXPECT_EQ(after.completed, 2u);
+  EXPECT_EQ(after.failed, 0u);
+  EXPECT_EQ(after.resident, 0u);
+}
+
+// A resume that fails settles like a failed step: the submission fails with
+// its id in the status, its slot is freed, and the other session finishes.
+TEST(ServiceEvictTest, FailedResumeFreesItsSlot) {
+  Cluster cluster(FastCluster(1));
+  EmService service(&cluster, EvictEveryStep());
+  GeneratedDataset data = TinyData(7);
+  GatedRestoreCrowd broken(7, data.truth.MakeOracle(), /*fail=*/true);
+  CrowdChain plain = PlainCrowd(8, data.truth.MakeOracle());
+  SubmitEvictionPair(&service, data, &broken, plain.top);
+  ASSERT_FALSE(HasFatalFailure());
+  ASSERT_TRUE(service.Drain(2).ok());
+
+  EXPECT_EQ(service.failed_sessions(), std::vector<std::string>{"x"});
+  std::optional<Status> x = service.FinalStatus("x");
+  ASSERT_TRUE(x.has_value());
+  EXPECT_EQ(x->code(), StatusCode::kIoError);
+  EXPECT_EQ(x->message().rfind("session 'x': ", 0), 0u) << x->ToString();
+  EXPECT_TRUE(service.TakeResult("y").ok());
+  const ServiceStats stats = service.stats();
+  EXPECT_EQ(stats.completed, 1u);
+  EXPECT_EQ(stats.failed, 1u);
+  EXPECT_GE(stats.resumes, 1u);
+  EXPECT_EQ(stats.resident, 0u);
+  EXPECT_EQ(stats.queued, 0u);
+  Result<TenantStats> alice = service.tenant_stats("alice");
+  ASSERT_TRUE(alice.ok());
+  EXPECT_EQ(alice->failed, 1u);
+  EXPECT_EQ(alice->waiting, 0u);
 }
 
 // ---------------------------------------------------------------------------
