@@ -1,10 +1,13 @@
 // Microbenchmarks: the matching-stage hot path (google-benchmark). The
 // custom main() first writes BENCH_micro_matcher.json comparing the eager
-// strategy (materialize the full feature vector, vote every tree) against
-// the fused one (lazy memoized features + short-circuit FlatForest voting)
-// per pair, asserting byte-identical predictions, then runs
-// google-benchmark. FALCON_BENCH_SMOKE=1 shrinks the dataset so the binary
-// doubles as a ctest smoke test.
+// strategy (materialize the full feature vector, full RandomForest::Predict
+// vote) against the fused one (lazy memoized features + the forest's
+// short-circuit RandomForest::PredictWith) per pair, asserting
+// byte-identical predictions, then runs google-benchmark. The traversal
+// lanes time the two votes alone over pre-materialized vectors.
+// FALCON_BENCH_SMOKE=1 shrinks the dataset so the binary doubles as a ctest
+// smoke test.
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
@@ -15,7 +18,6 @@
 #include "harness.h"
 
 #include "common/arena.h"
-#include "learn/flat_forest.h"
 #include "learn/random_forest.h"
 #include "rules/feature.h"
 #include "workload/generator.h"
@@ -32,7 +34,6 @@ struct MatcherFixture {
   FeatureSet fs;
   std::vector<PairQuestion> pairs;  ///< evaluation pairs ("candidates")
   RandomForest forest;
-  FlatForest flat;
 
   MatcherFixture() {
     WorkloadOptions opt;
@@ -68,11 +69,6 @@ struct MatcherFixture {
       y.push_back(data.truth.IsMatch(a, b) ? 1 : 0);
     }
     forest = RandomForest::Train(x, y, ForestOptions{}, &rng);
-    flat = FlatForest::Compile(forest);
-    if (!flat.EquivalentTo(forest)) {
-      std::fprintf(stderr, "FATAL: FlatForest::Compile not equivalent\n");
-      std::exit(1);
-    }
 
     sample(SmokeMode() ? 500 : 5000, &pairs);
   }
@@ -81,6 +77,34 @@ struct MatcherFixture {
 MatcherFixture* Fixture() {
   static MatcherFixture* fx = new MatcherFixture();
   return fx;
+}
+
+/// How many of the `width` layout positions any split of the forest tests:
+/// the most a pair's lazy evaluation can compute.
+size_t UsedFeatures(const RandomForest& forest, size_t width) {
+  std::vector<char> used(width, 0);
+  for (const auto& tree : forest.trees()) {
+    for (const TreeNode& n : tree.nodes()) {
+      if (!n.is_leaf) used[n.feature] = 1;
+    }
+  }
+  return static_cast<size_t>(std::count(used.begin(), used.end(), 1));
+}
+
+/// Feature vectors of the first 512 evaluation pairs, for the traversal
+/// lanes.
+const std::vector<FeatureVec>& MaterializedVectors() {
+  static std::vector<FeatureVec>* fvs = [] {
+    MatcherFixture* f = Fixture();
+    auto* v = new std::vector<FeatureVec>();
+    for (size_t i = 0; i < 512 && i < f->pairs.size(); ++i) {
+      const auto& [a, b] = f->pairs[i];
+      v->push_back(
+          f->fs.ComputeVector(f->fs.all_ids(), f->data.a, a, f->data.b, b));
+    }
+    return v;
+  }();
+  return *fvs;
 }
 
 void BM_EagerPair(benchmark::State& state) {
@@ -104,50 +128,35 @@ void BM_FusedPair(benchmark::State& state) {
     const auto& [a, b] = fx->pairs[i++ % fx->pairs.size()];
     lazy.Begin(&fx->fs, &ids, &fx->data.a, a, &fx->data.b, b);
     benchmark::DoNotOptimize(
-        fx->flat.PredictWith([&lazy](int pos) { return lazy.Get(pos); }));
+        fx->forest.PredictWith([&lazy](int pos) { return lazy.Get(pos); }));
   }
 }
 BENCHMARK(BM_FusedPair);
 
 // Forest traversal alone (features pre-materialized): isolates the
-// short-circuit voting win from the lazy-feature win.
+// short-circuit voting win from the lazy-feature win. Pooled is the full
+// vote, PredictWith the short-circuit one.
 void BM_ForestPredictPooled(benchmark::State& state) {
   MatcherFixture* fx = Fixture();
-  static std::vector<FeatureVec>* fvs = [] {
-    MatcherFixture* f = Fixture();
-    auto* v = new std::vector<FeatureVec>();
-    for (size_t i = 0; i < 512 && i < f->pairs.size(); ++i) {
-      const auto& [a, b] = f->pairs[i];
-      v->push_back(
-          f->fs.ComputeVector(f->fs.all_ids(), f->data.a, a, f->data.b, b));
-    }
-    return v;
-  }();
+  const std::vector<FeatureVec>& fvs = MaterializedVectors();
   size_t i = 0;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(fx->forest.Predict((*fvs)[i++ % fvs->size()]));
+    benchmark::DoNotOptimize(fx->forest.Predict(fvs[i++ % fvs.size()]));
   }
 }
 BENCHMARK(BM_ForestPredictPooled);
 
-void BM_FlatForestPredict(benchmark::State& state) {
+void BM_ForestPredictWith(benchmark::State& state) {
   MatcherFixture* fx = Fixture();
-  static std::vector<FeatureVec>* fvs = [] {
-    MatcherFixture* f = Fixture();
-    auto* v = new std::vector<FeatureVec>();
-    for (size_t i = 0; i < 512 && i < f->pairs.size(); ++i) {
-      const auto& [a, b] = f->pairs[i];
-      v->push_back(
-          f->fs.ComputeVector(f->fs.all_ids(), f->data.a, a, f->data.b, b));
-    }
-    return v;
-  }();
+  const std::vector<FeatureVec>& fvs = MaterializedVectors();
   size_t i = 0;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(fx->flat.Predict((*fvs)[i++ % fvs->size()]));
+    const FeatureVec& fv = fvs[i++ % fvs.size()];
+    benchmark::DoNotOptimize(
+        fx->forest.PredictWith([&fv](int pos) { return fv[pos]; }));
   }
 }
-BENCHMARK(BM_FlatForestPredict);
+BENCHMARK(BM_ForestPredictWith);
 
 /// Eager-vs-fused comparison written to BENCH_micro_matcher.json.
 void WriteComparisonReport() {
@@ -164,7 +173,7 @@ void WriteComparisonReport() {
   report.Add("sweeps", static_cast<int64_t>(sweeps));
   report.Add("vector_width", static_cast<int64_t>(ids.size()));
   report.Add("used_features",
-             static_cast<int64_t>(fx->flat.used_features().size()));
+             static_cast<int64_t>(UsedFeatures(fx->forest, ids.size())));
   report.Add("num_trees", static_cast<int64_t>(fx->forest.num_trees()));
 
   // Eager: materialize every vector, vote every tree.
@@ -196,7 +205,7 @@ void WriteComparisonReport() {
       const auto& [a, b] = fx->pairs[i];
       lazy.Begin(&fx->fs, &ids, &fx->data.a, a, &fx->data.b, b);
       int voted = 0;
-      fused_pred[i] = fx->flat.PredictWith(
+      fused_pred[i] = fx->forest.PredictWith(
                           [&lazy](int pos) { return lazy.Get(pos); }, &voted)
                           ? 1
                           : 0;

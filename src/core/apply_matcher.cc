@@ -7,13 +7,9 @@ namespace falcon {
 ApplyMatcherFusedResult ApplyMatcherFused(
     const Table& a, const Table& b, const std::vector<PairQuestion>& pairs,
     const FeatureSet& fs, const std::vector<int>& feature_ids,
-    const FlatForest& forest, Cluster* cluster, const char* job_name) {
+    const RandomForest& forest, Cluster* cluster, const char* job_name) {
   ApplyMatcherFusedResult result;
   result.predictions.resize(pairs.size(), 0);
-  result.work.pairs = pairs.size();
-  result.work.vector_width = feature_ids.size();
-  result.work.used_features = forest.used_features().size();
-  result.work.num_trees = forest.num_trees();
 
   std::vector<size_t> idx(pairs.size());
   for (size_t i = 0; i < idx.size(); ++i) idx[i] = i;
@@ -37,7 +33,7 @@ ApplyMatcherFusedResult ApplyMatcherFused(
         Count(Counter::kTreesVoted, static_cast<uint64_t>(voted));
       });
   result.time = job.stats.Total();
-  result.work.counters = job.stats.counters;
+  result.counters = job.stats.counters;
   return result;
 }
 

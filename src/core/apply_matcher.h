@@ -1,11 +1,11 @@
 // Operator apply_matcher (Section 9): applies a trained matcher to every
 // candidate pair with a map-only job, fused with feature generation. Each
-// map task evaluates features lazily (LazyPairFeatures) against a compiled
-// FlatForest with short-circuit voting, so features no traversed tree tests
-// are never computed and no feature-vector array is materialized. Each pair
-// counts the features it computed and the trees it traversed
-// (Counter::kFeaturesComputed, kTreesVoted), so the job's counters show the
-// work the lazy evaluation and early voting saved. Predictions are
+// map task evaluates features lazily (LazyPairFeatures) and votes with the
+// forest's short-circuit RandomForest::PredictWith, so features no walked
+// tree tests are never computed and no feature-vector array is
+// materialized. Each pair counts the features it computed and the trees it
+// walked (Counter::kFeaturesComputed, kTreesVoted), so the job's counters
+// show the work the lazy evaluation and early voting saved. Predictions are
 // byte-identical to RandomForest::Predict over the full ComputeVector of each
 // pair.
 #ifndef FALCON_CORE_APPLY_MATCHER_H_
@@ -16,33 +16,22 @@
 
 #include "common/counters.h"
 #include "crowd/crowd.h"
-#include "learn/flat_forest.h"
 #include "learn/random_forest.h"
 #include "mapreduce/cluster.h"
 #include "rules/feature.h"
 
 namespace falcon {
 
-/// Work actually performed by a fused apply_matcher job. The per-pair
-/// averages feed Table-4-style reporting; virtual time already reflects the
-/// reduced work because map task seconds are measured, not modeled.
-struct FusedMatcherWork {
-  size_t pairs = 0;
-  size_t vector_width = 0;   ///< full feature-vector layout width
-  size_t used_features = 0;  ///< layout positions any tree references
-  size_t num_trees = 0;
-  /// The job's counters: lazy feature evaluations (kFeaturesComputed) and
-  /// trees traversed before early exit (kTreesVoted) over all pairs, plus
-  /// the arena pages the engine charged (task arenas make these page
-  /// acquisitions, not per-pair vectors).
-  CounterSet counters;
-};
-
 struct ApplyMatcherFusedResult {
   /// Parallel to the input pairs; 1 = predicted match.
   std::vector<char> predictions;
   VDuration time;
-  FusedMatcherWork work;
+  /// The job's counters: lazy feature evaluations (kFeaturesComputed) and
+  /// trees voted before the early exit (kTreesVoted) over all pairs, plus
+  /// the arena pages the engine charged (task arenas make these page
+  /// acquisitions, not per-pair vectors). Virtual time already reflects the
+  /// reduced work because map task seconds are measured, not modeled.
+  CounterSet counters;
 };
 
 /// Applies `forest` to every pair without materializing feature vectors.
@@ -51,7 +40,7 @@ struct ApplyMatcherFusedResult {
 ApplyMatcherFusedResult ApplyMatcherFused(
     const Table& a, const Table& b, const std::vector<PairQuestion>& pairs,
     const FeatureSet& fs, const std::vector<int>& feature_ids,
-    const FlatForest& forest, Cluster* cluster,
+    const RandomForest& forest, Cluster* cluster,
     const char* job_name = "apply_matcher(fused)");
 
 }  // namespace falcon

@@ -35,40 +35,17 @@ void RecordBlockingJob(const JobStats& stats, RunMetrics* m) {
   m->intersect_contains += c[Counter::kIntersectContains];
 }
 
-/// Folds the fused apply_matcher work into the run metrics.
-void RecordMatcherWork(const FusedMatcherWork& work, RunMetrics* m) {
-  const CounterSet& c = work.counters;
-  double pairs = static_cast<double>(work.pairs);
+/// Folds the fused apply_matcher job's counters into the run metrics.
+void RecordMatcherWork(const ApplyMatcherFusedResult& fused, RunMetrics* m) {
+  const CounterSet& c = fused.counters;
+  const size_t n = fused.predictions.size();
+  double pairs = static_cast<double>(n);
   m->matcher_features_per_pair =
-      work.pairs == 0
-          ? 0.0
-          : static_cast<double>(c[Counter::kFeaturesComputed]) / pairs;
+      n == 0 ? 0.0
+             : static_cast<double>(c[Counter::kFeaturesComputed]) / pairs;
   m->matcher_trees_per_pair =
-      work.pairs == 0 ? 0.0
-                      : static_cast<double>(c[Counter::kTreesVoted]) / pairs;
-  m->matcher_vector_width = work.vector_width;
-  m->matcher_used_features = work.used_features;
-  m->matcher_num_trees = work.num_trees;
+      n == 0 ? 0.0 : static_cast<double>(c[Counter::kTreesVoted]) / pairs;
   RecordAllocs(c, m);
-}
-
-/// Compiles the learned matcher for the fused apply phase and verifies the
-/// compiled form is structurally identical to the node-pool trees. Returns
-/// the real driver-side compile seconds through `compile_time` so the
-/// operator accounting stays honest (like training_time, this runs on the
-/// driver, not the cluster).
-Result<FlatForest> CompileMatcher(const RandomForest& matcher,
-                                  VDuration* compile_time) {
-  FlatForest flat;
-  double seconds = internal::MeasureSeconds(
-      [&] { flat = FlatForest::Compile(matcher); });
-  *compile_time = VDuration::Seconds(seconds);
-  if (!flat.EquivalentTo(matcher)) {
-    return Status::Internal(
-        "FlatForest::Compile produced a forest not equivalent to the "
-        "learned matcher");
-  }
-  return flat;
 }
 
 struct FilterOut {
@@ -653,16 +630,13 @@ Status FalconPipeline::StageMatcherAl() {
 Status FalconPipeline::StageApplyMatcher() {
   RunMetrics& m = state_.out.metrics;
   MatchResult& out = state_.out;
-  VDuration compile_time;
-  FALCON_ASSIGN_OR_RETURN(FlatForest flat,
-                          CompileMatcher(out.matcher, &compile_time));
   // Already prepared by gen_fvs(C), unless this run resumed after it.
   VDuration prep = PrepareFeatures(features_.all_ids());
   ApplyMatcherFusedResult predictions = ApplyMatcherFused(
-      *a_, *b_, out.candidates, features_, features_.all_ids(), flat,
+      *a_, *b_, out.candidates, features_, features_.all_ids(), out.matcher,
       cluster_);
   {
-    VDuration raw = compile_time + prep + predictions.time;
+    VDuration raw = prep + predictions.time;
     VDuration unmasked = raw;
     if (config_.enable_masking && config_.mask_speculative_execution &&
         state_.matcher_converged) {
@@ -674,7 +648,7 @@ Status FalconPipeline::StageApplyMatcher() {
     }
     AddMachine("apply_matcher", raw, unmasked);
   }
-  RecordMatcherWork(predictions.work, &m);
+  RecordMatcherWork(predictions, &m);
   state_.predictions = std::move(predictions.predictions);
   out.matches.clear();
   for (size_t i = 0; i < out.candidates.size(); ++i) {

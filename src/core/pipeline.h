@@ -71,9 +71,6 @@ struct RunMetrics {
   // already reflects that reduced work (map task seconds are measured).
   double matcher_features_per_pair = 0.0;
   double matcher_trees_per_pair = 0.0;
-  size_t matcher_vector_width = 0;   ///< full feature-vector layout width
-  size_t matcher_used_features = 0;  ///< features referenced by any tree
-  size_t matcher_num_trees = 0;
 
   /// Real heap allocations the instrumented hot-path stages performed
   /// (blocking apply, gen_fvs, fused matcher): task-arena page acquisitions
@@ -272,8 +269,8 @@ class FalconPipeline {
 
   /// Prepares the per-row inputs of the features in `ids` on A and B
   /// (FeatureSet::Prepare) and returns the measured seconds that took
-  /// outside the cluster, which the calling stage charges like
-  /// CompileMatcher's compile time.
+  /// outside the cluster, which the calling stage charges like the
+  /// driver-side training time of a matcher.
   VDuration PrepareFeatures(const std::vector<int>& ids);
   /// Appends a machine-operator timing row and accumulates t_m / t_u.
   void AddMachine(const std::string& name, VDuration raw, VDuration unmasked);

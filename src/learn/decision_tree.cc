@@ -205,17 +205,6 @@ bool DecisionTree::Predict(const FeatureVec& fv) const {
   return nodes_[LeafOf(fv)].prediction;
 }
 
-int DecisionTree::LeafOf(const FeatureVec& fv) const {
-  int n = 0;
-  while (!nodes_[n].is_leaf) {
-    const TreeNode& node = nodes_[n];
-    double v = fv[node.feature];
-    bool goes_left = std::isnan(v) ? node.nan_goes_left : v <= node.threshold;
-    n = goes_left ? node.left : node.right;
-  }
-  return n;
-}
-
 size_t DecisionTree::num_leaves() const {
   size_t c = 0;
   for (const auto& n : nodes_) c += n.is_leaf ? 1 : 0;

@@ -12,6 +12,7 @@
 #ifndef FALCON_LEARN_DECISION_TREE_H_
 #define FALCON_LEARN_DECISION_TREE_H_
 
+#include <cmath>
 #include <cstdint>
 #include <vector>
 
@@ -61,14 +62,33 @@ class DecisionTree {
                             const TreeOptions& options, Rng* rng);
 
   /// Reconstructs a tree from a node pool (deserialization). The pool must
-  /// be non-empty with node 0 as root and in-bounds child links.
+  /// be non-empty with node 0 as root, and every split's children must lie
+  /// in the pool at larger indices than the split (as Train writes them), so
+  /// every walk ends at a leaf.
   static DecisionTree FromNodes(std::vector<TreeNode> nodes);
 
   /// Predicted label for `fv`.
   bool Predict(const FeatureVec& fv) const;
 
   /// Index of the leaf `fv` lands in.
-  int LeafOf(const FeatureVec& fv) const;
+  int LeafOf(const FeatureVec& fv) const {
+    return LeafWith([&fv](int f) { return fv[f]; });
+  }
+
+  /// Index of the leaf reached when `at(f)` returns the value of feature
+  /// position `f`. `at` is called only for the features the path's splits
+  /// test, so a lazy evaluator computes nothing else.
+  template <typename FeatureAt>
+  int LeafWith(FeatureAt&& at) const {
+    int n = 0;
+    while (!nodes_[n].is_leaf) {
+      const TreeNode& node = nodes_[n];
+      double v = at(node.feature);
+      bool goes_left = std::isnan(v) ? node.nan_goes_left : v <= node.threshold;
+      n = goes_left ? node.left : node.right;
+    }
+    return n;
+  }
 
   const std::vector<TreeNode>& nodes() const { return nodes_; }
   int root() const { return nodes_.empty() ? -1 : 0; }

@@ -29,7 +29,7 @@ RandomForest RandomForest::Train(const std::vector<FeatureVec>& examples,
 }
 
 bool RandomForest::Predict(const FeatureVec& fv) const {
-  // >= breaks even-tree-count ties toward "match"; FlatForest's early-exit
+  // >= breaks even-tree-count ties toward "match"; PredictWith's early-exit
   // vote (2 * pos >= num_trees) depends on this exact boundary.
   return PositiveFraction(fv) >= 0.5;
 }

@@ -38,9 +38,37 @@ class RandomForest {
   /// Majority vote over the trees: match iff PositiveFraction(fv) >= 0.5,
   /// i.e. iff 2 * positive_votes >= num_trees. With an even tree count an
   /// exact tie therefore predicts "match" — recall errs toward keeping a
-  /// pair rather than silently dropping it. FlatForest's short-circuit vote
-  /// reproduces this tie-break bit-for-bit (pinned by tests).
+  /// pair rather than silently dropping it. This full vote is the reference
+  /// PredictWith's short-circuit vote is pinned to.
   bool Predict(const FeatureVec& fv) const;
+
+  /// Predict's outcome from a vote with early exit, for the matching hot
+  /// path (apply_matcher). `at(pos)` returns the value of feature position
+  /// `pos` and is called only for the features the walked trees test, so a
+  /// lazy evaluator computes nothing else. Trees vote in order, and voting
+  /// stops once the outcome is decided: "match" once 2*pos_votes >=
+  /// num_trees (Predict's tie-break), "no match" once the remaining trees
+  /// cannot reach that bound, i.e. after at most ceil(T/2) agreeing or
+  /// T/2+1 disagreeing votes. `trees_voted`, when non-null, receives the
+  /// number of trees walked; an empty forest walks none and predicts "no".
+  template <typename FeatureAt>
+  bool PredictWith(FeatureAt&& at, int* trees_voted = nullptr) const {
+    const size_t trees = trees_.size();
+    size_t pos_votes = 0;
+    for (size_t t = 0; t < trees; ++t) {
+      const DecisionTree& tree = trees_[t];
+      pos_votes += tree.nodes()[tree.LeafWith(at)].prediction ? 1 : 0;
+      const size_t voted = t + 1;
+      const bool match = 2 * pos_votes >= trees;
+      if (match || 2 * (pos_votes + (trees - voted)) < trees) {
+        if (trees_voted != nullptr) *trees_voted = static_cast<int>(voted);
+        return match;
+      }
+    }
+    // Only reachable for an empty forest (PositiveFraction's 0.0).
+    if (trees_voted != nullptr) *trees_voted = 0;
+    return false;
+  }
 
   /// Fraction of trees voting "match" in [0, 1]. 0.5 = maximal disagreement.
   double PositiveFraction(const FeatureVec& fv) const;

@@ -1,5 +1,7 @@
 #include "rules/serialize.h"
 
+#include <charconv>
+#include <climits>
 #include <cmath>
 #include <cstdio>
 #include <limits>
@@ -41,6 +43,19 @@ bool ParseValueDouble(std::string_view s, double* out) {
     return true;
   }
   return ParseDouble(s, out);
+}
+
+/// Parses `s` as a decimal integer in [lo, hi]. Counts, indices and flags
+/// go through here rather than through a double, whose cast to an integer
+/// type is undefined when the value is out of range.
+template <typename Int>
+bool ParseInt(std::string_view s, Int lo, Int hi, Int* out) {
+  Int v{};
+  const char* end = s.data() + s.size();
+  auto [ptr, ec] = std::from_chars(s.data(), end, v);
+  if (ec != std::errc() || ptr != end || v < lo || v > hi) return false;
+  *out = v;
+  return true;
 }
 
 /// Feature names are single tokens already (no spaces), but guard anyway.
@@ -130,14 +145,12 @@ Result<RuleSequence> ParseRuleSequence(const std::string& text,
     } else if (parts[0] == "rule") {
       if (parts.size() != 9) return Status::IoError("bad rule line: " + line);
       Rule r;
-      double cov;
       if (!ParseValueDouble(parts[2], &r.precision) ||
-          !ParseDouble(parts[4], &cov) ||
+          !ParseInt(parts[4], size_t{0}, SIZE_MAX, &r.coverage) ||
           !ParseValueDouble(parts[6], &r.selectivity) ||
           !ParseValueDouble(parts[8], &r.time_per_pair)) {
         return Status::IoError("bad rule numerics: " + line);
       }
-      r.coverage = static_cast<size_t>(cov);
       seq.rules.push_back(std::move(r));
       current = &seq.rules.back();
     } else if (parts[0] == "pred") {
@@ -149,16 +162,16 @@ Result<RuleSequence> ParseRuleSequence(const std::string& text,
       if (it == by_name.end()) {
         return Status::NotFound("unknown feature: " + parts[1]);
       }
-      double op_raw;
-      double value;
-      if (!ParseDouble(parts[2], &op_raw) ||
-          !ParseValueDouble(parts[3], &value) || op_raw < 0 || op_raw > 3) {
+      int op = 0;
+      double value = 0.0;
+      if (!ParseInt(parts[2], 0, static_cast<int>(PredOp::kGe), &op) ||
+          !ParseValueDouble(parts[3], &value)) {
         return Status::IoError("bad pred numerics: " + line);
       }
       Predicate p;
       p.feature_id = it->second;
       p.feature_pos = BlockingPos(fs, it->second);
-      p.op = static_cast<PredOp>(static_cast<int>(op_raw));
+      p.op = static_cast<PredOp>(op);
       p.value = value;
       current->predicates.push_back(p);
     } else {
@@ -207,22 +220,24 @@ Result<RandomForest> ParseForest(const std::string& text,
   }
   auto by_name = NameIndex(fs);
 
-  auto expect_count = [&](const char* keyword) -> Result<size_t> {
+  // Counts are only loop bounds: nothing is reserved from them, so a
+  // hostile count costs at most the lines the text really holds.
+  auto expect_count = [&](const char* keyword) -> Result<int> {
     std::string l;
     if (!reader.Next(&l)) return Status::IoError("truncated forest");
     auto parts = Split(l, ' ');
-    double v;
+    int v = 0;
     if (parts.size() != 2 || parts[0] != keyword ||
-        !ParseDouble(parts[1], &v) || v < 0) {
+        !ParseInt(parts[1], 0, INT_MAX, &v)) {
       return Status::IoError(std::string("expected '") + keyword +
                              " <n>', got: " + l);
     }
-    return static_cast<size_t>(v);
+    return v;
   };
 
-  FALCON_ASSIGN_OR_RETURN(size_t num_features, expect_count("features"));
+  FALCON_ASSIGN_OR_RETURN(int num_features, expect_count("features"));
   out_feature_ids->clear();
-  for (size_t i = 0; i < num_features; ++i) {
+  for (int i = 0; i < num_features; ++i) {
     if (!reader.Next(&line)) return Status::IoError("truncated features");
     auto parts = Split(line, ' ');
     if (parts.size() != 2 || parts[0] != "f") {
@@ -235,65 +250,42 @@ Result<RandomForest> ParseForest(const std::string& text,
     out_feature_ids->push_back(it->second);
   }
 
-  FALCON_ASSIGN_OR_RETURN(size_t num_trees, expect_count("trees"));
+  FALCON_ASSIGN_OR_RETURN(int num_trees, expect_count("trees"));
   std::vector<DecisionTree> trees;
-  trees.reserve(num_trees);
-  for (size_t t = 0; t < num_trees; ++t) {
-    FALCON_ASSIGN_OR_RETURN(size_t num_nodes, expect_count("tree"));
+  for (int t = 0; t < num_trees; ++t) {
+    FALCON_ASSIGN_OR_RETURN(int num_nodes, expect_count("tree"));
     if (num_nodes == 0) return Status::IoError("empty tree");
     std::vector<TreeNode> nodes;
-    nodes.reserve(num_nodes);
-    for (size_t n = 0; n < num_nodes; ++n) {
+    for (int n = 0; n < num_nodes; ++n) {
       if (!reader.Next(&line)) return Status::IoError("truncated tree");
       auto parts = Split(line, ' ');
       TreeNode node;
       if (parts[0] == "leaf" && parts.size() == 4) {
-        double pred;
-        double purity;
-        double support;
-        if (!ParseDouble(parts[1], &pred) ||
-            !ParseValueDouble(parts[2], &purity) ||
-            !ParseDouble(parts[3], &support)) {
+        int pred = 0;
+        node.is_leaf = true;
+        if (!ParseInt(parts[1], 0, 1, &pred) ||
+            !ParseValueDouble(parts[2], &node.purity) ||
+            !ParseInt(parts[3], uint32_t{0}, UINT32_MAX, &node.support)) {
           return Status::IoError("bad leaf: " + line);
         }
-        node.is_leaf = true;
         node.prediction = pred != 0;
-        node.purity = purity;
-        node.support = static_cast<uint32_t>(support);
       } else if (parts[0] == "split" && parts.size() == 6) {
-        double feature;
-        double nan_left;
-        double left;
-        double right;
-        if (!ParseDouble(parts[1], &feature) ||
+        // A split's children come after it in the pool, as TreeBuilder
+        // writes them, so every walk from the root ends at a leaf.
+        int nan_left = 0;
+        node.is_leaf = false;
+        if (!ParseInt(parts[1], 0, num_features - 1, &node.feature) ||
             !ParseValueDouble(parts[2], &node.threshold) ||
-            !ParseDouble(parts[3], &nan_left) ||
-            !ParseDouble(parts[4], &left) ||
-            !ParseDouble(parts[5], &right)) {
+            !ParseInt(parts[3], 0, 1, &nan_left) ||
+            !ParseInt(parts[4], n + 1, num_nodes - 1, &node.left) ||
+            !ParseInt(parts[5], n + 1, num_nodes - 1, &node.right)) {
           return Status::IoError("bad split: " + line);
         }
-        node.is_leaf = false;
-        node.feature = static_cast<int>(feature);
         node.nan_goes_left = nan_left != 0;
-        node.left = static_cast<int>(left);
-        node.right = static_cast<int>(right);
-        if (node.feature < 0 ||
-            node.feature >= static_cast<int>(num_features)) {
-          return Status::IoError("split feature out of range: " + line);
-        }
       } else {
         return Status::IoError("bad node line: " + line);
       }
       nodes.push_back(node);
-    }
-    // Validate child links before accepting the tree.
-    for (const auto& n : nodes) {
-      if (n.is_leaf) continue;
-      if (n.left < 0 || n.right < 0 ||
-          n.left >= static_cast<int>(nodes.size()) ||
-          n.right >= static_cast<int>(nodes.size())) {
-        return Status::IoError("tree child link out of range");
-      }
     }
     trees.push_back(DecisionTree::FromNodes(std::move(nodes)));
   }

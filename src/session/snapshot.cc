@@ -88,7 +88,8 @@ void WriteBitmap(const Bitmap& b, BinaryWriter* w) {
 bool ReadBitmap(BinaryReader* r, Bitmap* out) {
   uint64_t nbits = r->U64();
   uint64_t nwords = r->U64();
-  if (!r->ok() || nwords != (nbits + 63) / 64 ||
+  // nbits / 64 rounded up without the overflow of (nbits + 63) / 64.
+  if (!r->ok() || nwords != nbits / 64 + (nbits % 64 != 0) ||
       nwords > r->remaining() / 8 + 1) {
     return false;
   }
@@ -219,6 +220,22 @@ Status ValidateIndices(const PipelineState& s, const Table& a, const Table& b,
   return Status::OK();
 }
 
+/// Parses a snapshot forest (empty text: no forest yet) and requires the
+/// feature layout it was written against to be `layout`, the one the
+/// pipeline applies it with: a split on a position outside that layout
+/// would read past the feature vector.
+Result<RandomForest> ReadForest(const std::string& text, const FeatureSet& fs,
+                                const std::vector<int>& layout) {
+  if (text.empty()) return RandomForest();
+  std::vector<int> written;
+  FALCON_ASSIGN_OR_RETURN(RandomForest forest, ParseForest(text, fs, &written));
+  if (written != layout) {
+    return Status::InvalidArgument(
+        "snapshot forest was written over a different feature layout");
+  }
+  return forest;
+}
+
 std::string BadSection(uint32_t tag) {
   return "snapshot section " + std::to_string(tag) +
          " is structurally malformed";
@@ -325,9 +342,12 @@ std::string WriteSnapshot(const std::string& session_id,
     w.U64(m.num_retained_rules);
     w.F64(m.matcher_features_per_pair);
     w.F64(m.matcher_trees_per_pair);
-    w.U64(m.matcher_vector_width);
-    w.U64(m.matcher_used_features);
-    w.U64(m.matcher_num_trees);
+    // Retired compiled-forest layout (vector width, used features, tree
+    // count), read by nothing: the slots stay, written as 0, so the format
+    // and the snapshots written before keep their layout.
+    w.U64(0);
+    w.U64(0);
+    w.U64(0);
     w.U8(m.has_accuracy_estimate ? 1 : 0);
     w.F64(m.accuracy.precision);
     w.F64(m.accuracy.recall);
@@ -520,9 +540,8 @@ Status LoadSnapshot(std::string_view blob, const Table& a, const Table& b,
     m.num_retained_rules = static_cast<size_t>(pr.U64());
     m.matcher_features_per_pair = pr.F64();
     m.matcher_trees_per_pair = pr.F64();
-    m.matcher_vector_width = static_cast<size_t>(pr.U64());
-    m.matcher_used_features = static_cast<size_t>(pr.U64());
-    m.matcher_num_trees = static_cast<size_t>(pr.U64());
+    // The three retired compiled-forest slots, written as 0.
+    for (int retired = 0; retired < 3; ++retired) pr.U64();
     m.has_accuracy_estimate = pr.U8() != 0;
     m.accuracy.precision = pr.F64();
     m.accuracy.recall = pr.F64();
@@ -555,14 +574,8 @@ Status LoadSnapshot(std::string_view blob, const Table& a, const Table& b,
   {  // BLOCKER
     FALCON_ASSIGN_OR_RETURN(std::string payload, ReadSection(&r, kSecBlocker));
     BinaryReader pr(payload);
-    std::string forest_text = pr.Str();
-    if (forest_text.empty()) {
-      s.blocker = RandomForest();
-    } else {
-      std::vector<int> layout;
-      FALCON_ASSIGN_OR_RETURN(s.blocker,
-                              ParseForest(forest_text, fs, &layout));
-    }
+    FALCON_ASSIGN_OR_RETURN(s.blocker,
+                            ReadForest(pr.Str(), fs, fs.blocking_ids()));
     uint64_t ni = pr.U64();
     if (!pr.ok() || ni > pr.remaining() / 4 + 1) {
       return Status::IoError(BadSection(kSecBlocker));
@@ -613,14 +626,8 @@ Status LoadSnapshot(std::string_view blob, const Table& a, const Table& b,
   {  // MATCHER
     FALCON_ASSIGN_OR_RETURN(std::string payload, ReadSection(&r, kSecMatcher));
     BinaryReader pr(payload);
-    std::string forest_text = pr.Str();
-    if (forest_text.empty()) {
-      s.out.matcher = RandomForest();
-    } else {
-      std::vector<int> layout;
-      FALCON_ASSIGN_OR_RETURN(s.out.matcher,
-                              ParseForest(forest_text, fs, &layout));
-    }
+    FALCON_ASSIGN_OR_RETURN(s.out.matcher,
+                            ReadForest(pr.Str(), fs, fs.all_ids()));
     s.matcher_converged = pr.U8() != 0;
     Bitmap preds;
     if (!ReadBitmap(&pr, &preds) || !pr.exhausted()) {

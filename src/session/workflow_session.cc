@@ -11,7 +11,6 @@ WorkflowSession::WorkflowSession(std::string id, const Table* a,
       a_(a),
       b_(b),
       journal_(crowd),
-      config_(config),
       pipeline_(a, b, &journal_, cluster, std::move(config)) {}
 
 Result<std::unique_ptr<WorkflowSession>> WorkflowSession::Resume(
@@ -23,29 +22,23 @@ Result<std::unique_ptr<WorkflowSession>> WorkflowSession::Resume(
                                     &session->pipeline_, &session->id_));
   FALCON_RETURN_NOT_OK(
       session->pipeline_.Rehydrate(&session->resume_rebuild_time_));
-  session->PublishStage();
   return session;
 }
 
 Status WorkflowSession::Step() {
   if (!started()) FALCON_RETURN_NOT_OK(Start());
-  Status st = pipeline_.Step();
-  PublishStage();
-  return st;
+  return pipeline_.Step();
 }
 
 Status WorkflowSession::RunToCompletion() {
   if (!started()) FALCON_RETURN_NOT_OK(Start());
-  while (!pipeline_.done()) {
-    Status st = pipeline_.Step();
-    PublishStage();
-    FALCON_RETURN_NOT_OK(st);
-  }
+  while (!done()) FALCON_RETURN_NOT_OK(pipeline_.Step());
   return Status::OK();
 }
 
 std::string WorkflowSession::SaveSnapshot() const {
-  return WriteSnapshot(id_, pipeline_, *a_, *b_, journal_, config_);
+  return WriteSnapshot(id_, pipeline_, *a_, *b_, journal_,
+                       pipeline_.config());
 }
 
 Status WorkflowSession::ImportJournalTail(CrowdJournal journal) {

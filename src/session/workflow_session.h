@@ -13,10 +13,14 @@
 // session resumed from an OLDER snapshot replay Q&A recorded past that
 // boundary, so crowd work done between the last checkpoint and the crash is
 // still not re-paid.
+//
+// A session is driven by one thread at a time: whoever steps it is also the
+// only one reading it. EmService reads each session it owns only on the
+// worker stepping it and hands it to the next worker under its lock, so the
+// stage accessors read the pipeline's own state with no mirror.
 #ifndef FALCON_SESSION_WORKFLOW_SESSION_H_
 #define FALCON_SESSION_WORKFLOW_SESSION_H_
 
-#include <atomic>
 #include <memory>
 #include <string>
 
@@ -43,31 +47,15 @@ class WorkflowSession {
       std::string_view snapshot, const Table* a, const Table* b,
       CrowdPlatform* crowd, Cluster* cluster, FalconConfig config);
 
-  Status Start() {
-    Status st = pipeline_.Start();
-    PublishStage();
-    return st;
-  }
+  Status Start() { return pipeline_.Start(); }
   /// Runs exactly one operator.
   Status Step();
   /// Start if needed, then Step until done.
   Status RunToCompletion();
 
-  /// started()/done()/next_stage() read an atomic mirror of the pipeline's
-  /// stage, published at every operator boundary — so observers may poll
-  /// them from other threads while a stepping thread is mid-Step(). They lag
-  /// a running Step() by design; everything else on this class is
-  /// single-stepper-at-a-time (EmService steps each session it owns from
-  /// one worker at a time).
-  bool started() const {
-    return stage_.load(std::memory_order_acquire) != PipelineStage::kInit;
-  }
-  bool done() const {
-    return stage_.load(std::memory_order_acquire) == PipelineStage::kDone;
-  }
-  PipelineStage next_stage() const {
-    return stage_.load(std::memory_order_acquire);
-  }
+  bool started() const { return pipeline_.started(); }
+  bool done() const { return pipeline_.done(); }
+  PipelineStage next_stage() const { return pipeline_.state().next; }
 
   /// Serializes the full durable state at the current operator boundary.
   std::string SaveSnapshot() const;
@@ -92,18 +80,12 @@ class WorkflowSession {
   VDuration resume_rebuild_time() const { return resume_rebuild_time_; }
 
  private:
-  void PublishStage() {
-    stage_.store(pipeline_.state().next, std::memory_order_release);
-  }
-
   std::string id_;
   const Table* a_;
   const Table* b_;
   JournalingCrowd journal_;
-  FalconConfig config_;
   FalconPipeline pipeline_;
   VDuration resume_rebuild_time_;
-  std::atomic<PipelineStage> stage_{PipelineStage::kInit};
 };
 
 }  // namespace falcon

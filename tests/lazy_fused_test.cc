@@ -14,7 +14,6 @@
 #include "blocking/index_builder.h"
 #include "core/apply_matcher.h"
 #include "core/gen_fvs.h"
-#include "learn/flat_forest.h"
 #include "learn/random_forest.h"
 #include "rules/feature.h"
 #include "workload/generator.h"
@@ -157,8 +156,18 @@ TEST(ApplyMatcherFusedTest, PredictionsIdenticalToEagerPath) {
   Cluster cluster(FastCluster());
   Rng rng(5);
   RandomForest matcher = TrainMatcher(d, fs, &cluster, &rng);
-  FlatForest flat = FlatForest::Compile(matcher);
-  ASSERT_TRUE(flat.EquivalentTo(matcher));
+  // Layout positions any split tests: the most a pair can compute lazily.
+  std::vector<char> tested(fs.all_ids().size(), 0);
+  for (const auto& tree : matcher.trees()) {
+    for (const TreeNode& n : tree.nodes()) {
+      if (!n.is_leaf) tested[n.feature] = 1;
+    }
+  }
+  const uint64_t used_features =
+      static_cast<uint64_t>(std::count(tested.begin(), tested.end(), 1));
+  const uint64_t width = fs.all_ids().size();
+  const uint64_t num_trees = matcher.num_trees();
+  ASSERT_LE(used_features, width);
 
   auto pairs = RandomPairs(d, 2000, &rng);
   std::vector<char> eager;
@@ -168,57 +177,60 @@ TEST(ApplyMatcherFusedTest, PredictionsIdenticalToEagerPath) {
     eager.push_back(matcher.Predict(fv) ? 1 : 0);
   }
   auto fused =
-      ApplyMatcherFused(d.a, d.b, pairs, fs, fs.all_ids(), flat, &cluster);
+      ApplyMatcherFused(d.a, d.b, pairs, fs, fs.all_ids(), matcher, &cluster);
 
   ASSERT_EQ(fused.predictions.size(), pairs.size());
   EXPECT_EQ(fused.predictions, eager);
 
-  const FusedMatcherWork& w = fused.work;
-  EXPECT_EQ(w.pairs, pairs.size());
-  EXPECT_EQ(w.vector_width, fs.all_ids().size());
-  EXPECT_EQ(w.num_trees, matcher.num_trees());
-  EXPECT_EQ(w.used_features, flat.used_features().size());
-  EXPECT_LE(w.used_features, w.vector_width);
+  const uint64_t n = pairs.size();
   // Lazy evaluation: never more work than materializing every vector, and
   // bounded by the forest's used-feature set.
-  const uint64_t features_computed = w.counters[Counter::kFeaturesComputed];
-  EXPECT_LT(features_computed, w.pairs * w.vector_width);
-  EXPECT_LE(features_computed, w.pairs * w.used_features);
+  const uint64_t features_computed =
+      fused.counters[Counter::kFeaturesComputed];
+  EXPECT_LT(features_computed, n * width);
+  EXPECT_LE(features_computed, n * used_features);
   EXPECT_GT(features_computed, 0u);
   // Short-circuit voting: strictly fewer tree traversals than T per pair on
   // a decided majority (every unanimous vote exits at ceil(T/2) or earlier
   // than T), never more.
-  const uint64_t trees_voted = w.counters[Counter::kTreesVoted];
-  EXPECT_LE(trees_voted, w.pairs * w.num_trees);
+  const uint64_t trees_voted = fused.counters[Counter::kTreesVoted];
+  EXPECT_LE(trees_voted, n * num_trees);
   EXPECT_GT(trees_voted, 0u);
   EXPECT_GT(fused.time.seconds, 0.0);
 }
 
-// Same predictions and counters regardless of the cluster's local thread
-// count: the map tasks write disjoint prediction slots and each task's
-// counts are charged to the job exactly. Run under FALCON_SANITIZE=thread this
-// also makes TSan exercise the fused job's sharing discipline.
+// The full vote's predictions and the same counters regardless of the
+// cluster's local thread count: the map tasks write disjoint prediction slots
+// and each task's counts are charged to the job exactly. Run under
+// FALCON_SANITIZE=thread this also makes TSan exercise the fused job's
+// sharing discipline.
 TEST(ApplyMatcherFusedTest, DeterministicAcrossThreadCounts) {
   auto d = DirtyProducts(31);
   auto fs = FeatureSet::Generate(d.a, d.b);
   Rng rng(7);
   Cluster train_cluster(FastCluster());
   RandomForest matcher = TrainMatcher(d, fs, &train_cluster, &rng);
-  FlatForest flat = FlatForest::Compile(matcher);
   auto pairs = RandomPairs(d, 1500, &rng);
+  std::vector<char> eager;
+  eager.reserve(pairs.size());
+  for (const auto& [ra, rb] : pairs) {
+    FeatureVec fv = fs.ComputeVector(fs.all_ids(), d.a, ra, d.b, rb);
+    eager.push_back(matcher.Predict(fv) ? 1 : 0);
+  }
 
   auto run = [&](int threads) {
     Cluster cluster(FastCluster(threads));
-    return ApplyMatcherFused(d.a, d.b, pairs, fs, fs.all_ids(), flat,
+    return ApplyMatcherFused(d.a, d.b, pairs, fs, fs.all_ids(), matcher,
                              &cluster);
   };
   auto serial = run(1);
   auto wide = run(4);
+  EXPECT_EQ(serial.predictions, eager);
   EXPECT_EQ(wide.predictions, serial.predictions);
-  EXPECT_EQ(wide.work.counters[Counter::kFeaturesComputed],
-            serial.work.counters[Counter::kFeaturesComputed]);
-  EXPECT_EQ(wide.work.counters[Counter::kTreesVoted],
-            serial.work.counters[Counter::kTreesVoted]);
+  EXPECT_EQ(wide.counters[Counter::kFeaturesComputed],
+            serial.counters[Counter::kFeaturesComputed]);
+  EXPECT_EQ(wide.counters[Counter::kTreesVoted],
+            serial.counters[Counter::kTreesVoted]);
 }
 
 }  // namespace

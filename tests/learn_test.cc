@@ -1,3 +1,4 @@
+#include <algorithm>
 #include <cmath>
 #include <limits>
 
@@ -5,7 +6,6 @@
 
 #include "common/rng.h"
 #include "learn/decision_tree.h"
-#include "learn/flat_forest.h"
 #include "learn/random_forest.h"
 
 namespace falcon {
@@ -233,12 +233,34 @@ TEST(RandomForestTest, EvenTreeCountTieBreaksToMatch) {
   }
 }
 
+// RandomForest::PredictWith, the short-circuit vote apply_matcher uses,
+// pinned to the full vote of RandomForest::Predict. The FlatForestTest names
+// are kept from the compiled copy of the forest this vote used to run on.
+
+/// PredictWith over a materialized vector.
+bool VoteWith(const RandomForest& forest, const FeatureVec& fv,
+              int* trees_voted = nullptr) {
+  return forest.PredictWith([&fv](int pos) { return fv[pos]; }, trees_voted);
+}
+
+/// Feature positions any split of `forest` tests, ascending.
+std::vector<int> UsedFeatures(const RandomForest& forest) {
+  std::vector<int> used;
+  for (const auto& tree : forest.trees()) {
+    for (const TreeNode& n : tree.nodes()) {
+      if (!n.is_leaf) used.push_back(n.feature);
+    }
+  }
+  std::sort(used.begin(), used.end());
+  used.erase(std::unique(used.begin(), used.end()), used.end());
+  return used;
+}
+
 TEST(FlatForestTest, ReproducesTieBreakExactly) {
   for (int pos = 0; pos <= 4; ++pos) {
     for (int neg = 0; neg <= 4; ++neg) {
       RandomForest forest = ConstantForest(pos, neg);
-      FlatForest flat = FlatForest::Compile(forest);
-      EXPECT_EQ(flat.Predict({}), forest.Predict({}))
+      EXPECT_EQ(VoteWith(forest, {}), forest.Predict({}))
           << pos << " match votes of " << pos + neg;
     }
   }
@@ -256,15 +278,10 @@ TEST(FlatForestTest, CompileIsEquivalentAndPredictsIdentically) {
     y.push_back((a > 0.5) == !rng.Bernoulli(0.15) ? 1 : 0);
   }
   auto forest = RandomForest::Train(x, y, ForestOptions{}, &rng);
-  FlatForest flat = FlatForest::Compile(forest);
-  EXPECT_TRUE(flat.EquivalentTo(forest));
-  EXPECT_EQ(flat.num_trees(), forest.num_trees());
-  size_t pool_nodes = 0;
-  for (const auto& t : forest.trees()) pool_nodes += t.nodes().size();
-  EXPECT_EQ(flat.num_nodes(), pool_nodes);
-  // used_features is a subset of the training feature positions.
-  EXPECT_FALSE(flat.used_features().empty());
-  for (int f : flat.used_features()) {
+  // The splits test a subset of the training feature positions.
+  std::vector<int> used = UsedFeatures(forest);
+  EXPECT_FALSE(used.empty());
+  for (int f : used) {
     EXPECT_GE(f, 0);
     EXPECT_LT(f, 3);
   }
@@ -272,23 +289,10 @@ TEST(FlatForestTest, CompileIsEquivalentAndPredictsIdentically) {
     FeatureVec fv = {rng.NextDouble(), rng.NextDouble(), rng.NextDouble()};
     if (rng.Bernoulli(0.2)) fv[rng.NextBelow(3)] = kNaN;
     int voted = -1;
-    EXPECT_EQ(flat.Predict(fv, &voted), forest.Predict(fv));
+    EXPECT_EQ(VoteWith(forest, fv, &voted), forest.Predict(fv));
     EXPECT_GE(voted, 1);
     EXPECT_LE(voted, static_cast<int>(forest.num_trees()));
   }
-}
-
-TEST(FlatForestTest, EquivalentToRejectsADifferentForest) {
-  Rng rng(31);
-  std::vector<FeatureVec> x;
-  std::vector<char> y;
-  MakeSeparable(300, &x, &y, &rng);
-  auto forest = RandomForest::Train(x, y, ForestOptions{}, &rng);
-  FlatForest flat = FlatForest::Compile(forest);
-  ASSERT_TRUE(flat.EquivalentTo(forest));
-  EXPECT_FALSE(flat.EquivalentTo(ConstantForest(5, 5)));
-  EXPECT_FALSE(flat.EquivalentTo(RandomForest()));
-  EXPECT_FALSE(FlatForest::Compile(ConstantForest(2, 2)).EquivalentTo(forest));
 }
 
 TEST(FlatForestTest, ShortCircuitStopsAtDecidingVote) {
@@ -296,23 +300,23 @@ TEST(FlatForestTest, ShortCircuitStopsAtDecidingVote) {
   // (the tie-break bound). 10 unanimous "no" trees: a match needs 5 of the
   // remaining votes, impossible only after the 6th "no".
   int voted = -1;
-  EXPECT_TRUE(FlatForest::Compile(ConstantForest(10, 0)).Predict({}, &voted));
+  EXPECT_TRUE(VoteWith(ConstantForest(10, 0), {}, &voted));
   EXPECT_EQ(voted, 5);
-  EXPECT_FALSE(FlatForest::Compile(ConstantForest(0, 10)).Predict({}, &voted));
+  EXPECT_FALSE(VoteWith(ConstantForest(0, 10), {}, &voted));
   EXPECT_EQ(voted, 6);
   // Odd count: majority of 11 needs 6 matches; 6 "no" votes decide a "no".
-  EXPECT_TRUE(FlatForest::Compile(ConstantForest(11, 0)).Predict({}, &voted));
+  EXPECT_TRUE(VoteWith(ConstantForest(11, 0), {}, &voted));
   EXPECT_EQ(voted, 6);
-  EXPECT_FALSE(FlatForest::Compile(ConstantForest(0, 11)).Predict({}, &voted));
+  EXPECT_FALSE(VoteWith(ConstantForest(0, 11), {}, &voted));
   EXPECT_EQ(voted, 6);
 }
 
 TEST(FlatForestTest, EmptyForestVotesZeroTreesAndPredictsNo) {
-  FlatForest flat = FlatForest::Compile(RandomForest());
+  RandomForest empty;
   int voted = -1;
-  EXPECT_FALSE(flat.Predict({}, &voted));
+  EXPECT_FALSE(VoteWith(empty, {}, &voted));
   EXPECT_EQ(voted, 0);
-  EXPECT_TRUE(flat.used_features().empty());
+  EXPECT_TRUE(UsedFeatures(empty).empty());
 }
 
 TEST(FlatForestTest, NeverReadsUnusedFeatures) {
@@ -327,13 +331,12 @@ TEST(FlatForestTest, NeverReadsUnusedFeatures) {
     y.push_back(v > 0.5 ? 1 : 0);
   }
   auto forest = RandomForest::Train(x, y, ForestOptions{}, &rng);
-  FlatForest flat = FlatForest::Compile(forest);
-  ASSERT_EQ(flat.used_features(), std::vector<int>{1});
+  ASSERT_EQ(UsedFeatures(forest), std::vector<int>{1});
   for (int i = 0; i < 100; ++i) {
     double v = rng.NextDouble();
     bool expect = forest.Predict({7.0, v, 7.0});
     // The accessor traps any read outside the used-feature set.
-    bool got = flat.PredictWith([&](int pos) -> double {
+    bool got = forest.PredictWith([&](int pos) -> double {
       EXPECT_EQ(pos, 1);
       return v;
     });

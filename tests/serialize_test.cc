@@ -1,9 +1,10 @@
 #include <cmath>
 #include <limits>
+#include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
-#include "learn/flat_forest.h"
 #include "rules/serialize.h"
 #include "workload/generator.h"
 
@@ -85,6 +86,22 @@ TEST(SerializeRulesTest, RejectsBadInput) {
       fx.fs);
   ASSERT_FALSE(r.ok());
   EXPECT_EQ(r.status().code(), StatusCode::kNotFound);
+
+  // Integer fields out of their range or not integers at all: each used to
+  // go through a double and an unchecked cast.
+  const std::string f0 = fx.fs.feature(fx.fs.blocking_ids()[0]).name;
+  const std::vector<std::string> bodies = {
+      "rule precision 0.9 coverage 1e30 selectivity 0.5 time 1e-6\n",
+      "rule precision 0.9 coverage -5 selectivity 0.5 time 1e-6\n",
+      "rule precision 0.9 coverage 2.5 selectivity 0.5 time 1e-6\n",
+      "rule precision 0.9 coverage 10 selectivity 0.5 time 1e-6\n"
+      "pred " + f0 + " 2.5 0.5\n",
+  };
+  for (const std::string& body : bodies) {
+    SCOPED_TRACE(body);
+    EXPECT_FALSE(
+        ParseRuleSequence("falcon-rules v1\n" + body + "end\n", fx.fs).ok());
+  }
 }
 
 TEST(SerializeForestTest, RoundTripPredictsIdentically) {
@@ -153,6 +170,32 @@ TEST(SerializeForestTest, RejectsCorruptForests) {
       "\ntrees 1\ntree 1\nsplit 0 0.5 1 3 4\nend\n";
   auto r = ParseForest(bad, fx.fs, &layout);
   ASSERT_FALSE(r.ok());
+
+  // Hostile counts and fields. Counts must not size an allocation, integer
+  // fields must be in range, and a split's children must come after it, so
+  // no walk can cycle.
+  const std::string header =
+      "falcon-forest v1\nfeatures 1\nf " + fx.fs.feature(0).name + "\n";
+  const std::string leaves = "leaf 1 1.0 5\nleaf 0 1.0 5\n";
+  const std::vector<std::string> bodies = {
+      "trees 1e17\n",
+      "trees 100000000000000000\n",
+      "trees 1\ntree 100000000000000000\n",
+      "trees 1\ntree 2\nsplit 0 0.5 1 0 1\nleaf 1 1.0 5\n",  // self loop
+      "trees 1\ntree 3\nsplit 0 0.5 1 1 2\nsplit 0 0.5 1 0 2\n"
+      "leaf 1 1.0 5\n",  // back edge
+      "trees 1\ntree 3\nsplit 0.5 0.5 1 1 2\n" + leaves,
+      "trees 1\ntree 3\nsplit 0 0.5 7 1 2\n" + leaves,
+      "trees 1\ntree 3\nsplit 0 0.5 1 1.5 2\n" + leaves,
+      "trees 1\ntree 1\nleaf 2 1.0 5\n",
+      "trees 1\ntree 1\nleaf 0.5 1.0 5\n",
+      "trees 1\ntree 1\nleaf 1 1.0 4294967296\n",
+      "trees 1\ntree 1\nleaf 1 1.0 -1\n",
+  };
+  for (const std::string& body : bodies) {
+    SCOPED_TRACE(body);
+    EXPECT_FALSE(ParseForest(header + body + "end\n", fx.fs, &layout).ok());
+  }
 }
 
 // Missing-value splits are real in this codebase (set-similarity features
@@ -245,9 +288,10 @@ TEST(SerializeRulesTest, ZeroRuleSequenceRoundTrips) {
   EXPECT_DOUBLE_EQ(back->selectivity, 1.0);
 }
 
-// The fused matching stage compiles the deserialized forest; compilation
-// must agree with the node-pool form after a round trip (it checks
-// structural equivalence internally, and predictions must match too).
+// The fused matching stage votes with the deserialized forest (a resumed
+// run's matcher): its short-circuit vote must agree with the original
+// forest's full vote after a round trip. The name is kept from the compiled
+// forest copy this test used to check.
 TEST(SerializeForestTest, FlatForestCompileAfterDeserializeIsEquivalent) {
   SerializeFixture fx;
   std::vector<FeatureVec> x;
@@ -266,10 +310,9 @@ TEST(SerializeForestTest, FlatForestCompileAfterDeserializeIsEquivalent) {
   auto back = ParseForest(text, fx.fs, &layout);
   ASSERT_TRUE(back.ok()) << back.status().ToString();
 
-  FlatForest flat = FlatForest::Compile(*back);
-  EXPECT_TRUE(flat.EquivalentTo(forest));
   for (const auto& fv : x) {
-    EXPECT_EQ(flat.Predict(fv), forest.Predict(fv));
+    EXPECT_EQ(back->PredictWith([&fv](int pos) { return fv[pos]; }),
+              forest.Predict(fv));
   }
 }
 

@@ -8,10 +8,14 @@
 // crowd decorator stack.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <functional>
 #include <string>
 #include <utility>
 #include <vector>
 
+#include "common/crc32.h"
+#include "common/serde.h"
 #include "session/service.h"
 #include "session_harness.h"
 
@@ -303,10 +307,14 @@ struct ValidationFixture {
 
   PipelineState& state() { return pipeline.state(); }
 
+  std::string Write() {
+    return WriteSnapshot("validate", pipeline, data.a, data.b, crowd, cfg);
+  }
+
   /// Writes the (mutated) state and loads it into a fresh pipeline.
-  Status Reload() {
-    std::string blob =
-        WriteSnapshot("validate", pipeline, data.a, data.b, crowd, cfg);
+  Status Reload() { return Load(Write()); }
+
+  Status Load(const std::string& blob) {
     Cluster fresh_cluster{FastCluster(1)};
     SimulatedCrowd fresh_crowd(CrowdConfig(cfg.seed), data.truth.MakeOracle());
     FalconPipeline fresh(&data.a, &data.b, &fresh_crowd, &fresh_cluster, cfg);
@@ -364,6 +372,87 @@ TEST(SnapshotValidationTest, RejectsCoverageWidthOtherThanSample) {
   ValidationFixture fx;
   fx.state().candidate_coverage[0] = Bitmap(fx.state().sample.size() + 1);
   EXPECT_FALSE(fx.Reload().ok());
+}
+
+/// Replaces the payload of section `tag` (snapshot.cc's SectionTag) with
+/// `edit(payload)` and recomputes its CRC, so only the loader's semantic
+/// checks stand between the edit and the pipeline.
+std::string RewriteSection(
+    const std::string& blob, uint32_t tag,
+    const std::function<std::string(const std::string&)>& edit) {
+  BinaryReader r(blob);
+  BinaryWriter out;
+  out.U32(r.U32());  // magic
+  out.U32(r.U32());  // format version
+  bool rewrote = false;
+  while (r.ok() && r.remaining() > 0) {
+    const uint32_t section = r.U32();
+    const uint64_t len = r.U64();
+    r.U32();  // CRC, recomputed below
+    std::string payload;
+    for (uint64_t i = 0; i < len && r.ok(); ++i) {
+      payload.push_back(static_cast<char>(r.U8()));
+    }
+    if (section == tag) {
+      payload = edit(payload);
+      rewrote = true;
+    }
+    out.U32(section);
+    out.U64(payload.size());
+    out.U32(Crc32(payload));
+    out.Raw(payload.data(), payload.size());
+  }
+  EXPECT_TRUE(r.exhausted());
+  EXPECT_TRUE(rewrote);
+  return out.Take();
+}
+
+// A bitmap header of 2^64-1 bits in 0 words, where (nbits + 63) / 64 wraps
+// around to 0: the width check alone stands between it and a 2^64-1 entry
+// prediction vector.
+TEST(SnapshotValidationTest, RejectsBitmapWidthThatOverflowsItsWordCount) {
+  ValidationFixture fx;
+  std::string blob =
+      RewriteSection(fx.Write(), 8, [](const std::string& payload) {
+        // MATCHER: forest text, converged flag, prediction bitmap.
+        BinaryReader pr(payload);
+        BinaryWriter pw;
+        pw.Str(pr.Str());
+        pw.U8(pr.U8());
+        pw.U64(UINT64_MAX);  // nbits
+        pw.U64(0);           // nwords
+        EXPECT_TRUE(pr.ok());
+        return pw.Take();
+      });
+  EXPECT_FALSE(fx.Load(blob).ok());
+}
+
+// A forest written over a wider layout than the pipeline applies it with:
+// every listed feature exists and its split is in range for the text, but
+// the position is outside the blocking feature vector.
+TEST(SnapshotValidationTest, RejectsForestLayoutOtherThanFeatureSet) {
+  ValidationFixture fx;
+  const FeatureSet& fs = fx.pipeline.features();
+  const size_t width = fs.blocking_ids().size();
+  std::string forest = "falcon-forest v1\nfeatures " +
+                       std::to_string(width + 1) + "\n";
+  for (size_t i = 0; i <= width; ++i) {
+    forest += "f " + fs.feature(fs.blocking_ids()[0]).name + "\n";
+  }
+  forest += "trees 1\ntree 3\nsplit " + std::to_string(width) +
+            " 0.5 1 1 2\nleaf 1 1.0 5\nleaf 0 1.0 5\nend\n";
+  std::string blob =
+      RewriteSection(fx.Write(), 5, [&](const std::string& payload) {
+        // BLOCKER: forest text, then the crowd labels, kept as written.
+        BinaryReader pr(payload);
+        pr.Str();
+        std::string labels = payload.substr(payload.size() - pr.remaining());
+        BinaryWriter pw;
+        pw.Str(forest);
+        pw.Raw(labels.data(), labels.size());
+        return pw.Take();
+      });
+  EXPECT_FALSE(fx.Load(blob).ok());
 }
 
 }  // namespace
