@@ -170,33 +170,37 @@ void WriteComparisonReport() {
              std::chrono::duration<double, std::micro>(t1 - t0).count() /
                  probes);
 
-  // Rule application: a Keep() sweep over the bound feature set, where the
-  // adaptive intersection kernels and the single-reader threshold fast path
-  // decide the predicate. Every keep decision must equal the value path's —
-  // an applier over a freshly generated, unbound feature set computes the
-  // full similarity with no fast path — or the bench exits fatally.
-  // The rule uses the word jaccard on descr when generated: description
-  // token sets (~18 words per row vs ~7 for titles) clear the fast path's
-  // minimum-size gate, so the sweep actually exercises the early-exit
-  // threshold kernel instead of bypassing it on every pair.
-  {
-    int keep_feat = fx->pred.feature_id;
+  // Rule application: Keep() sweeps over the bound feature set, where each
+  // set-based predicate is decided from an intersection count against its
+  // flip point. Every keep decision must equal the value path's — an
+  // applier over a freshly generated, unbound feature set computes the full
+  // similarity from strings — or the bench exits fatally. Two lanes, the
+  // word jaccard on descr (~18 words per row) and on title (~7 words), time
+  // long and short sets.
+  fx->fs.BindTokenStores(fx->catalog.mutable_store(&d.a),
+                         fx->catalog.mutable_store(&d.b));
+  const FeatureSet unbound = FeatureSet::Generate(d.a, d.b);
+  auto keep_lane = [&](const std::string& prefix, const char* attr,
+                       PredOp op, double value) {
+    int keep_feat = -1;
     for (const auto& f : fx->fs.features()) {
       if (f.fn == SimFunction::kJaccard && f.tok == Tokenization::kWord &&
           f.usable_for_blocking &&
-          f.name.find("(descr,descr)") != std::string::npos) {
+          f.name.find(std::string("(") + attr + "," + attr + ")") !=
+              std::string::npos) {
         keep_feat = f.id;
         break;
       }
     }
+    if (keep_feat < 0) {
+      fprintf(stderr, "FATAL: no word jaccard feature on %s\n", attr);
+      exit(1);
+    }
     RuleSequence seq;
     Rule r;
-    r.predicates = {Predicate{keep_feat, keep_feat, PredOp::kGt, 0.5}};
+    r.predicates = {Predicate{keep_feat, keep_feat, op, value}};
     seq.rules = {r};
-    fx->fs.BindTokenStores(fx->catalog.mutable_store(&d.a),
-                           fx->catalog.mutable_store(&d.b));
     RuleApplier applier(seq, &fx->fs, &d.a, &d.b);
-    const FeatureSet unbound = FeatureSet::Generate(d.a, d.b);
     RuleApplier value_applier(seq, &unbound, &d.a, &d.b);
     // Strided A sample x every B row keeps the sweep O(seconds) at full size.
     const size_t a_step = std::max<size_t>(d.a.num_rows() / 64, 1);
@@ -209,39 +213,44 @@ void WriteComparisonReport() {
         }
       }
     };
-    std::vector<char> keep_value, keep_adaptive;
+    std::vector<char> keep_value, keep_bound;
     sweep(value_applier, &keep_value);
     const CounterSet before = ThreadCounters();
     auto tA = Clock::now();
-    sweep(applier, &keep_adaptive);
+    sweep(applier, &keep_bound);
     auto tB = Clock::now();
     const CounterSet delta = ThreadCounters() - before;
-    if (keep_value != keep_adaptive) {
+    if (keep_value != keep_bound) {
       fprintf(stderr,
-              "FATAL: the threshold fast path changed a RuleApplier::Keep "
-              "decision (value path kept %zu, bound applier kept %zu)\n",
+              "FATAL: the count decision changed a RuleApplier::Keep "
+              "decision on %s (value path kept %zu, bound applier kept %zu)\n",
+              attr,
               static_cast<size_t>(
                   std::count(keep_value.begin(), keep_value.end(), 1)),
-              static_cast<size_t>(std::count(keep_adaptive.begin(),
-                                             keep_adaptive.end(), 1)));
+              static_cast<size_t>(
+                  std::count(keep_bound.begin(), keep_bound.end(), 1)));
       exit(1);
     }
-    const double pairs = static_cast<double>(keep_adaptive.size());
-    const double adaptive_us =
+    const double pairs = static_cast<double>(keep_bound.size());
+    const double us =
         std::chrono::duration<double, std::micro>(tB - tA).count() / pairs;
-    report.Add("keep/pairs", static_cast<int64_t>(keep_adaptive.size()));
-    report.Add("keep/adaptive_us_per_pair", adaptive_us);
-    report.Add("keep/intersect_small",
+    report.Add(prefix + "/pairs", static_cast<int64_t>(keep_bound.size()));
+    report.Add(prefix + "/adaptive_us_per_pair", us);
+    report.Add(prefix + "/intersect_scalar",
+               static_cast<int64_t>(delta[Counter::kIntersectScalar]));
+    report.Add(prefix + "/intersect_small",
                static_cast<int64_t>(delta[Counter::kIntersectSmall]));
-    report.Add("keep/intersect_gallop",
+    report.Add(prefix + "/intersect_gallop",
                static_cast<int64_t>(delta[Counter::kIntersectGallop]));
-    report.Add("keep/intersect_simd",
+    report.Add(prefix + "/intersect_simd",
                static_cast<int64_t>(delta[Counter::kIntersectSimd]));
-    report.Add("keep/intersect_early_exit",
+    report.Add(prefix + "/intersect_early_exit",
                static_cast<int64_t>(delta[Counter::kIntersectEarlyExit]));
-    report.Add("keep/simd_kernel", std::string(SimdIntersectKernelName()));
-    printf("keep: %.3f us/pair\n", adaptive_us);
-  }
+    printf("%s: %.3f us/pair\n", prefix.c_str(), us);
+  };
+  keep_lane("keep", "descr", PredOp::kGt, 0.5);
+  keep_lane("keep_title", "title", PredOp::kLe, 0.4);
+  report.Add("keep/simd_kernel", std::string(SimdIntersectKernelName()));
 
   // Index build (jobs 1-3 + store views) from a cold catalog. The
   // allocation counters in each job's stats are real heap traffic:

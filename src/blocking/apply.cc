@@ -1,11 +1,8 @@
 #include "blocking/apply.h"
 
 #include <algorithm>
-#include <bit>
-#include <cmath>
 #include <map>
 #include <span>
-#include <unordered_set>
 
 #include "blocking/index_builder.h"
 #include "common/arena.h"
@@ -37,63 +34,43 @@ const char* ApplyMethodName(ApplyMethod m) {
 
 namespace {
 
-/// Decides `SetSimFromCounts(fn, |x ∩ y|, |x|, |y|) <op> value` without
-/// computing the full intersection. Every set similarity is monotone
-/// nondecreasing in the intersection count for fixed set sizes, so the
-/// predicate flips at most once over counts 0..min(|x|,|y|); binary-search
-/// that boundary with the SAME double formula the value path evaluates
-/// (SetSimFromCounts — this is what keeps the decision bit-identical), then
-/// ask the early-exit threshold kernel whether the count reaches it.
-bool EvalSetPredicate(SimFunction fn, PredOp op, double value,
-                      std::span<const TokenId> x, std::span<const TokenId> y) {
-  const size_t nx = x.size();
-  const size_t ny = y.size();
-  const size_t m = std::min(nx, ny);
-  auto eval = [&](size_t inter) {
-    double v = SetSimFromCounts(fn, inter, nx, ny);
-    switch (op) {
-      case PredOp::kLe:
-        return v <= value;
-      case PredOp::kGt:
-        return v > value;
-      case PredOp::kLt:
-        return v < value;
-      case PredOp::kGe:
-        return v >= value;
-      default:
-        return false;
-    }
-  };
-  if (op == PredOp::kGe || op == PredOp::kGt) {
-    // Predicate is monotone nondecreasing in the count.
-    if (eval(0)) return true;    // holds even for disjoint sets
-    if (!eval(m)) return false;  // fails even for full containment
-    size_t lo = 1;
-    size_t hi = m;  // smallest count in (0, m] where the predicate holds
-    while (lo < hi) {
-      size_t mid = lo + (hi - lo) / 2;
-      if (eval(mid)) {
-        hi = mid;
-      } else {
-        lo = mid + 1;
-      }
-    }
-    return SortedIntersectionAtLeast(x, y, lo);
+/// `v <op> value`; false when either side is NaN.
+bool Holds(PredOp op, double v, double value) {
+  switch (op) {
+    case PredOp::kLe:
+      return v <= value;
+    case PredOp::kGt:
+      return v > value;
+    case PredOp::kLt:
+      return v < value;
+    case PredOp::kGe:
+      return v >= value;
   }
-  // kLe / kLt: monotone nonincreasing in the count.
-  if (eval(m)) return true;
-  if (!eval(0)) return false;
+  return false;
+}
+
+/// The flip point of `SetSimFromCounts(fn, count, nx, ny) <op> value` over
+/// counts 0..m, m = min(nx, ny), packed as `(t << 1) | verdict_at_0`: t is
+/// the smallest count whose verdict differs from count 0's, or m + 1 when
+/// none does. The verdict is monotone in the count (see RuleApplier), so t
+/// is found by binary search over [1, m + 1].
+size_t FlipPoint(SimFunction fn, PredOp op, double value, size_t nx,
+                 size_t ny) {
+  auto verdict = [&](size_t count) {
+    return Holds(op, SetSimFromCounts(fn, count, nx, ny), value);
+  };
+  const bool at_zero = verdict(0);
   size_t lo = 1;
-  size_t hi = m;  // smallest count where the predicate FAILS
+  size_t hi = std::min(nx, ny) + 1;
   while (lo < hi) {
-    size_t mid = lo + (hi - lo) / 2;
-    if (!eval(mid)) {
+    const size_t mid = lo + (hi - lo) / 2;
+    if (verdict(mid) != at_zero) {
       hi = mid;
     } else {
       lo = mid + 1;
     }
   }
-  return !SortedIntersectionAtLeast(x, y, lo);
+  return (lo << 1) | (at_zero ? 1 : 0);
 }
 
 }  // namespace
@@ -117,21 +94,29 @@ RuleApplier::RuleApplier(const RuleSequence& seq, const FeatureSet* fs,
   }
   num_slots_ = slot_of.size();
 
-  // Mark predicates decidable by the intersection-threshold kernel: only
-  // safe when no OTHER predicate shares the slot (the fast path skips the
-  // memoized value entirely, so a second reader would recompute).
+  // Bind the count-decided predicates. Views depend only on the feature, so
+  // every reader of a slot is bound or none is.
   std::vector<int> slot_refs(num_slots_, 0);
   for (const auto& rule : rules_) {
     for (const auto& p : rule) ++slot_refs[p.slot];
   }
   for (auto& rule : rules_) {
     for (auto& p : rule) {
-      p.threshold_ok = slot_refs[p.slot] == 1 &&
-                       (p.op == PredOp::kLe || p.op == PredOp::kLt ||
-                        p.op == PredOp::kGe || p.op == PredOp::kGt) &&
-                       IsSetBased(fs->feature(p.feature_id).fn) &&
-                       fs->TokenViews(p.feature_id, *a, *b, &p.view_a,
-                                      &p.view_b);
+      if (!fs->TokenViews(p.feature_id, *a, *b, &p.view_a, &p.view_b)) {
+        continue;
+      }
+      const Feature& f = fs->feature(p.feature_id);
+      p.fn = f.fn;
+      p.col_a = f.col_a;
+      p.col_b = f.col_b;
+      p.sole_reader = slot_refs[p.slot] == 1;
+      p.flips.resize(kFlipTableSide * kFlipTableSide);
+      for (size_t nx = 0; nx < kFlipTableSide; ++nx) {
+        for (size_t ny = 0; ny < kFlipTableSide; ++ny) {
+          p.flips[nx * kFlipTableSide + ny] =
+              static_cast<uint8_t>(FlipPoint(p.fn, p.op, p.value, nx, ny));
+        }
+      }
     }
   }
 }
@@ -168,52 +153,42 @@ bool RuleApplier::Keep(RowId a_row, RowId b_row) const {
   for (const auto& rule : rules_) {
     bool fires = !rule.empty();
     for (const auto& p : rule) {
-      // Threshold fast path: a set-based ordering predicate whose slot has
-      // no other reader can be decided by the early-exit intersection
-      // kernel, skipping the full similarity (bit-identical decision; see
-      // EvalSetPredicate).
-      if (p.threshold_ok && slot_stamps[p.slot] != slot_epoch) {
-        const Feature& f = fs_->feature(p.feature_id);
+      bool holds;
+      if (p.flips.empty()) {
+        if (slot_stamps[p.slot] != slot_epoch) {
+          slot_values[p.slot] =
+              fs_->Compute(p.feature_id, *a_, a_row, *b_, b_row);
+          slot_stamps[p.slot] = slot_epoch;
+        }
+        // A missing value computes to NaN, which satisfies no comparison:
+        // missing cannot prove a non-match.
+        holds = Holds(p.op, slot_values[p.slot], p.value);
+      } else {
         const std::span<const TokenId> x = p.view_a->row(a_row);
         const std::span<const TokenId> y = p.view_b->row(b_row);
-        // Missing values must keep flowing through Compute (NaN never
-        // satisfies a predicate), and below ~16 ids the full merge costs
-        // less than the boundary search + early-exit bookkeeping — the size
-        // gate is a pure function of the lengths, so it is deterministic.
-        if (std::min(x.size(), y.size()) >= 16 &&
-            !a_->IsMissing(a_row, f.col_a) && !b_->IsMissing(b_row, f.col_b)) {
-          if (EvalSetPredicate(f.fn, p.op, p.value, x, y)) {
-            continue;  // predicate holds; slot stays unstamped (sole reader)
+        const size_t nx = x.size();
+        const size_t ny = y.size();
+        const size_t flip = nx < kFlipTableSide && ny < kFlipTableSide
+                                ? p.flips[nx * kFlipTableSide + ny]
+                                : FlipPoint(p.fn, p.op, p.value, nx, ny);
+        const size_t t = flip >> 1;
+        const bool at_zero = (flip & 1) != 0;
+        // Views hold missing values as empty sets, so only an empty side
+        // can be missing, which makes the predicate false.
+        if ((nx == 0 && a_->IsMissing(a_row, p.col_a)) ||
+            (ny == 0 && b_->IsMissing(b_row, p.col_b))) {
+          holds = false;
+        } else if (t > std::min(nx, ny)) {
+          holds = at_zero;  // no reachable count flips the verdict
+        } else if (p.sole_reader) {
+          holds = SortedIntersectionAtLeast(x, y, t) != at_zero;
+        } else {
+          if (slot_stamps[p.slot] != slot_epoch) {
+            slot_values[p.slot] =
+                static_cast<double>(SortedIntersectionSize(x, y));
+            slot_stamps[p.slot] = slot_epoch;
           }
-          fires = false;
-          break;
-        }
-      }
-      if (slot_stamps[p.slot] != slot_epoch) {
-        slot_values[p.slot] =
-            fs_->Compute(p.feature_id, *a_, a_row, *b_, b_row);
-        slot_stamps[p.slot] = slot_epoch;
-      }
-      double v = slot_values[p.slot];
-      bool holds;
-      if (std::isnan(v)) {
-        holds = false;  // missing cannot prove a non-match
-      } else {
-        switch (p.op) {
-          case PredOp::kLe:
-            holds = v <= p.value;
-            break;
-          case PredOp::kGt:
-            holds = v > p.value;
-            break;
-          case PredOp::kLt:
-            holds = v < p.value;
-            break;
-          case PredOp::kGe:
-            holds = v >= p.value;
-            break;
-          default:
-            holds = false;
+          holds = (slot_values[p.slot] >= static_cast<double>(t)) != at_zero;
         }
       }
       if (!holds) {
@@ -507,14 +482,16 @@ Result<ApplyResult> RunKeyedByPair(const Table& a, const Table& b,
         if (vals[0].tag < 0) {
           survives = true;  // unfilterable B-row, emitted in full
         } else {
-          uint32_t k_b = vals[0].aux;
-          // Count distinct clause ids among hits.
-          uint64_t mask = 0;
+          // Count distinct clause ids among hits. Values arrive in split
+          // order, i.e. in unit order, and units are in clause order, so
+          // equal ids are adjacent.
+          uint32_t clauses = 0;
+          int32_t last = -1;
           for (const auto& v : vals) {
-            if (v.tag >= 0 && v.tag < 64) mask |= (uint64_t{1} << v.tag);
+            if (v.tag != last) ++clauses;
+            last = v.tag;
           }
-          survives =
-              static_cast<uint32_t>(std::popcount(mask)) >= k_b;
+          survives = clauses >= vals[0].aux;
         }
         if (!survives) return;
         Count(Counter::kCandidatesExamined);

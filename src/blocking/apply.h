@@ -77,6 +77,17 @@ struct ApplyResult {
 /// memoization (Section 7.3, optimization 3 is applied to the sequence
 /// beforehand via SimplifySequence).
 ///
+/// Set-based predicates are decided from intersection counts. For fixed
+/// sizes |x| and |y|, a Jaccard, Dice, Overlap or Cosine score is monotone
+/// nondecreasing in |x ∩ y| (and IEEE division is monotone), so the verdict
+/// of `score <op> value` flips at most once as the count grows. A predicate
+/// whose interned token views resolve (FeatureSet::TokenViews) therefore
+/// keeps, per size pair, its flip point t: the smallest count whose verdict
+/// differs from the verdict at count 0. Keep decides it by asking whether
+/// the count reaches t, with the same SetSimFromCounts formula behind t as
+/// behind the value path, so every decision is bit-identical to computing
+/// the feature. Other predicates compute their (memoized) feature value.
+///
 /// Thread safety: Keep() may be called concurrently from multiple threads —
 /// the per-pair memoization scratch is thread-local and fully reset on every
 /// call.
@@ -89,22 +100,30 @@ class RuleApplier {
   bool Keep(RowId a_row, RowId b_row) const;
 
  private:
+  /// Flip points are tabulated for set sizes below this on both sides;
+  /// larger sizes binary-search theirs per pair.
+  static constexpr size_t kFlipTableSide = 64;
+
   struct BoundPredicate {
-    int slot;  ///< index into the memoized value array
+    /// Index into the memoized scratch: the feature value, or for a
+    /// count-decided predicate the intersection count.
+    int slot;
     int feature_id;
     PredOp op;
     double value;
-    /// True when this predicate is the sequence's ONLY reader of its slot,
-    /// the feature is set-based, the op is an ordering comparison, and both
-    /// token-set views below resolved: Keep may then decide it via the
-    /// early-exit intersection-threshold kernel (text/intersect.h) instead
-    /// of computing the full similarity — the memoized value would never be
-    /// read again anyway.
-    bool threshold_ok = false;
-    /// Interned token-set views of the feature's two columns, resolved once
-    /// at construction (only when threshold_ok; see FeatureSet::TokenViews).
+    /// The rest is bound only for count-decided predicates (non-empty
+    /// `flips`): the feature's function, columns and interned token-set
+    /// views, and whether this predicate is its slot's only reader.
+    SimFunction fn = SimFunction::kJaccard;
+    int col_a = -1;
+    int col_b = -1;
     const TokenSetView* view_a = nullptr;
     const TokenSetView* view_b = nullptr;
+    bool sole_reader = false;
+    /// `(t << 1) | verdict_at_0` for |x| * kFlipTableSide + |y|, both sizes
+    /// below kFlipTableSide; t is min(|x|,|y|) + 1 when the verdict never
+    /// flips. Empty for value-path predicates.
+    std::vector<uint8_t> flips = {};
   };
   std::vector<std::vector<BoundPredicate>> rules_;
   const FeatureSet* fs_;

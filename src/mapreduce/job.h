@@ -309,6 +309,20 @@ inline void RunTasks(Cluster* cluster, bool serial, const ArenaLease& arenas,
   }
 }
 
+/// Moves the task outputs, in order, onto the end of `*out`, reserving the
+/// total once instead of growing `*out` output by output.
+template <typename OutT>
+void MoveConcat(std::vector<TaskVector<OutT>>& parts,
+                std::vector<OutT>* out) {
+  size_t total = out->size();
+  for (const auto& part : parts) total += part.size();
+  out->reserve(total);
+  for (auto& part : parts) {
+    out->insert(out->end(), std::make_move_iterator(part.begin()),
+                std::make_move_iterator(part.end()));
+  }
+}
+
 }  // namespace internal
 
 /// Runs a full map-shuffle-reduce job over `input`.
@@ -434,11 +448,7 @@ JobOutput<OutT> RunMapReduce(
           });
         },
         &stats.counters);
-    for (auto& out : reduce_outputs) {
-      result.output.insert(result.output.end(),
-                           std::make_move_iterator(out.begin()),
-                           std::make_move_iterator(out.end()));
-    }
+    internal::MoveConcat(reduce_outputs, &result.output);
     stats.num_reduce_tasks = active.size();
 
     // Destroy everything arena-resident before the leases end.
@@ -529,11 +539,7 @@ JobOutput<OutT> RunMapReduce(
         },
         &stats.counters);
     // Canonical shard order == the hash path's (block, pair-range) order.
-    for (auto& frag : fragments) {
-      result.output.insert(result.output.end(),
-                           std::make_move_iterator(frag.begin()),
-                           std::make_move_iterator(frag.end()));
-    }
+    internal::MoveConcat(fragments, &result.output);
     stats.num_reduce_tasks = active.size();
 
     fragments.clear();
@@ -591,11 +597,7 @@ JobOutput<OutT> RunMapOnly(
         task_seconds[t] += opts.map_setup_seconds;
       },
       &stats.counters);
-  for (auto& out : split_outputs) {
-    result.output.insert(result.output.end(),
-                         std::make_move_iterator(out.begin()),
-                         std::make_move_iterator(out.end()));
-  }
+  internal::MoveConcat(split_outputs, &result.output);
   split_outputs.clear();
   arenas.ReleaseAll();
   stats.map_time =

@@ -110,11 +110,12 @@ class FeatureSet {
   /// Exposes the interned token-set views feature `id` would compute over:
   /// true iff `id` is set-based and both bound stores cover the (table,
   /// attribute, tokenization) — i.e. exactly when Compute takes the
-  /// dictionary-encoded fast path. Row-independent, so callers that only
-  /// need an intersection-count *predicate* (RuleApplier's threshold fast
-  /// path) resolve the store lookups once per sequence, then read per-row
-  /// spans off the views directly. Callers must still honor per-row
-  /// missingness (Table::IsMissing), which Compute maps to NaN.
+  /// dictionary-encoded fast path. Row-independent, so a caller that only
+  /// needs intersection counts (RuleApplier, which decides every set
+  /// predicate from one) resolves the store lookups once per sequence, then
+  /// reads per-row spans off the views directly. Callers must still honor
+  /// per-row missingness (Table::IsMissing), which Compute maps to NaN; a
+  /// missing value's row is an empty span.
   bool TokenViews(int id, const Table& a, const Table& b,
                   const TokenSetView** va, const TokenSetView** vb) const;
 

@@ -60,8 +60,8 @@ size_t SortedIntersectionSize(const std::vector<std::string>& a,
 
 /// True iff |a ∩ b| >= alpha, with early exit in both directions: returns as
 /// soon as `alpha` matches are found OR the remaining elements of the shorter
-/// side cannot reach `alpha`. Blocking filters use this to decide a
-/// similarity-threshold predicate without computing the full intersection.
+/// side cannot reach `alpha`. RuleApplier uses this to decide a set
+/// predicate at its flip point without computing the full intersection.
 /// The boolean equals `SortedIntersectionSize(a, b) >= alpha` exactly.
 bool SortedIntersectionAtLeast(std::span<const TokenId> a,
                                std::span<const TokenId> b, size_t alpha);

@@ -86,11 +86,11 @@ double CosineSim(std::span<const TokenId> x, std::span<const TokenId> y);
 
 /// The shared closed form behind every set-based similarity: the score of a
 /// set-based `fn` given |x ∩ y| = `inter`, |x| = `nx`, |y| = `ny` (NaN for
-/// non-set-based functions). Both the value paths above and the
-/// threshold-predicate fast path (RuleApplier) evaluate THIS function, which
-/// is what keeps their keep/drop decisions bit-identical. Monotone
-/// nondecreasing in `inter` for fixed sizes — the property the threshold
-/// path's binary search relies on.
+/// non-set-based functions). Both the value paths above and RuleApplier's
+/// count-decided predicates (whose flip points are searched over it)
+/// evaluate THIS function, which is what keeps their keep/drop decisions
+/// bit-identical. Monotone nondecreasing in `inter` for fixed sizes — the
+/// property that lets a predicate's verdict flip at most once.
 double SetSimFromCounts(SimFunction fn, size_t inter, size_t nx, size_t ny);
 
 // --- string similarities ---------------------------------------------------

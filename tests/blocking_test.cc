@@ -343,6 +343,63 @@ TEST(ApplyTest, TokenProbeWithoutBStoreViewIsRejected) {
   EXPECT_TRUE(map_side.ok()) << map_side.status().ToString();
 }
 
+// A sequence with more filterable clauses than a 64-bit mask has bits: the
+// keyed-by-pair reducers must count every clause a pair hit, or no pair
+// reaches the count of active clauses and every pair is lost.
+TEST(ApplyTest, SeventyClauseSequenceMatchesOracle) {
+  WorkloadOptions opt;
+  opt.size_a = 60;
+  opt.size_b = 80;
+  opt.seed = 7;
+  GeneratedDataset data = GenerateProducts(opt);
+  FeatureSet fs = FeatureSet::Generate(data.a, data.b);
+  int jac_title = -1;
+  for (const auto& f : fs.features()) {
+    if (f.fn == SimFunction::kJaccard && f.tok == Tokenization::kWord &&
+        f.name.find("(title,title)") != std::string::npos) {
+      jac_title = f.id;
+    }
+  }
+  ASSERT_GE(jac_title, 0);
+  RuleSequence seq;
+  for (int i = 1; i <= 70; ++i) {
+    Rule r;
+    r.predicates = {{jac_title, jac_title, PredOp::kLe, 0.001 * i}};
+    r.selectivity = 0.5;
+    seq.rules.push_back(r);
+  }
+  Cluster cluster{FastCluster()};
+  IndexCatalog catalog;
+  IndexBuilder builder(&data.a, &cluster);
+  builder.EnsureTokenStores(data.b, fs, &catalog);
+  builder.Ensure(IndexBuilder::NeedsOfCnf(ToCnf(seq), fs), &catalog);
+
+  RuleApplier oracle(seq, &fs, &data.a, &data.b);
+  std::set<uint64_t> expected;
+  for (RowId a = 0; a < data.a.num_rows(); ++a) {
+    for (RowId b = 0; b < data.b.num_rows(); ++b) {
+      if (oracle.Keep(a, b)) {
+        expected.insert((static_cast<uint64_t>(a) << 32) | b);
+      }
+    }
+  }
+  ASSERT_FALSE(expected.empty());
+  for (ApplyMethod m :
+       {ApplyMethod::kApplyAll, ApplyMethod::kApplyGreedy,
+        ApplyMethod::kApplyConjunct, ApplyMethod::kApplyPredicate,
+        ApplyMethod::kMapSide, ApplyMethod::kReduceSplit}) {
+    auto res = ApplyBlockingRules(data.a, data.b, seq, fs, catalog, &cluster,
+                                  m, ApplyOptions{});
+    ASSERT_TRUE(res.ok()) << ApplyMethodName(m) << ": "
+                          << res.status().ToString();
+    std::set<uint64_t> got;
+    for (auto [a, b] : res->pairs) {
+      got.insert((static_cast<uint64_t>(a) << 32) | b);
+    }
+    EXPECT_EQ(got, expected) << ApplyMethodName(m);
+  }
+}
+
 TEST(ApplyTest, EmptySequenceRejected) {
   ApplyFixture fixture;
   RuleSequence empty;

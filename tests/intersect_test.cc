@@ -272,7 +272,8 @@ ClusterConfig FastCluster() {
 }
 
 // Zipf products + a Jaccard threshold rule: posting probes, set similarity,
-// and the threshold fast path all run inside one blocking job.
+// and keep decisions made from intersection counts all run inside one
+// blocking job.
 struct IntersectJobFixture {
   GeneratedDataset data;
   FeatureSet fs;
@@ -331,9 +332,9 @@ TEST(IntersectJobTest, ByteIdenticalAcrossThreadsAndKernels) {
   EXPECT_EQ(serial.pairs, threaded.pairs);
   EXPECT_EQ(serial.candidates_examined, threaded.candidates_examined);
 
-  // The threshold fast path must not change a single keep decision: an
-  // applier over the bound feature set (adaptive kernels, early-exit
-  // predicate evaluation) agrees on every A x B pair with one over a freshly
+  // Deciding predicates from intersection counts must not change a single
+  // keep decision: an applier over the bound feature set (flip points,
+  // early-exit counts) agrees on every A x B pair with one over a freshly
   // generated, unbound feature set, which computes every similarity in full.
   const FeatureSet unbound = FeatureSet::Generate(fixture.data.a,
                                                   fixture.data.b);
