@@ -6,7 +6,13 @@
 // only complete on the smallest data set and are killed elsewhere; under
 // reduced memory (2G -> 1G -> 500M) AA/AG/AC stop fitting while AP still
 // works; Falcon's selection rule usually picks the best operator.
+//
+// Exits nonzero when no dataset yields a rule sequence, when the operator
+// SelectApplyMethod picks fails, or when two operators that run at one
+// memory level keep different candidates.
+#include <algorithm>
 #include <cstdio>
+#include <vector>
 
 #include "blocking/apply.h"
 #include "blocking/index_builder.h"
@@ -38,7 +44,8 @@ int main(int argc, char** argv) {
   double scale = flags.GetDouble("scale", 1.0);
   uint64_t seed = flags.GetInt("seed", 100);
   int threads = static_cast<int>(flags.GetInt("threads", 0));
-  // Virtual kill limit for the enumerate-A-x-B baselines.
+  // Paper-scale kill limit for the enumerate-A-x-B baselines, applied to
+  // their measured virtual time extrapolated to paper scale.
   VDuration limit = VDuration::Minutes(flags.GetDouble("kill-minutes", 60));
 
   std::printf("=== Section 11.2: physical operators for apply_blocking_rules "
@@ -46,6 +53,8 @@ int main(int argc, char** argv) {
   BenchReport report("sec112_physical_ops");
   report.Add("scale", scale);
   report.Add("threads", static_cast<int64_t>(threads));
+  int datasets_compared = 0;
+  int failures = 0;
   for (const char* name : {"products", "songs", "citations"}) {
     auto data = GenerateByName(name, DatasetOptions(name, scale, seed));
     auto seq = LearnSequence(*data, scale, seed, threads);
@@ -53,6 +62,7 @@ int main(int argc, char** argv) {
       std::fprintf(stderr, "%s: %s\n", name, seq.status().ToString().c_str());
       continue;
     }
+    ++datasets_compared;
     FeatureSet fs = FeatureSet::Generate(data->a, data->b);
     std::printf("--- %s (%zu rules in sequence) ---\n", name,
                 seq->rules.size());
@@ -79,22 +89,18 @@ int main(int argc, char** argv) {
                          catalog.mutable_store(&data->b));
       ApplyMethod chosen =
           SelectApplyMethod(data->a, data->b, *seq, fs, catalog, cluster);
+      // Sorted candidates of the first operator that ran at this level.
+      std::vector<CandidatePair> reference;
+      const char* reference_op = nullptr;
       for (ApplyMethod m :
            {ApplyMethod::kApplyAll, ApplyMethod::kApplyGreedy,
             ApplyMethod::kApplyConjunct, ApplyMethod::kApplyPredicate,
             ApplyMethod::kMapSide, ApplyMethod::kReduceSplit}) {
-        ApplyOptions opts;
-        // The bench data is ~1e5x smaller than the paper's, so enumeration
-        // is survivable here; the kill limit is applied to the virtual time
-        // EXTRAPOLATED to paper scale for the enumerate-A-x-B baselines
-        // (their work is exactly proportional to |A|x|B|).
-        bool baseline =
-            m == ApplyMethod::kMapSide || m == ApplyMethod::kReduceSplit;
         auto res = ApplyBlockingRules(data->a, data->b, *seq, fs, catalog,
-                                      &cluster, m, opts);
+                                      &cluster, m);
         std::string time;
-        std::string cands;
-        std::string examined;
+        std::string cands = "-";
+        std::string examined = "-";
         if (res.ok()) {
           time = res->time.ToString();
           cands = std::to_string(res->pairs.size());
@@ -107,7 +113,10 @@ int main(int argc, char** argv) {
                      static_cast<int64_t>(res->pairs.size()));
           AddLoadMetrics(&report, base + "/reduce",
                          res->main_job.reduce_load);
-          if (baseline) {
+          // The bench data is ~1e5x smaller than the paper's, so the
+          // baselines' work, exactly proportional to |A|x|B|, is
+          // extrapolated to paper scale before the kill limit applies.
+          if (m == ApplyMethod::kMapSide || m == ApplyMethod::kReduceSplit) {
             VDuration at_paper_scale =
                 res->time * (paper_pairs / bench_pairs);
             if (at_paper_scale > limit) {
@@ -115,14 +124,25 @@ int main(int argc, char** argv) {
                       at_paper_scale.ToString() + "]";
             }
           }
-        } else if (res.status().code() == StatusCode::kCancelled) {
-          time = "KILLED (>" + limit.ToString() + ")";
-          cands = "-";
-          examined = "-";
+          std::vector<CandidatePair> pairs = std::move(res->pairs);
+          std::sort(pairs.begin(), pairs.end());
+          if (reference_op == nullptr) {
+            reference = std::move(pairs);
+            reference_op = ApplyMethodName(m);
+          } else if (pairs != reference) {
+            std::fprintf(stderr, "%s at %zu MB: %s keeps %zu candidates, %s "
+                         "keeps %zu\n", name, mem_mb, ApplyMethodName(m),
+                         pairs.size(), reference_op, reference.size());
+            ++failures;
+          }
         } else {
           time = res.status().ToString().substr(0, 40);
-          cands = "-";
-          examined = "-";
+          if (m == chosen) {
+            std::fprintf(stderr, "%s at %zu MB: selected operator %s failed: "
+                         "%s\n", name, mem_mb, ApplyMethodName(m),
+                         res.status().ToString().c_str());
+            ++failures;
+          }
         }
         table.AddRow({std::to_string(mem_mb) + "MB", ApplyMethodName(m),
                       time, examined, cands,
@@ -139,6 +159,16 @@ int main(int argc, char** argv) {
       "as memory shrinks apply_all stops fitting before apply_conjunct,\n"
       "which stops before apply_predicate; Falcon's rule selects a fitting\n"
       "fast operator at every memory level.\n");
+  report.Add("datasets_compared", static_cast<int64_t>(datasets_compared));
+  report.Add("failures", static_cast<int64_t>(failures));
   report.Write();
+  if (datasets_compared == 0) {
+    std::fprintf(stderr, "FAIL: no dataset yielded a rule sequence\n");
+    return 1;
+  }
+  if (failures > 0) {
+    std::fprintf(stderr, "FAIL: %d operator check(s) failed\n", failures);
+    return 1;
+  }
   return 0;
 }

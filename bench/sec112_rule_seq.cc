@@ -96,7 +96,7 @@ int main(int argc, char** argv) {
       ApplyMethod m = SelectApplyMethod(data->a, data->b, v.seq, fs, catalog,
                                         cluster);
       auto res = ApplyBlockingRules(data->a, data->b, v.seq, fs, catalog,
-                                    &cluster, m, ApplyOptions{});
+                                    &cluster, m);
       if (!res.ok()) {
         table.AddRow({v.label, std::to_string(v.seq.rules.size()),
                       "-", res.status().ToString().substr(0, 30), "-"});

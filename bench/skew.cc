@@ -91,8 +91,7 @@ RunOutcome RunOnce(const Setup& s, ShufflePartitioner part, int threads,
   ccfg.partitioner = part;
   Cluster cluster(ccfg);
   auto res = ApplyBlockingRules(s.data.a, s.data.b, s.seq, s.fs, s.catalog,
-                                &cluster, ApplyMethod::kApplyAll,
-                                ApplyOptions{});
+                                &cluster, ApplyMethod::kApplyAll);
   RunOutcome out;
   if (!res.ok()) {
     std::fprintf(stderr, "apply failed (%s): %s\n",

@@ -104,8 +104,7 @@ int main() {
   std::printf("optimizer advises: %s\n", ApplyMethodName(advised));
   for (ApplyMethod m : {advised, ApplyMethod::kApplyGreedy}) {
     auto applied = ApplyBlockingRules(data.a, data.b, selected->sequence,
-                                      fs, catalog, &cluster, m,
-                                      ApplyOptions{});
+                                      fs, catalog, &cluster, m);
     if (!applied.ok()) {
       std::printf("  %-16s -> %s\n", ApplyMethodName(m),
                   applied.status().ToString().c_str());

@@ -299,31 +299,6 @@ bool ShuffleIdsOnly(const Cluster& cluster, const Table& b,
          MinRuleSelectivity(seq) >= 1e-4;
 }
 
-/// Sample-based projection of the A x B enumeration cost for the baselines;
-/// returns the projected virtual duration of evaluating all pairs.
-VDuration ProjectEnumeration(const Table& a, const Table& b,
-                             const RuleApplier& applier,
-                             const Cluster& cluster, int slots) {
-  const size_t sample = 2000;
-  size_t na = a.num_rows();
-  size_t nb = b.num_rows();
-  if (na == 0 || nb == 0) return VDuration::Zero();
-  double secs = internal::MeasureSeconds([&] {
-    uint64_t state = 0x12345678;
-    for (size_t i = 0; i < sample; ++i) {
-      state = state * 6364136223846793005ULL + 1442695040888963407ULL;
-      RowId ra = static_cast<RowId>((state >> 33) % na);
-      RowId rb = static_cast<RowId>((state >> 11) % nb);
-      (void)applier.Keep(ra, rb);
-    }
-  });
-  double per_pair = secs / sample;
-  double total =
-      per_pair * static_cast<double>(na) * static_cast<double>(nb);
-  return VDuration::Seconds(total * cluster.config().core_speed_factor /
-                            std::max(slots, 1));
-}
-
 }  // namespace
 
 // --- operator implementations -----------------------------------------------------
@@ -332,10 +307,10 @@ namespace {
 
 /// Shared core of apply_all and apply_greedy: mappers probe with `probe_fn`
 /// (full rule or one clause), reducers apply the sequence.
-Result<ApplyResult> RunKeyedByA(
+ApplyResult RunKeyedByA(
     const Table& a, const Table& b, const RuleSequence& seq,
     const FeatureSet& fs, const IndexCatalog& catalog, Cluster* cluster,
-    const ApplyOptions& opts, const std::string& name,
+    const std::string& name,
     const std::function<CandidateSet(const ClauseProber&, const Table&,
                                      RowId)>& probe_fn,
     double map_setup_seconds) {
@@ -391,10 +366,6 @@ Result<ApplyResult> RunKeyedByA(
   result.time = job.stats.Total();
   result.candidates_examined =
       job.stats.counters[Counter::kCandidatesExamined];
-  if (result.time > opts.virtual_time_limit) {
-    return Status::Cancelled(name + " exceeded virtual time limit (" +
-                             result.time.ToString() + ")");
-  }
   return result;
 }
 
@@ -406,16 +377,14 @@ struct Unit {
   const Predicate* predicate;    // for apply_predicate (nullptr otherwise)
 };
 
-Result<ApplyResult> RunKeyedByPair(const Table& a, const Table& b,
-                                   const RuleSequence& seq,
-                                   const FeatureSet& fs,
-                                   const IndexCatalog& catalog,
-                                   Cluster* cluster, const ApplyOptions& opts,
-                                   const std::string& name,
-                                   const std::vector<Unit>& units,
-                                   const std::vector<const CnfClause*>&
-                                       filterable_clauses,
-                                   double map_setup_seconds) {
+ApplyResult RunKeyedByPair(const Table& a, const Table& b,
+                           const RuleSequence& seq, const FeatureSet& fs,
+                           const IndexCatalog& catalog, Cluster* cluster,
+                           const std::string& name,
+                           const std::vector<Unit>& units,
+                           const std::vector<const CnfClause*>&
+                               filterable_clauses,
+                           double map_setup_seconds) {
   ClauseProber prober(&catalog, &fs, a.num_rows());
   RuleApplier applier(seq, &fs, &a, &b);
   bool ship_ids = ShuffleIdsOnly(*cluster, b, seq);
@@ -502,10 +471,6 @@ Result<ApplyResult> RunKeyedByPair(const Table& a, const Table& b,
   result.time = job.stats.Total();
   result.candidates_examined =
       job.stats.counters[Counter::kCandidatesExamined];
-  if (result.time > opts.virtual_time_limit) {
-    return Status::Cancelled(name + " exceeded virtual time limit (" +
-                             result.time.ToString() + ")");
-  }
   return result;
 }
 
@@ -547,19 +512,13 @@ size_t PredicateMemory(const Predicate& pred, const FeatureSet& fs,
 
 Result<ApplyResult> RunMapSide(const Table& a, const Table& b,
                                const RuleSequence& seq, const FeatureSet& fs,
-                               Cluster* cluster, const ApplyOptions& opts) {
+                               Cluster* cluster) {
   // Smaller table must fit in mapper memory.
   const Table& small = a.MemoryUsage() <= b.MemoryUsage() ? a : b;
   if (small.MemoryUsage() > cluster->config().mapper_memory_bytes) {
     return Status::OutOfMemory("MapSide: smaller table does not fit");
   }
   RuleApplier applier(seq, &fs, &a, &b);
-  VDuration projected =
-      ProjectEnumeration(a, b, applier, *cluster, cluster->total_map_slots());
-  if (projected > opts.virtual_time_limit) {
-    return Status::Cancelled("MapSide killed: projected " +
-                             projected.ToString() + " to enumerate A x B");
-  }
   // Iterate the larger table as input; inner-loop the in-memory table.
   bool iterate_b = &small == &a;
   std::vector<RowId> input(iterate_b ? b.num_rows() : a.num_rows());
@@ -583,24 +542,13 @@ Result<ApplyResult> RunMapSide(const Table& a, const Table& b,
   result.main_job = job.stats;
   result.time = job.stats.Total();
   result.candidates_examined = a.num_rows() * b.num_rows();
-  if (result.time > opts.virtual_time_limit) {
-    return Status::Cancelled("MapSide exceeded virtual time limit (" +
-                             result.time.ToString() + ")");
-  }
   return result;
 }
 
-Result<ApplyResult> RunReduceSplit(const Table& a, const Table& b,
-                                   const RuleSequence& seq,
-                                   const FeatureSet& fs, Cluster* cluster,
-                                   const ApplyOptions& opts) {
+ApplyResult RunReduceSplit(const Table& a, const Table& b,
+                           const RuleSequence& seq, const FeatureSet& fs,
+                           Cluster* cluster) {
   RuleApplier applier(seq, &fs, &a, &b);
-  VDuration projected = ProjectEnumeration(a, b, applier, *cluster,
-                                           cluster->total_reduce_slots());
-  if (projected > opts.virtual_time_limit) {
-    return Status::Cancelled("ReduceSplit killed: projected " +
-                             projected.ToString() + " to enumerate A x B");
-  }
   // Mappers spread B-rows over K blocks of A; reducers evaluate block x B.
   const uint32_t num_blocks =
       std::max<uint32_t>(1, cluster->total_reduce_slots());
@@ -633,10 +581,6 @@ Result<ApplyResult> RunReduceSplit(const Table& a, const Table& b,
   result.main_job = job.stats;
   result.time = job.stats.Total();
   result.candidates_examined = a.num_rows() * b.num_rows();
-  if (result.time > opts.virtual_time_limit) {
-    return Status::Cancelled("ReduceSplit exceeded virtual time limit (" +
-                             result.time.ToString() + ")");
-  }
   return result;
 }
 
@@ -646,8 +590,7 @@ Result<ApplyResult> ApplyBlockingRules(const Table& a, const Table& b,
                                        const RuleSequence& raw_seq,
                                        const FeatureSet& fs,
                                        const IndexCatalog& catalog,
-                                       Cluster* cluster, ApplyMethod method,
-                                       const ApplyOptions& opts) {
+                                       Cluster* cluster, ApplyMethod method) {
   if (raw_seq.rules.empty()) {
     return Status::InvalidArgument("empty rule sequence");
   }
@@ -677,7 +620,7 @@ Result<ApplyResult> ApplyBlockingRules(const Table& a, const Table& b,
             " B)");
       }
       return RunKeyedByA(
-          a, b, seq, fs, catalog, cluster, opts, "apply_all",
+          a, b, seq, fs, catalog, cluster, "apply_all",
           [&q](const ClauseProber& prober, const Table& b_table,
                RowId b_row) { return prober.ProbeRule(q, b_table, b_row); },
           IndexLoadSeconds(mem));
@@ -693,7 +636,7 @@ Result<ApplyResult> ApplyBlockingRules(const Table& a, const Table& b,
             "apply_greedy: most selective conjunct's indexes do not fit");
       }
       return RunKeyedByA(
-          a, b, seq, fs, catalog, cluster, opts, "apply_greedy",
+          a, b, seq, fs, catalog, cluster, "apply_greedy",
           [best](const ClauseProber& prober, const Table& b_table,
                  RowId b_row) {
             return prober.ProbeClause(*best, b_table, b_row);
@@ -717,7 +660,7 @@ Result<ApplyResult> ApplyBlockingRules(const Table& a, const Table& b,
         return Status::OutOfMemory(
             "apply_conjunct: largest conjunct's indexes do not fit");
       }
-      return RunKeyedByPair(a, b, seq, fs, catalog, cluster, opts,
+      return RunKeyedByPair(a, b, seq, fs, catalog, cluster,
                             "apply_conjunct", units, filterable,
                             IndexLoadSeconds(max_mem));
     }
@@ -739,14 +682,14 @@ Result<ApplyResult> ApplyBlockingRules(const Table& a, const Table& b,
         return Status::OutOfMemory(
             "apply_predicate: largest predicate's indexes do not fit");
       }
-      return RunKeyedByPair(a, b, seq, fs, catalog, cluster, opts,
+      return RunKeyedByPair(a, b, seq, fs, catalog, cluster,
                             "apply_predicate", units, filterable,
                             IndexLoadSeconds(max_mem));
     }
     case ApplyMethod::kMapSide:
-      return RunMapSide(a, b, seq, fs, cluster, opts);
+      return RunMapSide(a, b, seq, fs, cluster);
     case ApplyMethod::kReduceSplit:
-      return RunReduceSplit(a, b, seq, fs, cluster, opts);
+      return RunReduceSplit(a, b, seq, fs, cluster);
   }
   return Status::Internal("unknown apply method");
 }

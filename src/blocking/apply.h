@@ -23,10 +23,13 @@
 // requirement against the cluster's mapper memory and fails with
 // OutOfMemory when violated — this drives the operator-selection rules of
 // Section 10.1 and the memory-sweep experiment of Section 11.2.
+// SelectApplyMethod applies the same tests, so the operator it picks runs.
+// There is no time limit: every operator that fits runs to completion (the
+// Section 11.2 bench reports the baselines' paper-scale kills by
+// extrapolating their measured time).
 #ifndef FALCON_BLOCKING_APPLY_H_
 #define FALCON_BLOCKING_APPLY_H_
 
-#include <limits>
 #include <vector>
 
 #include "blocking/filters.h"
@@ -50,14 +53,6 @@ enum class ApplyMethod {
 };
 
 const char* ApplyMethodName(ApplyMethod m);
-
-struct ApplyOptions {
-  /// Kill the operator if its projected virtual run time exceeds this bound
-  /// (models the paper's "had to be killed as they took forever" for the
-  /// baselines on large tables). Projection is sample-based.
-  VDuration virtual_time_limit =
-      VDuration::Seconds(std::numeric_limits<double>::infinity());
-};
 
 struct ApplyResult {
   std::vector<CandidatePair> pairs;
@@ -133,12 +128,15 @@ class RuleApplier {
 };
 
 /// Runs one physical operator. The rule sequence is simplified internally.
+/// Fails with OutOfMemory when the operator's indexes (or table) exceed
+/// mapper memory, and with InvalidArgument on an empty sequence, on an index
+/// operator without a filterable clause, or on a filterable token predicate
+/// whose B-side store view is not built.
 Result<ApplyResult> ApplyBlockingRules(const Table& a, const Table& b,
                                        const RuleSequence& seq,
                                        const FeatureSet& fs,
                                        const IndexCatalog& catalog,
-                                       Cluster* cluster, ApplyMethod method,
-                                       const ApplyOptions& opts = {});
+                                       Cluster* cluster, ApplyMethod method);
 
 /// Section 10.1 operator selection: picks apply_greedy when the most
 /// selective conjunct is nearly as selective as Q (ratio > 0.8); otherwise

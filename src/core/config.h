@@ -1,17 +1,20 @@
 // Falcon configuration.
 //
-// Defaults follow the paper's settings (Sections 3.4, 5, 9, 10) with sizes
-// that scale: the paper samples |S| = 1M pairs and masks pair selection above
+// FalconConfig holds what callers vary: sample sizes, iteration and rule
+// caps, the cost mode, the masking toggles and the plan-choice budget. The
+// paper's fixed operator parameters (Sections 3.4, 6, 9: P_min 0.95,
+// epsilon_max 0.05, delta 0.95, 5 iterations per rule, 20 labeled pairs per
+// iteration, 10-tree forests, select_opt_seq's alpha and beta) are defined
+// once, as the defaults of their operators' options structs. Sizes scale:
+// the paper samples |S| = 1M pairs and masks pair selection above
 // |C'| = 50M; benches shrink both together with the data.
 #ifndef FALCON_CORE_CONFIG_H_
 #define FALCON_CORE_CONFIG_H_
 
 #include <cstdint>
 
-#include "blocking/apply.h"
 #include "core/accuracy_estimator.h"
 #include "core/sample_pairs.h"
-#include "learn/random_forest.h"
 
 namespace falcon {
 
@@ -34,31 +37,10 @@ struct FalconConfig {
   // --- al_matcher (Sections 9, 3.4) ---
   /// Iteration cap k (paper: 30, including the seed iteration).
   int al_max_iterations = 30;
-  /// Pairs labeled per iteration (h=2 HITs x q=10 questions).
-  int pairs_per_iteration = 20;
-  /// Convergence: stop after this many consecutive iterations whose mean
-  /// committee disagreement over the selected batch falls below
-  /// `al_convergence_threshold`.
-  int al_convergence_patience = 2;
-  double al_convergence_threshold = 0.10;
-  ForestOptions forest;
 
-  // --- eval_rules (Sections 3.4, 9) ---
+  // --- get_blocking_rules and eval_rules (Sections 3.4, 9) ---
   /// Top-k rules sent to crowd evaluation (paper: 20).
   int max_rules_to_eval = 20;
-  /// Iteration cap per rule (paper: 5; Prop. 2 guarantees <= 20 regardless).
-  int eval_max_iterations_per_rule = 5;
-  /// Pairs labeled per iteration per rule.
-  int eval_pairs_per_iteration = 20;
-  /// P_min: minimum precision to retain a rule.
-  double eval_precision_min = 0.95;
-  /// epsilon_max: maximum error margin to decide.
-  double eval_epsilon_max = 0.05;
-  /// Confidence level delta for the error margin.
-  double eval_delta = 0.95;
-  /// Rules whose sample coverage is below this fraction of |S| are not
-  /// worth evaluating ("high precision AND coverage").
-  double min_rule_coverage_fraction = 0.005;
   /// Score candidate rules with a deterministic per-pair cost proxy instead
   /// of measured CPU time. Measured times vary run to run, so select_opt_seq
   /// may pick different (equally valid) sequences on identical inputs; a
@@ -67,8 +49,6 @@ struct FalconConfig {
   bool deterministic_rule_cost = false;
 
   // --- select_opt_seq (Section 6) ---
-  double score_alpha = 1.0;   ///< weight of precision
-  double score_beta = 0.25;   ///< weight of selectivity
   double score_gamma = 0.01;  ///< weight of run time (per-pair microsecs)
   /// Exhaustive subset enumeration cap; beyond this, only the top-ranked
   /// rules are enumerated.
@@ -85,7 +65,6 @@ struct FalconConfig {
   /// Choose the matcher-only plan when the estimated feature-vector encoding
   /// of A x B fits within this budget (Section 10.1's memory heuristic).
   size_t matcher_only_max_bytes = size_t{256} * 1024 * 1024;
-  ApplyOptions apply;
 
   uint64_t seed = 1;
 };

@@ -8,6 +8,10 @@
 namespace falcon {
 namespace {
 
+/// Per-predicate per-pair seconds of the deterministic time proxy (the order
+/// of magnitude of a measured predicate evaluation).
+constexpr double kDeterministicSecondsPerPredicate = 2.5e-7;
+
 /// True if every keep-complement of the rule's predicates admits an index
 /// filter (so the rule's CNF clause can prune candidates).
 bool IsFilterable(const Rule& rule, const FeatureSet& fs) {
@@ -67,7 +71,7 @@ RuleCandidates GetBlockingRules(const RandomForest& forest,
     // the measurement so the downstream sequence choice is reproducible.
     if (options.deterministic_time) {
       rule.time_per_pair =
-          options.deterministic_seconds_per_predicate *
+          kDeterministicSecondsPerPredicate *
           static_cast<double>(std::max<size_t>(rule.predicates.size(), 1));
     } else {
       double measured =

@@ -24,9 +24,6 @@ struct GetRulesOptions {
   /// cost term — and hence the chosen sequence — vary run to run; resumable
   /// sessions need reproducible plans (see FalconConfig).
   bool deterministic_time = false;
-  /// Per-predicate per-pair seconds used by the proxy (the order of
-  /// magnitude of a measured predicate evaluation).
-  double deterministic_seconds_per_predicate = 2.5e-7;
 };
 
 struct RuleCandidates {

@@ -77,46 +77,6 @@ FilterOut FilterPairs(const std::vector<CandidatePair>& pairs,
   return out;
 }
 
-/// Tries `preferred` first, then every other operator in the Section 10.1
-/// preference order; returns the first success.
-Result<ApplyResult> ApplyWithFallback(const Table& a, const Table& b,
-                                      const RuleSequence& seq,
-                                      const FeatureSet& fs,
-                                      const IndexCatalog& catalog,
-                                      Cluster* cluster, ApplyMethod preferred,
-                                      const ApplyOptions& opts,
-                                      ApplyMethod* used) {
-  std::vector<ApplyMethod> order = {
-      preferred,                  ApplyMethod::kApplyAll,
-      ApplyMethod::kApplyGreedy,  ApplyMethod::kApplyConjunct,
-      ApplyMethod::kApplyPredicate, ApplyMethod::kMapSide,
-      ApplyMethod::kReduceSplit};
-  Status last = Status::Internal("no apply method attempted");
-  for (size_t i = 0; i < order.size(); ++i) {
-    if (i > 0 && order[i] == preferred) continue;
-    auto res =
-        ApplyBlockingRules(a, b, seq, fs, catalog, cluster, order[i], opts);
-    if (res.ok()) {
-      *used = order[i];
-      return res;
-    }
-    last = res.status();
-  }
-  return last;
-}
-
-/// AlMatcherOptions shared by the blocker and matcher AL stages.
-AlMatcherOptions BaseAlOptions(const FalconConfig& config) {
-  AlMatcherOptions opts;
-  opts.max_iterations = config.al_max_iterations;
-  opts.pairs_per_iteration = config.pairs_per_iteration;
-  opts.convergence_patience = config.al_convergence_patience;
-  opts.convergence_threshold = config.al_convergence_threshold;
-  opts.forest = config.forest;
-  opts.mask_pair_selection = false;
-  return opts;
-}
-
 }  // namespace
 
 const char* PipelineStageName(PipelineStage stage) {
@@ -269,8 +229,9 @@ Status FalconPipeline::StageGenFvsSample() {
 // --- (3) al_matcher: learn blocker model M ----------------------------------
 Status FalconPipeline::StageBlockerAl() {
   RunMetrics& m = state_.out.metrics;
-  AlMatcherOptions al_opts = BaseAlOptions(config_);
-  al_opts.mask_pair_selection = false;  // S is small; not worth it (Sec 10.2)
+  // Pair selection over S stays unmasked: S is small (Sec 10.2).
+  AlMatcherOptions al_opts;
+  al_opts.max_iterations = config_.al_max_iterations;
   FALCON_ASSIGN_OR_RETURN(
       AlMatcherResult blocker,
       AlMatcher(state_.sample_fvs, state_.sample, crowd_, al_opts, cluster_,
@@ -313,7 +274,6 @@ Status FalconPipeline::StageGetRules() {
   // global ids.
   GetRulesOptions gr_opts;
   gr_opts.max_rules = config_.max_rules_to_eval;
-  gr_opts.min_coverage_fraction = config_.min_rule_coverage_fraction;
   gr_opts.deterministic_time = config_.deterministic_rule_cost;
   RuleCandidates candidates = GetBlockingRules(
       state_.blocker, features_.blocking_ids(), features_, state_.sample_fvs,
@@ -335,16 +295,10 @@ Status FalconPipeline::StageGetRules() {
 // --- (5) eval_rules ---------------------------------------------------------
 Status FalconPipeline::StageEvalRules() {
   RunMetrics& m = state_.out.metrics;
-  EvalRulesOptions ev_opts;
-  ev_opts.max_iterations_per_rule = config_.eval_max_iterations_per_rule;
-  ev_opts.pairs_per_iteration = config_.eval_pairs_per_iteration;
-  ev_opts.precision_min = config_.eval_precision_min;
-  ev_opts.epsilon_max = config_.eval_epsilon_max;
-  ev_opts.delta = config_.eval_delta;
   FALCON_ASSIGN_OR_RETURN(
       EvalRulesResult evaluated,
       EvalRules(state_.candidate_rules, state_.candidate_coverage,
-                state_.sample, crowd_, ev_opts, &state_.rng));
+                state_.sample, crowd_, EvalRulesOptions{}, &state_.rng));
   m.crowd_time += evaluated.crowd_time;
   m.questions += evaluated.questions;
   m.cost += evaluated.cost;
@@ -399,12 +353,10 @@ Status FalconPipeline::StageEvalRules() {
         AddMachine("index_build(spec)", idx_dur, unmasked);
         if (state_.bank_credit.seconds <= 0.0 && unmasked.seconds > 0.0) break;
       }
-      ApplyMethod method =
-          SelectApplyMethod(*a_, *b_, single, features_, catalog_, *cluster_);
-      ApplyMethod used = method;
-      auto res = ApplyWithFallback(*a_, *b_, single, features_, catalog_,
-                                   cluster_, method, config_.apply, &used);
-      if (!res.ok()) break;  // e.g. nothing filterable; stop speculating
+      auto res = ApplyBlockingRules(
+          *a_, *b_, single, features_, catalog_, cluster_,
+          SelectApplyMethod(*a_, *b_, single, features_, catalog_, *cluster_));
+      if (!res.ok()) break;  // speculation is optional work; stop it
       SpecJob job;
       job.key = CanonicalKey(rule);
       job.result = std::move(res).value();
@@ -425,8 +377,6 @@ Status FalconPipeline::StageEvalRules() {
 // --- (6) select_opt_seq -----------------------------------------------------
 Status FalconPipeline::StageSelectSeq() {
   SelectSeqOptions ss_opts;
-  ss_opts.alpha = config_.score_alpha;
-  ss_opts.beta = config_.score_beta;
   ss_opts.gamma = config_.score_gamma;
   ss_opts.max_rules_exhaustive = config_.max_rules_exhaustive;
   FALCON_ASSIGN_OR_RETURN(
@@ -451,8 +401,8 @@ Status FalconPipeline::StageApplyRules() {
     dur += builder_.Ensure(IndexBuilder::NeedsOfCnf(q, features_), &catalog_);
     if (dur.seconds > 0.0) AddMachine("index_build(unmasked)", dur, dur);
   }
-  ApplyMethod preferred = SelectApplyMethod(*a_, *b_, sequence, features_,
-                                            catalog_, *cluster_);
+  ApplyMethod selected = SelectApplyMethod(*a_, *b_, sequence, features_,
+                                           catalog_, *cluster_);
   std::unordered_map<std::string, size_t> spec_by_key;
   for (size_t i = 0; i < spec_.size(); ++i) spec_by_key[spec_[i].key] = i;
 
@@ -489,7 +439,7 @@ Status FalconPipeline::StageApplyRules() {
     apply_raw = filtered.time;
     apply_unmasked = filtered.time;
     m.spec_rule_reused = true;
-    m.apply_method = preferred;
+    m.apply_method = selected;
     RecordBlockingJob(filtered.stats, &m);
   } else if (in_flight != nullptr && in_flight_selected) {
     // Algorithm 2, lines 12-27: steer the in-flight job.
@@ -497,7 +447,7 @@ Status FalconPipeline::StageApplyRules() {
     VDuration offset = in_flight->result.time - in_flight->remaining;
     JobStats::Phase phase = stats.PhaseAt(offset);
     bool greedy_ok =
-        preferred == ApplyMethod::kApplyGreedy &&
+        selected == ApplyMethod::kApplyGreedy &&
         CanonicalKey(sequence.rules.front()) == in_flight->key;
     if (phase == JobStats::Phase::kReduce) {
       // Output produced so far (X) gets the remaining rules via a map-only
@@ -520,7 +470,7 @@ Status FalconPipeline::StageApplyRules() {
       apply_raw = in_flight->remaining + zx.time + zy.time;
       apply_unmasked = Max(in_flight->remaining, zy.time) + zx.time;
       m.spec_rule_reused = true;
-      m.apply_method = preferred;
+      m.apply_method = selected;
       RecordBlockingJob(zx.stats, &m);
       RecordBlockingJob(zy.stats, &m);
     } else if (greedy_ok) {
@@ -543,15 +493,14 @@ Status FalconPipeline::StageApplyRules() {
     apply_fresh = true;
   }
   if (apply_fresh) {
-    ApplyMethod used = preferred;
     FALCON_ASSIGN_OR_RETURN(
         ApplyResult applied,
-        ApplyWithFallback(*a_, *b_, sequence, features_, catalog_,
-                          cluster_, preferred, config_.apply, &used));
+        ApplyBlockingRules(*a_, *b_, sequence, features_, catalog_, cluster_,
+                           selected));
     out.candidates = std::move(applied.pairs);
     apply_raw = applied.time;
     apply_unmasked = applied.time;
-    m.apply_method = used;
+    m.apply_method = selected;
     RecordBlockingJob(applied.main_job, &m);
   }
   AddMachine("apply_block_rules", apply_raw, apply_unmasked);
@@ -595,7 +544,8 @@ Status FalconPipeline::StageGenFvsCand() {
 // --- (9) al_matcher: learn matcher N over C' --------------------------------
 Status FalconPipeline::StageMatcherAl() {
   RunMetrics& m = state_.out.metrics;
-  AlMatcherOptions match_opts = BaseAlOptions(config_);
+  AlMatcherOptions match_opts;
+  match_opts.max_iterations = config_.al_max_iterations;
   match_opts.mask_pair_selection =
       config_.enable_masking && config_.mask_pair_selection &&
       state_.cand_fvs.size() >= config_.pair_selection_mask_threshold;

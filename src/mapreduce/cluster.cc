@@ -132,9 +132,9 @@ TaskLoadStats RollupTaskLoad(const std::vector<JobStats>& jobs) {
 }
 
 VDuration Cluster::ShuffleTime(size_t bytes) const {
-  double bandwidth =
-      config_.shuffle_bandwidth_per_node * std::max(config_.num_nodes, 1);
-  if (bandwidth <= 0.0) return VDuration::Zero();
+  // Aggregate shuffle bandwidth: 200 MB/s per node.
+  constexpr double kBandwidthPerNode = 200.0 * 1024 * 1024;
+  double bandwidth = kBandwidthPerNode * std::max(config_.num_nodes, 1);
   return VDuration::Seconds(static_cast<double>(bytes) / bandwidth);
 }
 

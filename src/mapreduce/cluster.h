@@ -66,8 +66,6 @@ struct ClusterConfig {
   VDuration job_startup = VDuration::Seconds(2.0);
   /// Per-task scheduling overhead.
   VDuration task_overhead = VDuration::Seconds(0.05);
-  /// Aggregate shuffle bandwidth per node, bytes/second.
-  double shuffle_bandwidth_per_node = 200.0 * 1024 * 1024;
   /// Virtual speed of one cluster core relative to the local CPU executing
   /// the user code (>1 means cluster cores are slower).
   double core_speed_factor = 1.0;

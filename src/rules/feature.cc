@@ -8,6 +8,7 @@
 
 #include "common/arena.h"
 #include "common/strings.h"
+#include "table/profile.h"
 
 namespace falcon {
 namespace {
@@ -88,8 +89,8 @@ FeatureSet FeatureSet::Generate(const Table& a, const Table& b,
                                 const FeatureGenOptions& options) {
   FeatureSet fs;
   std::map<std::pair<int, Tokenization>, int> idf_of;
-  auto prof_a = ProfileTable(a, options.profile);
-  auto prof_b = ProfileTable(b, options.profile);
+  auto prof_a = ProfileTable(a);
+  auto prof_b = ProfileTable(b);
 
   // Attribute correspondences: equal names (case-insensitive) first.
   std::vector<std::pair<int, int>> pairs;

@@ -18,7 +18,6 @@
 #include <vector>
 
 #include "learn/decision_tree.h"
-#include "table/profile.h"
 #include "table/table.h"
 #include "table/token_store.h"
 #include "text/similarity.h"
@@ -45,8 +44,6 @@ struct Feature {
 struct FeatureGenOptions {
   /// Include the slow starred functions of Figure 5 (matcher-only features).
   bool include_matcher_only = true;
-  /// Profiling options for characteristic inference.
-  ProfileOptions profile;
 };
 
 /// The automatically generated feature set for one (A, B) task.

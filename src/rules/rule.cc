@@ -179,6 +179,7 @@ Rule SimplifyRule(const Rule& rule) {
 
 RuleSequence SimplifySequence(const RuleSequence& seq) {
   RuleSequence out;
+  out.selectivity = seq.selectivity;
   out.rules.reserve(seq.rules.size());
   for (const auto& r : seq.rules) out.rules.push_back(SimplifyRule(r));
   return out;

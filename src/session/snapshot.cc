@@ -1,10 +1,15 @@
 #include "session/snapshot.h"
 
+#include <limits>
 #include <utility>
 
 #include "common/crc32.h"
 #include "common/serde.h"
 #include "common/strings.h"
+#include "core/al_matcher.h"
+#include "core/eval_rules.h"
+#include "core/get_rules.h"
+#include "core/select_opt_seq.h"
 #include "rules/serialize.h"
 
 namespace falcon {
@@ -244,6 +249,15 @@ std::string BadSection(uint32_t tag) {
 }  // namespace
 
 uint64_t ConfigFingerprint(const FalconConfig& config) {
+  // Settings that became constants keep their slots, written as the
+  // operator defaults every config held; the retired apply kill limit was
+  // always infinite and the retired ship-ids override always kAuto (0). So
+  // fingerprints, and the snapshots that carry them, still match.
+  const AlMatcherOptions al;
+  const ForestOptions& forest = al.forest;
+  const EvalRulesOptions ev;
+  const GetRulesOptions gr;
+  const SelectSeqOptions ss;
   BinaryWriter w;
   w.U64(config.sample_size);
   w.U32(static_cast<uint32_t>(config.sample_y));
@@ -252,25 +266,25 @@ uint64_t ConfigFingerprint(const FalconConfig& config) {
   w.U64(config.accuracy.sample_per_stratum);
   w.F64(config.accuracy.delta);
   w.U32(static_cast<uint32_t>(config.al_max_iterations));
-  w.U32(static_cast<uint32_t>(config.pairs_per_iteration));
-  w.U32(static_cast<uint32_t>(config.al_convergence_patience));
-  w.F64(config.al_convergence_threshold);
-  w.U32(static_cast<uint32_t>(config.forest.num_trees));
-  w.U8(config.forest.bootstrap ? 1 : 0);
-  w.U32(static_cast<uint32_t>(config.forest.tree.max_depth));
-  w.U32(config.forest.tree.min_samples_leaf);
-  w.U32(static_cast<uint32_t>(config.forest.tree.features_per_split));
-  w.U32(static_cast<uint32_t>(config.forest.tree.max_thresholds));
+  w.U32(static_cast<uint32_t>(al.pairs_per_iteration));
+  w.U32(static_cast<uint32_t>(al.convergence_patience));
+  w.F64(al.convergence_threshold);
+  w.U32(static_cast<uint32_t>(forest.num_trees));
+  w.U8(forest.bootstrap ? 1 : 0);
+  w.U32(static_cast<uint32_t>(forest.tree.max_depth));
+  w.U32(forest.tree.min_samples_leaf);
+  w.U32(static_cast<uint32_t>(forest.tree.features_per_split));
+  w.U32(static_cast<uint32_t>(forest.tree.max_thresholds));
   w.U32(static_cast<uint32_t>(config.max_rules_to_eval));
-  w.U32(static_cast<uint32_t>(config.eval_max_iterations_per_rule));
-  w.U32(static_cast<uint32_t>(config.eval_pairs_per_iteration));
-  w.F64(config.eval_precision_min);
-  w.F64(config.eval_epsilon_max);
-  w.F64(config.eval_delta);
-  w.F64(config.min_rule_coverage_fraction);
+  w.U32(static_cast<uint32_t>(ev.max_iterations_per_rule));
+  w.U32(static_cast<uint32_t>(ev.pairs_per_iteration));
+  w.F64(ev.precision_min);
+  w.F64(ev.epsilon_max);
+  w.F64(ev.delta);
+  w.F64(gr.min_coverage_fraction);
   w.U8(config.deterministic_rule_cost ? 1 : 0);
-  w.F64(config.score_alpha);
-  w.F64(config.score_beta);
+  w.F64(ss.alpha);
+  w.F64(ss.beta);
   w.F64(config.score_gamma);
   w.U32(static_cast<uint32_t>(config.max_rules_exhaustive));
   w.U8(config.enable_masking ? 1 : 0);
@@ -279,9 +293,7 @@ uint64_t ConfigFingerprint(const FalconConfig& config) {
   w.U8(config.mask_pair_selection ? 1 : 0);
   w.U64(config.pair_selection_mask_threshold);
   w.U64(config.matcher_only_max_bytes);
-  w.F64(config.apply.virtual_time_limit.seconds);
-  // Retired ship-ids override, always kAuto (0) when it existed: the slot
-  // stays so fingerprints, and the snapshots that carry them, still match.
+  w.F64(std::numeric_limits<double>::infinity());
   w.U32(0);
   w.U64(config.seed);
   return Fnv1a(w.data());

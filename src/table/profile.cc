@@ -1,7 +1,6 @@
 #include "table/profile.h"
 
 #include <algorithm>
-#include <cmath>
 
 #include "common/strings.h"
 
@@ -42,16 +41,15 @@ size_t CountWords(std::string_view s) {
 
 }  // namespace
 
-std::vector<AttrProfile> ProfileTable(const Table& table,
-                                      const ProfileOptions& opts) {
+std::vector<AttrProfile> ProfileTable(const Table& table) {
+  constexpr size_t kSampleRows = 5000;  // a prefix sample, for speed
   std::vector<AttrProfile> profiles;
   profiles.reserve(table.num_cols());
-  const size_t rows = std::min(table.num_rows(), opts.sample_rows);
+  const size_t rows = std::min(table.num_rows(), kSampleRows);
   for (size_t c = 0; c < table.num_cols(); ++c) {
     AttrProfile p;
     p.name = table.schema().attr(c).name;
     size_t missing = 0;
-    size_t numeric = 0;
     size_t total_words = 0;
     size_t present = 0;
     for (RowId r = 0; r < rows; ++r) {
@@ -60,20 +58,13 @@ std::vector<AttrProfile> ProfileTable(const Table& table,
         continue;
       }
       ++present;
-      if (!std::isnan(table.GetNumeric(r, c))) ++numeric;
       total_words += CountWords(table.Get(r, c));
     }
     p.missing_fraction =
         rows == 0 ? 0.0 : static_cast<double>(missing) / rows;
     p.avg_words =
         present == 0 ? 0.0 : static_cast<double>(total_words) / present;
-    bool is_numeric =
-        present > 0 &&
-        static_cast<double>(numeric) / present >= opts.numeric_threshold &&
-        table.schema().attr(c).type == AttrType::kNumeric;
-    // A declared-numeric column with parseable values is numeric even if the
-    // schema came from inference; otherwise classify by word counts.
-    if (table.schema().attr(c).type == AttrType::kNumeric || is_numeric) {
+    if (table.schema().attr(c).type == AttrType::kNumeric) {
       p.characteristic = AttrCharacteristic::kNumeric;
     } else if (p.avg_words <= 1.2) {
       p.characteristic = AttrCharacteristic::kSingleWordString;

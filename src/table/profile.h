@@ -38,17 +38,10 @@ struct AttrProfile {
   double avg_words = 0.0;
 };
 
-struct ProfileOptions {
-  /// Rows examined per attribute (profiled on a prefix sample for speed).
-  size_t sample_rows = 5000;
-  /// An attribute is numeric if at least this fraction of non-missing values
-  /// parse as doubles.
-  double numeric_threshold = 0.9;
-};
-
-/// Profiles every attribute of `table`.
-std::vector<AttrProfile> ProfileTable(const Table& table,
-                                      const ProfileOptions& opts = {});
+/// Profiles every attribute of `table` on its first 5000 rows. An attribute
+/// is numeric exactly when its declared type is; any other attribute is
+/// classified by its mean word count.
+std::vector<AttrProfile> ProfileTable(const Table& table);
 
 }  // namespace falcon
 

@@ -209,7 +209,7 @@ struct ApplyFixture {
 
   std::set<uint64_t> Run(ApplyMethod m) {
     auto res = ApplyBlockingRules(data.a, data.b, seq, fs, catalog, &cluster,
-                                  m, ApplyOptions{});
+                                  m);
     EXPECT_TRUE(res.ok()) << ApplyMethodName(m) << ": "
                           << res.status().ToString();
     std::set<uint64_t> keep;
@@ -262,7 +262,7 @@ TEST_P(ApplyParallelDeterminism, ByteIdenticalToSerial) {
     Cluster cluster(cfg);
     return ApplyBlockingRules(fixture->data.a, fixture->data.b, fixture->seq,
                               fixture->fs, fixture->catalog, &cluster,
-                              GetParam(), ApplyOptions{});
+                              GetParam());
   };
   auto serial = run(1);
   auto parallel = run(4);
@@ -285,7 +285,7 @@ TEST(ApplyTest, BlockingRecallIsHighOnGeneratedData) {
   auto res =
       ApplyBlockingRules(fixture.data.a, fixture.data.b, fixture.seq,
                          fixture.fs, fixture.catalog, &fixture.cluster,
-                         ApplyMethod::kApplyAll, ApplyOptions{});
+                         ApplyMethod::kApplyAll);
   ASSERT_TRUE(res.ok()) << res.status().ToString();
   // Missing-value semantics guarantee dirty pairs are not silently lost;
   // recall should be near-perfect for this mild rule.
@@ -300,21 +300,9 @@ TEST(ApplyTest, MemoryPressureRejectsApplyAll) {
   auto res =
       ApplyBlockingRules(fixture.data.a, fixture.data.b, fixture.seq,
                          fixture.fs, fixture.catalog, &tiny,
-                         ApplyMethod::kApplyAll, ApplyOptions{});
+                         ApplyMethod::kApplyAll);
   ASSERT_FALSE(res.ok());
   EXPECT_EQ(res.status().code(), StatusCode::kOutOfMemory);
-}
-
-TEST(ApplyTest, TimeLimitKillsBaselines) {
-  ApplyFixture fixture;
-  ApplyOptions opts;
-  opts.virtual_time_limit = VDuration::Seconds(1e-6);
-  auto res =
-      ApplyBlockingRules(fixture.data.a, fixture.data.b, fixture.seq,
-                         fixture.fs, fixture.catalog, &fixture.cluster,
-                         ApplyMethod::kReduceSplit, opts);
-  ASSERT_FALSE(res.ok());
-  EXPECT_EQ(res.status().code(), StatusCode::kCancelled);
 }
 
 // Every token probe reads the B-side store view; a catalog without one is
@@ -329,8 +317,7 @@ TEST(ApplyTest, TokenProbeWithoutBStoreViewIsRejected) {
        {ApplyMethod::kApplyAll, ApplyMethod::kApplyGreedy,
         ApplyMethod::kApplyConjunct, ApplyMethod::kApplyPredicate}) {
     auto res = ApplyBlockingRules(fixture.data.a, fixture.data.b, fixture.seq,
-                                  fixture.fs, no_b_views, &fixture.cluster, m,
-                                  ApplyOptions{});
+                                  fixture.fs, no_b_views, &fixture.cluster, m);
     ASSERT_FALSE(res.ok()) << ApplyMethodName(m);
     EXPECT_EQ(res.status().code(), StatusCode::kInvalidArgument);
     EXPECT_NE(res.status().message().find("(title,title)"), std::string::npos)
@@ -339,7 +326,7 @@ TEST(ApplyTest, TokenProbeWithoutBStoreViewIsRejected) {
   // The enumerating baselines probe nothing and still run.
   auto map_side = ApplyBlockingRules(
       fixture.data.a, fixture.data.b, fixture.seq, fixture.fs, no_b_views,
-      &fixture.cluster, ApplyMethod::kMapSide, ApplyOptions{});
+      &fixture.cluster, ApplyMethod::kMapSide);
   EXPECT_TRUE(map_side.ok()) << map_side.status().ToString();
 }
 
@@ -389,7 +376,7 @@ TEST(ApplyTest, SeventyClauseSequenceMatchesOracle) {
         ApplyMethod::kApplyConjunct, ApplyMethod::kApplyPredicate,
         ApplyMethod::kMapSide, ApplyMethod::kReduceSplit}) {
     auto res = ApplyBlockingRules(data.a, data.b, seq, fs, catalog, &cluster,
-                                  m, ApplyOptions{});
+                                  m);
     ASSERT_TRUE(res.ok()) << ApplyMethodName(m) << ": "
                           << res.status().ToString();
     std::set<uint64_t> got;
@@ -405,8 +392,7 @@ TEST(ApplyTest, EmptySequenceRejected) {
   RuleSequence empty;
   auto res = ApplyBlockingRules(fixture.data.a, fixture.data.b, empty,
                                 fixture.fs, fixture.catalog,
-                                &fixture.cluster, ApplyMethod::kApplyAll,
-                                ApplyOptions{});
+                                &fixture.cluster, ApplyMethod::kApplyAll);
   ASSERT_FALSE(res.ok());
   EXPECT_EQ(res.status().code(), StatusCode::kInvalidArgument);
 }
@@ -428,6 +414,192 @@ TEST(SelectMethodTest, FallsBackUnderMemoryPressure) {
       SelectApplyMethod(fixture.data.a, fixture.data.b, fixture.seq,
                         fixture.fs, fixture.catalog, tiny);
   EXPECT_EQ(m, ApplyMethod::kReduceSplit);
+}
+
+// Rule 1 compares the sequence's selectivity with its most selective
+// clause's: apply_greedy wins only when that clause alone is almost as
+// selective as the whole sequence.
+TEST(SelectMethodTest, RuleOneComparesSequenceSelectivity) {
+  ApplyFixture fixture;
+  RuleSequence seq = fixture.seq;
+  for (Rule& r : seq.rules) r.selectivity = 0.5;
+  auto select = [&](double selectivity) {
+    seq.selectivity = selectivity;
+    return std::string(ApplyMethodName(
+        SelectApplyMethod(fixture.data.a, fixture.data.b, seq, fixture.fs,
+                          fixture.catalog, fixture.cluster)));
+  };
+  EXPECT_EQ(select(0.01), "apply_all");
+  EXPECT_EQ(select(0.45), "apply_greedy");
+}
+
+// --- the selected operator always runs -------------------------------------------
+
+/// The classes SelectApplyMethod steps through as mapper memory shrinks.
+enum class OperatorClass {
+  kAllOrGreedy,
+  kConjunctOrPredicate,
+  kMapSide,
+  kReduceSplit,
+};
+
+OperatorClass ClassOf(ApplyMethod m) {
+  switch (m) {
+    case ApplyMethod::kApplyAll:
+    case ApplyMethod::kApplyGreedy:
+      return OperatorClass::kAllOrGreedy;
+    case ApplyMethod::kApplyConjunct:
+    case ApplyMethod::kApplyPredicate:
+      return OperatorClass::kConjunctOrPredicate;
+    case ApplyMethod::kMapSide:
+      return OperatorClass::kMapSide;
+    case ApplyMethod::kReduceSplit:
+      break;
+  }
+  return OperatorClass::kReduceSplit;
+}
+
+/// Mapper-memory levels at which SelectApplyMethod's choice can change: what
+/// each of its memory tests requires (all of Q's indexes, each clause's,
+/// each predicate's, the smaller table) and one byte less.
+std::set<size_t> MemoryEdges(const Table& a, const Table& b,
+                             const RuleSequence& seq, const FeatureSet& fs,
+                             const IndexCatalog& catalog) {
+  const CnfRule q = ToCnf(SimplifySequence(seq));
+  std::vector<size_t> needs = {
+      catalog.MemoryUsageFor(IndexBuilder::NeedsOfCnf(q, fs)),
+      std::min(a.MemoryUsage(), b.MemoryUsage())};
+  for (const CnfClause& clause : q.clauses) {
+    std::vector<IndexNeed> clause_needs;
+    for (const Predicate& p : clause.predicates) {
+      clause_needs.push_back(ClassifyPredicate(p, fs));
+      needs.push_back(catalog.MemoryUsageFor({clause_needs.back()}));
+    }
+    needs.push_back(catalog.MemoryUsageFor(clause_needs));
+  }
+  std::set<size_t> levels = {1};
+  for (size_t n : needs) {
+    levels.insert(n);
+    if (n > 1) levels.insert(n - 1);
+  }
+  return levels;
+}
+
+/// Builds the catalog as the pipeline does before an apply (features bound
+/// to the catalog's token stores, every B-side view, the indexes of `seq`),
+/// then at every memory edge runs the operator SelectApplyMethod picks and
+/// checks it against the Keep oracle. Adds the classes picked to `picked`.
+void ExpectSelectedOperatorRuns(const GeneratedDataset& data, FeatureSet* fs,
+                                const RuleSequence& seq,
+                                std::set<OperatorClass>* picked) {
+  Cluster build_cluster{FastCluster()};
+  IndexCatalog catalog;
+  fs->BindTokenStores(catalog.mutable_store(&data.a),
+                      catalog.mutable_store(&data.b));
+  IndexBuilder builder(&data.a, &build_cluster);
+  builder.EnsureTokenStores(data.b, *fs, &catalog);
+  builder.Ensure(IndexBuilder::NeedsOfCnf(ToCnf(SimplifySequence(seq)), *fs),
+                 &catalog);
+
+  RuleApplier oracle(seq, fs, &data.a, &data.b);
+  std::set<uint64_t> expected;
+  for (RowId a = 0; a < data.a.num_rows(); ++a) {
+    for (RowId b = 0; b < data.b.num_rows(); ++b) {
+      if (oracle.Keep(a, b)) {
+        expected.insert((static_cast<uint64_t>(a) << 32) | b);
+      }
+    }
+  }
+  for (size_t level : MemoryEdges(data.a, data.b, seq, *fs, catalog)) {
+    ClusterConfig cfg = FastCluster();
+    cfg.mapper_memory_bytes = level;
+    Cluster cluster(cfg);
+    const ApplyMethod m =
+        SelectApplyMethod(data.a, data.b, seq, *fs, catalog, cluster);
+    auto res =
+        ApplyBlockingRules(data.a, data.b, seq, *fs, catalog, &cluster, m);
+    if (!res.ok()) {
+      ADD_FAILURE() << ApplyMethodName(m) << " at " << level
+                    << " B of mapper memory: " << res.status().ToString();
+      continue;
+    }
+    std::set<uint64_t> got;
+    for (auto [a, b] : res->pairs) {
+      got.insert((static_cast<uint64_t>(a) << 32) | b);
+    }
+    EXPECT_EQ(got, expected) << ApplyMethodName(m) << " at " << level
+                             << " B of mapper memory";
+    picked->insert(ClassOf(m));
+  }
+  fs->BindTokenStores(nullptr, nullptr);
+}
+
+/// Each single rule and the full sequence, the way speculation and
+/// apply_block_rules run them.
+std::vector<RuleSequence> SingleRulesAndSequence(const RuleSequence& seq) {
+  std::vector<RuleSequence> inputs;
+  for (const Rule& rule : seq.rules) {
+    RuleSequence single;
+    single.rules.push_back(rule);
+    single.selectivity = rule.selectivity;
+    inputs.push_back(single);
+  }
+  inputs.push_back(seq);
+  return inputs;
+}
+
+// The pipeline runs exactly the operator SelectApplyMethod picks, so at every
+// mapper memory where its choice changes, the pick must run and keep exactly
+// the oracle's pairs.
+TEST(SelectMethodTest, SelectedOperatorAlwaysRuns) {
+  ApplyFixture products;
+  std::set<OperatorClass> picked;
+  for (const RuleSequence& seq : SingleRulesAndSequence(products.seq)) {
+    ExpectSelectedOperatorRuns(products.data, &products.fs, seq, &picked);
+  }
+
+  WorkloadOptions opt;
+  opt.size_a = 150;
+  opt.size_b = 300;
+  opt.seed = 22;
+  opt.missing_rate = 0.05;
+  GeneratedDataset songs = GenerateSongs(opt);
+  FeatureSet fs = FeatureSet::Generate(songs.a, songs.b);
+  auto find = [&](SimFunction fn, const char* attr, Tokenization tok) {
+    const std::string name = std::string("(") + attr + "," + attr + ")";
+    for (const Feature& f : fs.features()) {
+      if (f.fn == fn && f.name.find(name) != std::string::npos &&
+          (!IsSetBased(fn) || f.tok == tok)) {
+        return f.id;
+      }
+    }
+    return -1;
+  };
+  const int jac_title = find(SimFunction::kJaccard, "title", Tokenization::kWord);
+  const int jac_artist3 =
+      find(SimFunction::kJaccard, "artist_name", Tokenization::kQgram3);
+  const int cos_release =
+      find(SimFunction::kCosine, "release", Tokenization::kWord);
+  const int year = find(SimFunction::kAbsDiff, "year", Tokenization::kWord);
+  for (int id : {jac_title, jac_artist3, cos_release, year}) ASSERT_GE(id, 0);
+  RuleSequence seq;
+  seq.rules.resize(3);
+  seq.rules[0].predicates = {{jac_title, jac_title, PredOp::kLe, 0.3}};
+  seq.rules[0].selectivity = 0.3;
+  seq.rules[1].predicates = {{jac_artist3, jac_artist3, PredOp::kLt, 0.4},
+                             {year, year, PredOp::kGt, 1.0}};
+  seq.rules[1].selectivity = 0.4;
+  seq.rules[2].predicates = {{cos_release, cos_release, PredOp::kLe, 0.2}};
+  seq.rules[2].selectivity = 0.5;
+  seq.selectivity = 0.1;
+  for (const RuleSequence& input : SingleRulesAndSequence(seq)) {
+    ExpectSelectedOperatorRuns(songs, &fs, input, &picked);
+  }
+  EXPECT_EQ(picked, (std::set<OperatorClass>{
+                        OperatorClass::kAllOrGreedy,
+                        OperatorClass::kConjunctOrPredicate,
+                        OperatorClass::kMapSide,
+                        OperatorClass::kReduceSplit}));
 }
 
 // --- index builder ---------------------------------------------------------------

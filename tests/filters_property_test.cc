@@ -291,7 +291,7 @@ TEST(ApplyEquivalenceWideRules, AllOperatorsMatchBruteForce) {
         ApplyMethod::kApplyConjunct, ApplyMethod::kApplyPredicate,
         ApplyMethod::kMapSide, ApplyMethod::kReduceSplit}) {
     auto res = ApplyBlockingRules(data.a, data.b, seq, fs, catalog,
-                                  &cluster, m, ApplyOptions{});
+                                  &cluster, m);
     ASSERT_TRUE(res.ok()) << ApplyMethodName(m) << ": "
                           << res.status().ToString();
     std::set<uint64_t> got;
@@ -401,8 +401,7 @@ TEST(DictEncodedEquivalence, ParallelApplyMatchesSerialWithStores) {
     fs.BindTokenStores(catalog.mutable_store(&data.a),
                        catalog.mutable_store(&data.b));
     auto res = ApplyBlockingRules(data.a, data.b, seq, fs, catalog, &cluster,
-                                  ApplyMethod::kApplyPredicate,
-                                  ApplyOptions{});
+                                  ApplyMethod::kApplyPredicate);
     fs.BindTokenStores(nullptr, nullptr);
     EXPECT_TRUE(res.ok()) << res.status().ToString();
     auto pairs = res->pairs;

@@ -318,7 +318,7 @@ struct IntersectJobFixture {
     cfg.local_threads = threads;
     Cluster cluster(cfg);
     auto res = ApplyBlockingRules(data.a, data.b, seq, fs, catalog, &cluster,
-                                  ApplyMethod::kApplyAll, ApplyOptions{});
+                                  ApplyMethod::kApplyAll);
     EXPECT_TRUE(res.ok()) << res.status().ToString();
     return res.ok() ? std::move(*res) : ApplyResult{};
   }

@@ -137,6 +137,21 @@ TEST(SimplifyTest, PreservesMetadata) {
   EXPECT_EQ(s.coverage, 123u);
 }
 
+// SelectApplyMethod's rule 1 reads the simplified sequence's selectivity.
+TEST(SimplifyTest, SequenceKeepsSelectivity) {
+  RuleSequence seq;
+  Rule r;
+  r.predicates = {P(0, PredOp::kLe, 0.4), P(0, PredOp::kLe, 0.3)};
+  r.selectivity = 0.5;
+  seq.rules = {r, r};
+  seq.selectivity = 0.01;
+  RuleSequence s = SimplifySequence(seq);
+  EXPECT_DOUBLE_EQ(s.selectivity, 0.01);
+  ASSERT_EQ(s.rules.size(), 2u);
+  EXPECT_EQ(s.rules[0].predicates.size(), 1u);
+  EXPECT_DOUBLE_EQ(s.rules[0].selectivity, 0.5);
+}
+
 // --- CanonicalKey ----------------------------------------------------------------
 
 TEST(CanonicalKeyTest, OrderIndependent) {

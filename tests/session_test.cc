@@ -84,7 +84,7 @@ TEST(SessionSnapshotTest, MetaReadbackAndIdentityChecks) {
 
   // Config drift is refused.
   FalconConfig drifted = cfg;
-  drifted.eval_precision_min = 0.5;
+  drifted.score_gamma = 0.5;
   SimulatedCrowd crowd2(CrowdConfig(cfg.seed), data.truth.MakeOracle());
   auto r1 = WorkflowSession::Resume(blob, &data.a, &data.b, &crowd2, &cluster,
                                     drifted);
@@ -106,6 +106,23 @@ TEST(SessionSnapshotTest, MetaReadbackAndIdentityChecks) {
 TEST(SessionSnapshotTest, DefaultConfigFingerprintIsStable) {
   EXPECT_EQ(ConfigFingerprint(FalconConfig{}), 0xaf9e704bdd6c9697ull);
   EXPECT_EQ(kSnapshotVersion, 2u);
+}
+
+// The end-to-end bench's Blocker+Matcher config (bench/e2e BlockingConfig at
+// scale 1, seed 100): a golden for a config that sets most of what callers
+// vary, so the slots of settings that became constants stay pinned too.
+TEST(SessionSnapshotTest, BenchBlockingConfigFingerprintIsStable) {
+  FalconConfig cfg;
+  cfg.seed = 100;
+  cfg.sample_size = 6000;
+  cfg.sample_y = 50;
+  cfg.al_max_iterations = 15;
+  cfg.max_rules_to_eval = 15;
+  cfg.max_rules_exhaustive = 10;
+  cfg.pair_selection_mask_threshold = 30000;
+  cfg.matcher_only_max_bytes = size_t{8} * 1024 * 1024;
+  cfg.deterministic_rule_cost = true;
+  EXPECT_EQ(ConfigFingerprint(cfg), 0xcf1c712d6d74eec0ull);
 }
 
 TEST(SessionSnapshotTest, RejectsCorruptionTruncationAndFutureVersions) {

@@ -209,7 +209,7 @@ struct SkewFixture {
     cfg.local_threads = threads;
     Cluster cluster(cfg);
     auto res = ApplyBlockingRules(data.a, data.b, seq, fs, catalog, &cluster,
-                                  m, ApplyOptions{});
+                                  m);
     EXPECT_TRUE(res.ok()) << ApplyMethodName(m) << ": "
                           << res.status().ToString();
     return res.ok() ? std::move(*res) : ApplyResult{};

@@ -161,23 +161,32 @@ TEST(ProfileTest, Characteristics) {
             {"short_s", AttrType::kString},
             {"medium", AttrType::kString},
             {"long_s", AttrType::kString},
-            {"num", AttrType::kNumeric}});
+            {"num", AttrType::kNumeric},
+            {"digits", AttrType::kString},
+            {"num_text", AttrType::kNumeric}});
   Table t(s);
   std::string medium = "one two three four five six seven";
   std::string long_str;
   for (int i = 0; i < 15; ++i) long_str += "word" + std::to_string(i) + " ";
   for (int i = 0; i < 50; ++i) {
-    ASSERT_TRUE(
-        t.AppendRow({"token", "a few words here", medium, long_str, "3.5"})
-            .ok());
+    // "digits" is declared a string although every value parses as a
+    // number; "num_text" is declared numeric although most values do not.
+    ASSERT_TRUE(t.AppendRow({"token", "a few words here", medium, long_str,
+                             "3.5", std::to_string(1000 + i),
+                             i % 5 == 0 ? "7" : "n/a"})
+                    .ok());
   }
   auto profiles = ProfileTable(t);
-  ASSERT_EQ(profiles.size(), 5u);
+  ASSERT_EQ(profiles.size(), 7u);
   EXPECT_EQ(profiles[0].characteristic, AttrCharacteristic::kSingleWordString);
   EXPECT_EQ(profiles[1].characteristic, AttrCharacteristic::kShortString);
   EXPECT_EQ(profiles[2].characteristic, AttrCharacteristic::kMediumString);
   EXPECT_EQ(profiles[3].characteristic, AttrCharacteristic::kLongString);
   EXPECT_EQ(profiles[4].characteristic, AttrCharacteristic::kNumeric);
+  // The declared type decides: parseable strings stay strings, and a
+  // numeric column with unparseable values stays numeric.
+  EXPECT_EQ(profiles[5].characteristic, AttrCharacteristic::kSingleWordString);
+  EXPECT_EQ(profiles[6].characteristic, AttrCharacteristic::kNumeric);
 }
 
 TEST(ProfileTest, MissingFraction) {
