@@ -474,13 +474,11 @@ ApplyResult RunKeyedByPair(const Table& a, const Table& b,
   return result;
 }
 
+}  // namespace
+
 double IndexLoadSeconds(size_t bytes) {
-  // Virtual cost of loading indexes into a mapper (modeled at 200 MB/s),
-  // spread over tasks via JobOptions::map_setup_seconds.
   return static_cast<double>(bytes) / (200.0 * 1024 * 1024);
 }
-
-}  // namespace
 
 namespace {
 

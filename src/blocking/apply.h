@@ -127,6 +127,11 @@ class RuleApplier {
   size_t num_slots_ = 0;  ///< memoization slots; scratch lives in TLS
 };
 
+/// Virtual seconds a mapper takes to load `bytes` of indexes or of an
+/// in-memory table (modeled at 200 MB/s). The operators charge it to each
+/// map task through JobOptions::map_setup_seconds.
+double IndexLoadSeconds(size_t bytes);
+
 /// Runs one physical operator. The rule sequence is simplified internally.
 /// Fails with OutOfMemory when the operator's indexes (or table) exceed
 /// mapper memory, and with InvalidArgument on an empty sequence, on an index

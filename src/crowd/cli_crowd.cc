@@ -27,55 +27,25 @@ void CliCrowd::Render(RowId a_row, RowId b_row) {
 }
 
 Result<LabelResult> CliCrowd::LabelBatch(const LabelRequest& request) {
-  const size_t n = request.pairs.size();
-  if (!request.prior.empty() && request.prior.size() != n) {
-    return Status::InvalidArgument("cli crowd: prior/pairs mismatch");
-  }
-  if (!request.max_new_answers.empty() &&
-      request.max_new_answers.size() != n) {
-    return Status::InvalidArgument("cli crowd: caps/pairs mismatch");
-  }
-  LabelResult result;
-  auto t0 = std::chrono::steady_clock::now();
-  size_t answers = 0;
-  size_t answered_questions = 0;
-  for (size_t i = 0; i < n; ++i) {
-    const auto& [a_row, b_row] = request.pairs[i];
-    uint32_t yes = request.prior.empty() ? 0 : request.prior[i].yes;
-    uint32_t no = request.prior.empty() ? 0 : request.prior[i].no;
-    uint32_t cap =
-        request.max_new_answers.empty() ? kNoAnswerCap
-                                        : request.max_new_answers[i];
-    const uint32_t votes_before = yes + no;
-    while (cap > 0 && !QuorumReached(request.scheme, yes, no)) {
-      Render(a_row, b_row);
-      std::string line;
-      if (!std::getline(*in_, line)) {
-        return Status::IoError("labeling aborted: input stream closed");
-      }
-      std::string answer = ToLower(Trim(line));
-      if (answer == "y" || answer == "yes" || answer == "1") {
-        ++yes;
-      } else if (answer == "n" || answer == "no" || answer == "0") {
-        ++no;
-      } else {
-        *out_ << "please answer y or n\n";
-        continue;  // reprompt without consuming the answer cap
-      }
-      --cap;
-      ++answers;
-    }
-    if (yes + no > votes_before) ++answered_questions;
-    result.labels.push_back(yes > no);
-    result.answers_per_question.push_back(yes + no);
-    result.yes_votes.push_back(yes);
-  }
-  result.num_questions = answered_questions;
-  result.num_answers = answers;
-  auto t1 = std::chrono::steady_clock::now();
-  result.latency =
-      VDuration::Seconds(std::chrono::duration<double>(t1 - t0).count());
-  result.cost = 0.0;
+  const auto t0 = std::chrono::steady_clock::now();
+  FALCON_ASSIGN_OR_RETURN(
+      LabelResult result,
+      CollectAnswers(request, [&](const PairQuestion& q) -> Result<bool> {
+        for (;;) {
+          Render(q.first, q.second);
+          std::string line;
+          if (!std::getline(*in_, line)) {
+            return Status::IoError("labeling aborted: input stream closed");
+          }
+          std::string answer = ToLower(Trim(line));
+          if (answer == "y" || answer == "yes" || answer == "1") return true;
+          if (answer == "n" || answer == "no" || answer == "0") return false;
+          *out_ << "please answer y or n\n";
+        }
+      }));
+  const std::chrono::duration<double> took =
+      std::chrono::steady_clock::now() - t0;
+  result.latency = VDuration::Seconds(took.count());
   Record(result);
   return result;
 }

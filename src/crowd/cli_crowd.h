@@ -16,7 +16,7 @@
 namespace falcon {
 
 /// A single interactive labeler reading from a stream.
-class CliCrowd : public CrowdPlatform {
+class CliCrowd : public SingleLabelerCrowd {
  public:
   /// Streams must outlive the crowd. `a`/`b` are rendered per question.
   CliCrowd(const Table* a, const Table* b, std::istream* in,
@@ -28,17 +28,6 @@ class CliCrowd : public CrowdPlatform {
   /// already decided by prior votes, or capped at zero new answers, are not
   /// asked.
   Result<LabelResult> LabelBatch(const LabelRequest& request) override;
-
-  /// One human, one answer: a vote leader decides.
-  bool QuorumReached(VoteScheme scheme, uint32_t yes,
-                     uint32_t no) const override {
-    (void)scheme;
-    return yes != no;
-  }
-  uint32_t MinAnswersToQuorum(VoteScheme scheme, uint32_t yes,
-                              uint32_t no) const override {
-    return QuorumReached(scheme, yes, no) ? 0 : 1;
-  }
 
  private:
   void Render(RowId a_row, RowId b_row);

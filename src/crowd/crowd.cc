@@ -44,6 +44,118 @@ uint32_t CrowdPlatform::MinAnswersToQuorum(VoteScheme scheme, uint32_t yes,
   return std::min(to_four, to_seven);
 }
 
+Status LabelRequest::CheckShape() const {
+  if ((!prior.empty() && prior.size() != pairs.size()) ||
+      (!max_new_answers.empty() && max_new_answers.size() != pairs.size())) {
+    return Status::InvalidArgument(
+        "label request: priors and answer caps must each be empty or one "
+        "per pair");
+  }
+  return Status::OK();
+}
+
+void LabelRequest::DropDefaults() {
+  if (std::all_of(prior.begin(), prior.end(),
+                  [](const PriorVotes& p) { return p.total() == 0; })) {
+    prior.clear();
+  }
+  if (std::all_of(max_new_answers.begin(), max_new_answers.end(),
+                  [](uint32_t cap) { return cap == kNoAnswerCap; })) {
+    max_new_answers.clear();
+  }
+}
+
+bool LabelResult::ParallelTo(size_t num_pairs) const {
+  if (labels.size() != num_pairs ||
+      answers_per_question.size() != num_pairs ||
+      yes_votes.size() != num_pairs) {
+    return false;
+  }
+  for (size_t i = 0; i < num_pairs; ++i) {
+    if (yes_votes[i] > answers_per_question[i]) return false;
+  }
+  return true;
+}
+
+void LabelResult::Append(PriorVotes votes) {
+  labels.push_back(votes.yes > votes.no);
+  answers_per_question.push_back(votes.total());
+  yes_votes.push_back(votes.yes);
+}
+
+namespace {
+
+Result<LabelResult> CheckParallel(Result<LabelResult> result,
+                                  size_t num_pairs) {
+  if (result.ok() && !result->ParallelTo(num_pairs)) {
+    return Status::Internal(
+        "crowd platform returned a result that is not one label, answer "
+        "count and yes count per pair (" +
+        std::to_string(num_pairs) + " pairs)");
+  }
+  return result;
+}
+
+}  // namespace
+
+Result<LabelResult> CrowdPlatform::LabelPairs(
+    const std::vector<PairQuestion>& pairs, VoteScheme scheme) {
+  LabelRequest req;
+  req.pairs = pairs;
+  req.scheme = scheme;
+  return CheckParallel(LabelBatch(req), pairs.size());
+}
+
+CrowdPlatform::AnswerSource CrowdPlatform::RandomWorker(
+    const TruthOracle& oracle, Rng* rng, double error_rate) {
+  return [&oracle, rng, error_rate](const PairQuestion& q) -> Result<bool> {
+    const bool truth = oracle(q.first, q.second);
+    return rng->Bernoulli(error_rate) ? !truth : truth;
+  };
+}
+
+Result<LabelResult> CrowdPlatform::CollectAnswers(
+    const LabelRequest& request, const AnswerSource& answer) const {
+  FALCON_RETURN_NOT_OK(request.CheckShape());
+  const size_t n = request.pairs.size();
+  LabelResult result;
+  result.labels.reserve(n);
+  result.answers_per_question.reserve(n);
+  result.yes_votes.reserve(n);
+  for (size_t i = 0; i < n; ++i) {
+    PriorVotes votes = request.PriorFor(i);
+    const uint32_t cap = request.CapFor(i);
+    // For a fresh question this reproduces the majority-of-3 /
+    // strong-majority-of-7 draws; a fault-injected cap ends it early.
+    uint32_t drawn = 0;
+    while (drawn < cap && !QuorumReached(request.scheme, votes.yes, votes.no)) {
+      FALCON_ASSIGN_OR_RETURN(bool match, answer(request.pairs[i]));
+      (match ? votes.yes : votes.no)++;
+      ++drawn;
+    }
+    result.num_answers += drawn;
+    if (drawn > 0) ++result.num_questions;
+    result.Append(votes);
+  }
+  return result;
+}
+
+Result<LabelResult> CrowdDecorator::LabelInner(const LabelRequest& request) {
+  return CheckParallel(inner_->LabelBatch(request), request.pairs.size());
+}
+
+void CrowdDecorator::SaveDerivedState(BinaryWriter* w) const {
+  w->Str(inner_->SaveState());
+  SaveOwnState(w);
+}
+
+Status CrowdDecorator::RestoreDerivedState(BinaryReader* r) {
+  std::string inner_blob = r->Str();
+  if (!r->ok()) return Status::IoError("truncated crowd decorator state");
+  FALCON_RETURN_NOT_OK(inner_->RestoreState(inner_blob));
+  return RestoreOwnState(r);
+}
+
 void CrowdPlatform::Record(const LabelResult& r) {
   total_questions_ += r.num_questions;
   total_answers_ += r.num_answers;
@@ -128,10 +240,6 @@ SimulatedCrowd::SimulatedCrowd(SimulatedCrowdConfig config, TruthOracle oracle)
   ledger_ = BudgetLedger(config.budget_cap);
 }
 
-bool SimulatedCrowd::OneAnswer(bool truth) {
-  return rng_.Bernoulli(config_.error_rate) ? !truth : truth;
-}
-
 void SimulatedCrowd::SaveDerivedState(BinaryWriter* w) const {
   WriteRngState(rng_.SaveState(), w);
 }
@@ -143,53 +251,17 @@ Status SimulatedCrowd::RestoreDerivedState(BinaryReader* r) {
 
 Result<LabelResult> SimulatedCrowd::LabelBatch(const LabelRequest& request) {
   FALCON_RETURN_NOT_OK(init_status_);
-  const size_t n = request.pairs.size();
-  if (!request.prior.empty() && request.prior.size() != n) {
-    return Status::InvalidArgument("simulated crowd: prior/pairs mismatch");
-  }
-  if (!request.max_new_answers.empty() &&
-      request.max_new_answers.size() != n) {
-    return Status::InvalidArgument("simulated crowd: caps/pairs mismatch");
-  }
-
   // A rejected batch must be side-effect-free: capture the RNG engine state
   // so the budget-failure path below can undo the answer draws (otherwise a
   // caller that retries a smaller batch would see a perturbed stream and
   // break the byte-identical resume guarantee).
   const RngState rng_at_entry = rng_.SaveState();
-
-  LabelResult result;
-  result.labels.reserve(n);
-  result.answers_per_question.reserve(n);
-  result.yes_votes.reserve(n);
-
-  size_t answers = 0;
-  size_t answered_questions = 0;
-  for (size_t i = 0; i < n; ++i) {
-    bool truth = oracle_(request.pairs[i].first, request.pairs[i].second);
-    uint32_t yes = request.prior.empty() ? 0 : request.prior[i].yes;
-    uint32_t no = request.prior.empty() ? 0 : request.prior[i].no;
-    uint32_t cap =
-        request.max_new_answers.empty() ? kNoAnswerCap
-                                        : request.max_new_answers[i];
-    // Collect answers until the scheme's quorum decides the question (for a
-    // fresh question this reproduces the legacy majority-of-3 /
-    // strong-majority-of-7 draws exactly) or the fault-injected cap ends
-    // collection early.
-    uint32_t drawn = 0;
-    while (drawn < cap && !QuorumReached(request.scheme, yes, no)) {
-      (OneAnswer(truth) ? yes : no)++;
-      ++drawn;
-    }
-    answers += drawn;
-    if (drawn > 0) ++answered_questions;
-    result.labels.push_back(yes > no);
-    result.answers_per_question.push_back(yes + no);
-    result.yes_votes.push_back(yes);
-  }
-  result.num_questions = answered_questions;
-  result.num_answers = answers;
-  result.cost = static_cast<double>(answers) * config_.cost_per_answer;
+  FALCON_ASSIGN_OR_RETURN(
+      LabelResult result,
+      CollectAnswers(request,
+                     RandomWorker(oracle_, &rng_, config_.error_rate)));
+  result.cost =
+      static_cast<double>(result.num_answers) * config_.cost_per_answer;
   if (Status charged = ledger_.Charge(result.cost); !charged.ok()) {
     rng_.RestoreState(rng_at_entry);
     return charged;
@@ -200,11 +272,12 @@ Result<LabelResult> SimulatedCrowd::LabelBatch(const LabelRequest& request) {
   // proportionally (more assignments must come back); the strong-majority
   // baseline is 4 answers — the minimum that reaches a 4-vote majority — so
   // a unanimous batch is not stretched.
+  const size_t n = request.pairs.size();
   if (n > 0) {
-    size_t num_hits = (n + static_cast<size_t>(config_.questions_per_hit) -
-                       1) /
-                      static_cast<size_t>(config_.questions_per_hit);
-    double answers_per_question = static_cast<double>(answers) / n;
+    const size_t qph = static_cast<size_t>(config_.questions_per_hit);
+    const size_t num_hits = (n + qph - 1) / qph;
+    double answers_per_question =
+        static_cast<double>(result.num_answers) / static_cast<double>(n);
     double base_votes = request.scheme == VoteScheme::kMajority3 ? 3.0 : 4.0;
     double stretch = std::max(1.0, answers_per_question / base_votes);
     double slowest = 0.0;
@@ -219,6 +292,11 @@ Result<LabelResult> SimulatedCrowd::LabelBatch(const LabelRequest& request) {
   return result;
 }
 
+OracleCrowd::OracleCrowd(OracleCrowdConfig config, TruthOracle oracle)
+    : config_(config), oracle_(std::move(oracle)), rng_(config.seed) {
+  ledger_ = BudgetLedger(std::numeric_limits<double>::infinity());
+}
+
 void OracleCrowd::SaveDerivedState(BinaryWriter* w) const {
   WriteRngState(rng_.SaveState(), w);
 }
@@ -228,62 +306,14 @@ Status OracleCrowd::RestoreDerivedState(BinaryReader* r) {
   return Status::OK();
 }
 
-OracleCrowd::OracleCrowd(OracleCrowdConfig config, TruthOracle oracle)
-    : config_(config), oracle_(std::move(oracle)), rng_(config.seed) {
-  ledger_ = BudgetLedger(std::numeric_limits<double>::infinity());
-}
-
-bool OracleCrowd::QuorumReached(VoteScheme scheme, uint32_t yes,
-                                uint32_t no) const {
-  (void)scheme;  // one expert, one answer: a leader decides
-  return yes != no;
-}
-
-uint32_t OracleCrowd::MinAnswersToQuorum(VoteScheme scheme, uint32_t yes,
-                                         uint32_t no) const {
-  return QuorumReached(scheme, yes, no) ? 0 : 1;
-}
-
 Result<LabelResult> OracleCrowd::LabelBatch(const LabelRequest& request) {
-  const size_t n = request.pairs.size();
-  if (!request.prior.empty() && request.prior.size() != n) {
-    return Status::InvalidArgument("oracle crowd: prior/pairs mismatch");
-  }
-  if (!request.max_new_answers.empty() &&
-      request.max_new_answers.size() != n) {
-    return Status::InvalidArgument("oracle crowd: caps/pairs mismatch");
-  }
-  LabelResult result;
-  result.labels.reserve(n);
-  result.answers_per_question.reserve(n);
-  result.yes_votes.reserve(n);
-  size_t answers = 0;
-  size_t answered_questions = 0;
-  for (size_t i = 0; i < n; ++i) {
-    uint32_t yes = request.prior.empty() ? 0 : request.prior[i].yes;
-    uint32_t no = request.prior.empty() ? 0 : request.prior[i].no;
-    uint32_t cap =
-        request.max_new_answers.empty() ? kNoAnswerCap
-                                        : request.max_new_answers[i];
-    uint32_t drawn = 0;
-    while (drawn < cap && !QuorumReached(request.scheme, yes, no)) {
-      bool truth = oracle_(request.pairs[i].first, request.pairs[i].second);
-      bool answer = rng_.Bernoulli(config_.error_rate) ? !truth : truth;
-      (answer ? yes : no)++;
-      ++drawn;
-    }
-    answers += drawn;
-    if (drawn > 0) ++answered_questions;
-    result.labels.push_back(yes > no);
-    result.answers_per_question.push_back(yes + no);
-    result.yes_votes.push_back(yes);
-  }
-  result.num_questions = answered_questions;
-  result.num_answers = answers;
-  result.cost = 0.0;
+  FALCON_ASSIGN_OR_RETURN(
+      LabelResult result,
+      CollectAnswers(request,
+                     RandomWorker(oracle_, &rng_, config_.error_rate)));
   // Sequential labeling: the expert works through the batch pair by pair.
   result.latency = VDuration::Seconds(config_.seconds_per_pair.seconds *
-                                      static_cast<double>(answers));
+                                      static_cast<double>(result.num_answers));
   Record(result);
   return result;
 }

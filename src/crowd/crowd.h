@@ -96,21 +96,37 @@ struct PriorVotes {
 /// scheme requires.
 inline constexpr uint32_t kNoAnswerCap = 0xFFFFFFFFu;
 
-/// One labeling request. The vectors beyond `pairs` are optional refinements
-/// used by the robustness decorators; when empty the request is a plain
-/// fresh batch (the common case, what LabelPairs() builds).
+/// One labeling request. `pairs` and `scheme` alone are a plain fresh batch
+/// (what LabelPairs() builds); the robustness decorators refine it with
+/// `prior` and `max_new_answers`, each either empty (no question is
+/// refined) or one per pair. Read them per question through PriorFor() and
+/// CapFor(), which supply the defaults of an empty vector.
 struct LabelRequest {
   std::vector<PairQuestion> pairs;
   VoteScheme scheme = VoteScheme::kMajority3;
-  /// Per-question votes carried in from earlier attempts (parallel to
-  /// `pairs`, or empty = no priors). Platforms resume collection from these
-  /// counts instead of starting over.
+  /// Votes carried in from earlier attempts. Platforms resume collection
+  /// from these counts instead of starting over.
   std::vector<PriorVotes> prior;
-  /// Per-question cap on NEW answers the platform may collect (parallel to
-  /// `pairs`, or empty = no caps). FaultyCrowd lowers caps to model worker
-  /// abandonment and spam-rejected assignments; a cap of 0 means the
-  /// question was posted but no valid answer came back.
+  /// Caps on NEW answers the platform may collect. FaultyCrowd lowers caps
+  /// to model worker abandonment and spam-rejected assignments; a cap of 0
+  /// means the question was posted but no valid answer came back.
   std::vector<uint32_t> max_new_answers;
+
+  /// Votes question `i` already holds (none when `prior` is empty).
+  PriorVotes PriorFor(size_t i) const {
+    return prior.empty() ? PriorVotes{} : prior[i];
+  }
+  /// Cap on new answers to question `i` (kNoAnswerCap when uncapped).
+  uint32_t CapFor(size_t i) const {
+    return max_new_answers.empty() ? kNoAnswerCap : max_new_answers[i];
+  }
+  /// InvalidArgument unless `prior` and `max_new_answers` are each empty or
+  /// one per pair.
+  Status CheckShape() const;
+  /// Empties `prior` if no question holds a vote and `max_new_answers` if no
+  /// question is capped, so a request that refines nothing is posted (and
+  /// journaled) as a plain fresh batch.
+  void DropDefaults();
 
   bool operator==(const LabelRequest& o) const {
     return pairs == o.pairs && scheme == o.scheme && prior == o.prior &&
@@ -118,10 +134,17 @@ struct LabelRequest {
   }
 };
 
-/// Result of labeling one batch of pairs. `labels` is ALWAYS parallel to the
-/// request's pairs: questions that ended without any answer carry a
-/// provisional label (prior majority, or false) and are flagged by a zero in
-/// `answers_per_question`.
+/// Result of labeling one batch of pairs.
+///
+/// Shape contract: `labels`, `answers_per_question` and `yes_votes` hold
+/// exactly one entry per requested pair, and no question holds more yes
+/// votes than answers. Every platform fills them that way; a question that
+/// ended without an answer carries its prior votes (zero when it had none)
+/// and their majority as a provisional label. The contract is enforced
+/// where results cross a boundary: CrowdPlatform::LabelPairs (the entry
+/// point of the EM operators), CrowdDecorator::LabelInner (where a
+/// decorator reads its wrapped platform's result) and the crowd journal's
+/// decoder (where results come from outside bytes).
 struct LabelResult {
   /// Aggregated label per input pair (true = match).
   std::vector<bool> labels;
@@ -132,11 +155,9 @@ struct LabelResult {
   double cost = 0.0;
   /// Virtual wall-clock latency of the batch.
   VDuration latency;
-  /// Cumulative valid answers per question, prior votes included (parallel
-  /// to `labels`; may be empty from legacy/simple platforms, meaning every
-  /// question reached its quorum).
+  /// Cumulative valid answers per question, prior votes included.
   std::vector<uint32_t> answers_per_question;
-  /// Cumulative "match" votes per question (parallel; includes priors).
+  /// Cumulative "match" votes per question, prior votes included.
   std::vector<uint32_t> yes_votes;
   /// True when the platform stopped mid-batch at the budget cap: labels of
   /// unanswered questions were never posted or charged. Callers should end
@@ -144,14 +165,16 @@ struct LabelResult {
   /// treating the batch as complete.
   bool truncated = false;
 
-  /// Valid answer count of question `i` (quorum-or-better when the platform
-  /// does not report counts).
-  uint32_t AnswersFor(size_t i) const {
-    return answers_per_question.empty() ? kNoAnswerCap
-                                        : answers_per_question[i];
+  /// True when the result meets the shape contract for `num_pairs` pairs.
+  bool ParallelTo(size_t num_pairs) const;
+  /// Votes question `i` holds.
+  PriorVotes VotesFor(size_t i) const {
+    return {yes_votes[i], answers_per_question[i] - yes_votes[i]};
   }
+  /// Appends a question holding `votes`, labeled by their majority.
+  void Append(PriorVotes votes);
   /// True if question `i` received at least one valid answer.
-  bool Answered(size_t i) const { return AnswersFor(i) > 0; }
+  bool Answered(size_t i) const { return answers_per_question[i] > 0; }
 };
 
 /// Abstract crowd platform.
@@ -165,21 +188,16 @@ class CrowdPlatform {
   virtual Result<LabelResult> LabelBatch(const LabelRequest& request) = 0;
 
   /// Convenience entry point: a fresh batch with no priors or caps. This is
-  /// what the EM operators call.
+  /// what the EM operators call; a result that breaks the shape contract
+  /// fails with kInternal.
   Result<LabelResult> LabelPairs(const std::vector<PairQuestion>& pairs,
-                                 VoteScheme scheme) {
-    LabelRequest req;
-    req.pairs = pairs;
-    req.scheme = scheme;
-    return LabelBatch(req);
-  }
+                                 VoteScheme scheme);
 
   /// Whether `yes`/`no` accumulated votes decide a question under `scheme`
   /// on THIS platform. The default implements the multi-worker schemes
   /// (majority-of-3, strong-majority-of-7); single-labeler platforms
-  /// (OracleCrowd, CliCrowd) override to one-answer-decides. Decorators
-  /// forward to the wrapped platform so requeue logic matches the platform
-  /// actually answering.
+  /// override to one-answer-decides. Decorators forward to the wrapped
+  /// platform so requeue logic matches the platform actually answering.
   virtual bool QuorumReached(VoteScheme scheme, uint32_t yes,
                              uint32_t no) const;
 
@@ -215,6 +233,20 @@ class CrowdPlatform {
     return Status::OK();
   }
 
+  /// Draws one answer to a question (true = match).
+  using AnswerSource = std::function<Result<bool>(const PairQuestion&)>;
+  /// A worker of the random worker model: the oracle's truth, flipped with
+  /// probability `error_rate` by a draw from `rng`.
+  static AnswerSource RandomWorker(const TruthOracle& oracle, Rng* rng,
+                                   double error_rate);
+  /// The answer loop of the platforms that answer questions themselves:
+  /// checks the request's shape, asks `answer` for each question until this
+  /// platform's quorum decides it or its cap is spent, and fills the
+  /// per-question vectors, num_questions and num_answers. Cost and latency
+  /// are left to the platform; a failed draw fails the call.
+  Result<LabelResult> CollectAnswers(const LabelRequest& request,
+                                     const AnswerSource& answer) const;
+
   void Record(const LabelResult& r);
 
   BudgetLedger ledger_;
@@ -222,6 +254,51 @@ class CrowdPlatform {
   size_t total_answers_ = 0;
   double total_cost_ = 0.0;
   VDuration total_crowd_time_;
+};
+
+/// A platform with one labeler (OracleCrowd, CliCrowd): one answer decides
+/// a question under either scheme; only a tie among prior votes asks again.
+class SingleLabelerCrowd : public CrowdPlatform {
+ public:
+  bool QuorumReached(VoteScheme, uint32_t yes, uint32_t no) const override {
+    return yes != no;
+  }
+  uint32_t MinAnswersToQuorum(VoteScheme, uint32_t yes,
+                              uint32_t no) const override {
+    return yes != no ? 0 : 1;
+  }
+};
+
+/// Base of the platform decorators (JournalingCrowd, LedgeredCrowd,
+/// ResilientCrowd, FaultyCrowd). It holds the wrapped platform, whose quorum
+/// rules it forwards, and lays out its state blob as the wrapped platform's
+/// blob followed by the decorator's own fields, so snapshots capture a
+/// decorator stack recursively. `inner` must outlive the decorator.
+class CrowdDecorator : public CrowdPlatform {
+ public:
+  bool QuorumReached(VoteScheme scheme, uint32_t yes,
+                     uint32_t no) const override {
+    return inner_->QuorumReached(scheme, yes, no);
+  }
+  uint32_t MinAnswersToQuorum(VoteScheme scheme, uint32_t yes,
+                              uint32_t no) const override {
+    return inner_->MinAnswersToQuorum(scheme, yes, no);
+  }
+
+ protected:
+  explicit CrowdDecorator(CrowdPlatform* inner) : inner_(inner) {}
+
+  /// Labels `request` on the wrapped platform. A result that breaks the
+  /// shape contract fails with kInternal.
+  Result<LabelResult> LabelInner(const LabelRequest& request);
+
+  void SaveDerivedState(BinaryWriter* w) const final;
+  Status RestoreDerivedState(BinaryReader* r) final;
+  /// The decorator's own state fields, after the wrapped platform's blob.
+  virtual void SaveOwnState(BinaryWriter* w) const = 0;
+  virtual Status RestoreOwnState(BinaryReader* r) = 0;
+
+  CrowdPlatform* const inner_;
 };
 
 /// Configuration of the simulated Mechanical Turk crowd.
@@ -260,8 +337,6 @@ class SimulatedCrowd : public CrowdPlatform {
   Status RestoreDerivedState(BinaryReader* r) override;
 
  private:
-  bool OneAnswer(bool truth);
-
   SimulatedCrowdConfig config_;
   Status init_status_;
   TruthOracle oracle_;
@@ -278,17 +353,11 @@ struct OracleCrowdConfig {
 };
 
 /// A single in-house labeler: sequential, free, (near-)perfect.
-class OracleCrowd : public CrowdPlatform {
+class OracleCrowd : public SingleLabelerCrowd {
  public:
   OracleCrowd(OracleCrowdConfig config, TruthOracle oracle);
 
   Result<LabelResult> LabelBatch(const LabelRequest& request) override;
-
-  /// One expert, one answer: any answered question is decided.
-  bool QuorumReached(VoteScheme scheme, uint32_t yes,
-                     uint32_t no) const override;
-  uint32_t MinAnswersToQuorum(VoteScheme scheme, uint32_t yes,
-                              uint32_t no) const override;
 
  protected:
   uint32_t StateKind() const override { return 2; }

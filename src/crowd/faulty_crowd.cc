@@ -24,21 +24,15 @@ Status ValidateFaultyCrowdConfig(const FaultyCrowdConfig& config) {
 }
 
 FaultyCrowd::FaultyCrowd(FaultyCrowdConfig config, CrowdPlatform* inner)
-    : config_(config),
+    : CrowdDecorator(inner),
+      config_(config),
       init_status_(ValidateFaultyCrowdConfig(config)),
-      inner_(inner),
       rng_(config.seed) {}
 
 Result<LabelResult> FaultyCrowd::LabelBatch(const LabelRequest& request) {
   FALCON_RETURN_NOT_OK(init_status_);
+  FALCON_RETURN_NOT_OK(request.CheckShape());
   const size_t n = request.pairs.size();
-  if (!request.prior.empty() && request.prior.size() != n) {
-    return Status::InvalidArgument("faulty crowd: prior/pairs mismatch");
-  }
-  if (!request.max_new_answers.empty() &&
-      request.max_new_answers.size() != n) {
-    return Status::InvalidArgument("faulty crowd: caps/pairs mismatch");
-  }
 
   // Transient platform failure: fail before touching the wrapped platform,
   // so the call is side-effect-free below this decorator and a retry simply
@@ -69,14 +63,10 @@ Result<LabelResult> FaultyCrowd::LabelBatch(const LabelRequest& request) {
   // therefore never drawn by (or charged to) the wrapped platform.
   LabelRequest fwd;
   fwd.scheme = request.scheme;
-  std::vector<size_t> fwd_index;
-  bool any_cap = false;
   for (size_t i = 0; i < n; ++i) {
-    PriorVotes prior = request.prior.empty() ? PriorVotes{} : request.prior[i];
     if (hit_expired[i / qph]) continue;
-    uint32_t cap = request.max_new_answers.empty()
-                       ? kNoAnswerCap
-                       : request.max_new_answers[i];
+    const PriorVotes prior = request.PriorFor(i);
+    uint32_t cap = request.CapFor(i);
     // Posted-assignment quota: the fewest answers that could decide the
     // question. Abandonment ends the question strictly below it; each
     // spam-rejected assignment lowers the valid-answer yield by one.
@@ -95,58 +85,36 @@ Result<LabelResult> FaultyCrowd::LabelBatch(const LabelRequest& request) {
         cap = std::min(cap, quota - spam);
       }
     }
-    if (cap != kNoAnswerCap) any_cap = true;
     fwd.pairs.push_back(request.pairs[i]);
     fwd.prior.push_back(prior);
     fwd.max_new_answers.push_back(cap);
-    fwd_index.push_back(i);
   }
-  if (!any_cap) fwd.max_new_answers.clear();
-  bool any_prior = false;
-  for (const PriorVotes& p : fwd.prior) {
-    if (p.total() > 0) any_prior = true;
-  }
-  if (!any_prior) fwd.prior.clear();
+  fwd.DropDefaults();
 
-  // Skipped (expired) questions fall back to their prior votes.
-  LabelResult result;
-  result.labels.resize(n);
-  result.answers_per_question.resize(n);
-  result.yes_votes.resize(n);
-  for (size_t i = 0; i < n; ++i) {
-    PriorVotes prior = request.prior.empty() ? PriorVotes{} : request.prior[i];
-    result.labels[i] = prior.yes > prior.no;
-    result.answers_per_question[i] = prior.total();
-    result.yes_votes[i] = prior.yes;
-  }
-
+  // Errors (notably BudgetExhausted) propagate unchanged; the wrapped
+  // platform's failure path is side-effect-free, so retrying is safe.
+  LabelResult got;
   if (!fwd.pairs.empty()) {
-    // Errors (notably BudgetExhausted) propagate unchanged; the wrapped
-    // platform's failure path is side-effect-free, so retrying is safe.
-    FALCON_ASSIGN_OR_RETURN(LabelResult inner_result,
-                            inner_->LabelBatch(fwd));
-    for (size_t k = 0; k < fwd_index.size(); ++k) {
-      size_t i = fwd_index[k];
-      result.labels[i] = inner_result.labels[k];
-      if (!inner_result.answers_per_question.empty()) {
-        result.answers_per_question[i] = inner_result.answers_per_question[k];
-        result.yes_votes[i] = inner_result.yes_votes[k];
-      } else {
-        // Count-less platform: conservatively report one answer beyond the
-        // priors so callers see the question as answered.
-        result.answers_per_question[i] =
-            (fwd.prior.empty() ? 0 : fwd.prior[k].total()) + 1;
-        result.yes_votes[i] =
-            inner_result.labels[k] ? result.answers_per_question[i] : 0;
-      }
-    }
-    result.num_questions = inner_result.num_questions;
-    result.num_answers = inner_result.num_answers;
-    result.cost = inner_result.cost;
-    result.latency = inner_result.latency;
-    result.truncated = inner_result.truncated;
+    FALCON_ASSIGN_OR_RETURN(got, LabelInner(fwd));
   }
-
+  // Forwarded questions take the wrapped platform's answers; expired ones
+  // keep their prior votes.
+  LabelResult result;
+  for (size_t i = 0, k = 0; i < n; ++i) {
+    if (hit_expired[i / qph]) {
+      result.Append(request.PriorFor(i));
+    } else {
+      result.labels.push_back(got.labels[k]);
+      result.answers_per_question.push_back(got.answers_per_question[k]);
+      result.yes_votes.push_back(got.yes_votes[k]);
+      ++k;
+    }
+  }
+  result.num_questions = got.num_questions;
+  result.num_answers = got.num_answers;
+  result.cost = got.cost;
+  result.latency = got.latency;
+  result.truncated = got.truncated;
   if (any_straggler) {
     result.latency = result.latency * config_.straggler_multiplier;
   }
@@ -154,8 +122,7 @@ Result<LabelResult> FaultyCrowd::LabelBatch(const LabelRequest& request) {
   return result;
 }
 
-void FaultyCrowd::SaveDerivedState(BinaryWriter* w) const {
-  w->Str(inner_->SaveState());
+void FaultyCrowd::SaveOwnState(BinaryWriter* w) const {
   WriteRngState(rng_.SaveState(), w);
   w->U64(counters_.transient_errors);
   w->U64(counters_.expired_hits);
@@ -164,10 +131,7 @@ void FaultyCrowd::SaveDerivedState(BinaryWriter* w) const {
   w->U64(counters_.straggler_hits);
 }
 
-Status FaultyCrowd::RestoreDerivedState(BinaryReader* r) {
-  std::string inner_blob = r->Str();
-  if (!r->ok()) return Status::IoError("truncated faulty-crowd state");
-  FALCON_RETURN_NOT_OK(inner_->RestoreState(inner_blob));
+Status FaultyCrowd::RestoreOwnState(BinaryReader* r) {
   rng_.RestoreState(ReadRngState(r));
   counters_.transient_errors = r->U64();
   counters_.expired_hits = r->U64();

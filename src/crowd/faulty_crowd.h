@@ -63,39 +63,25 @@ struct FaultCounters {
 };
 
 /// CrowdPlatform decorator injecting seeded faults ahead of the wrapped
-/// platform. `inner` must outlive the wrapper.
-class FaultyCrowd : public CrowdPlatform {
+/// platform. Quorum semantics are the wrapped platform's (faults change how
+/// many answers arrive, not how votes are aggregated).
+class FaultyCrowd : public CrowdDecorator {
  public:
   FaultyCrowd(FaultyCrowdConfig config, CrowdPlatform* inner);
 
   Result<LabelResult> LabelBatch(const LabelRequest& request) override;
 
-  /// Quorum semantics are the wrapped platform's (faults change how many
-  /// answers arrive, not how votes are aggregated).
-  bool QuorumReached(VoteScheme scheme, uint32_t yes,
-                     uint32_t no) const override {
-    return inner_->QuorumReached(scheme, yes, no);
-  }
-  uint32_t MinAnswersToQuorum(VoteScheme scheme, uint32_t yes,
-                              uint32_t no) const override {
-    return inner_->MinAnswersToQuorum(scheme, yes, no);
-  }
-
   const FaultCounters& counters() const { return counters_; }
-  CrowdPlatform* inner() const { return inner_; }
 
  protected:
   uint32_t StateKind() const override { return 4; }
-  /// Derived state = wrapped-platform blob + fault RNG + fault counters, so
-  /// snapshots capture the decorator stack recursively (the same pattern as
-  /// JournalingCrowd).
-  void SaveDerivedState(BinaryWriter* w) const override;
-  Status RestoreDerivedState(BinaryReader* r) override;
+  /// Own state = fault RNG + fault counters.
+  void SaveOwnState(BinaryWriter* w) const override;
+  Status RestoreOwnState(BinaryReader* r) override;
 
  private:
   FaultyCrowdConfig config_;
   Status init_status_;
-  CrowdPlatform* inner_;
   Rng rng_;
   FaultCounters counters_;
 };

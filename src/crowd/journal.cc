@@ -102,8 +102,12 @@ Result<CrowdJournalEntry> ReadEntry(BinaryReader* r) {
   e.result.truncated = r->U8() != 0;
   e.inner_state_after = r->Str();
   if (!r->ok()) return Status::IoError("truncated journal entry");
-  if (e.result.labels.size() != e.request.pairs.size()) {
-    return Status::IoError("journal entry labels do not match its pairs");
+  // Replay hands the result to the operators, which index it by question.
+  if (!e.request.CheckShape().ok() ||
+      !e.result.ParallelTo(e.request.pairs.size())) {
+    return Status::IoError(
+        "journal entry's priors, caps, labels or vote counts are not "
+        "parallel to its pairs");
   }
   return e;
 }
@@ -195,7 +199,7 @@ Result<LabelResult> JournalingCrowd::LabelBatch(const LabelRequest& request) {
     Record(e.result);
     return e.result;
   }
-  FALCON_ASSIGN_OR_RETURN(LabelResult result, inner_->LabelBatch(request));
+  FALCON_ASSIGN_OR_RETURN(LabelResult result, LabelInner(request));
   CrowdJournalEntry e;
   e.request = request;
   e.result = result;
@@ -217,16 +221,12 @@ Status JournalingCrowd::LoadJournal(CrowdJournal journal, size_t position) {
   return Status::OK();
 }
 
-void JournalingCrowd::SaveDerivedState(BinaryWriter* w) const {
-  w->Str(inner_->SaveState());
+void JournalingCrowd::SaveOwnState(BinaryWriter* w) const {
   WriteEntries(journal_.entries, w);
   w->U64(cursor_);
 }
 
-Status JournalingCrowd::RestoreDerivedState(BinaryReader* r) {
-  std::string inner_blob = r->Str();
-  if (!r->ok()) return Status::IoError("truncated journaling-crowd state");
-  FALCON_RETURN_NOT_OK(inner_->RestoreState(inner_blob));
+Status JournalingCrowd::RestoreOwnState(BinaryReader* r) {
   FALCON_ASSIGN_OR_RETURN(journal_.entries, ReadEntries(r));
   cursor_ = static_cast<size_t>(r->U64());
   if (cursor_ > journal_.entries.size()) {

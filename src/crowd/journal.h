@@ -47,33 +47,24 @@ struct CrowdJournal {
 
   /// Standalone artifact: magic + format version + CRC32-checked payload.
   std::string Serialize() const;
-  /// Rejects corrupted payloads (CRC) and future format versions.
+  /// Rejects corrupted payloads (CRC), future format versions and entries
+  /// whose request or result vectors are not parallel to their pairs.
   static Result<CrowdJournal> Parse(std::string_view data);
 };
 
 /// CrowdPlatform decorator that journals passthrough calls and replays
-/// loaded journal entries. `inner` must outlive the wrapper.
-class JournalingCrowd : public CrowdPlatform {
+/// loaded journal entries. Quorum semantics are the wrapped platform's.
+/// `inner` must outlive the wrapper.
+class JournalingCrowd : public CrowdDecorator {
  public:
-  explicit JournalingCrowd(CrowdPlatform* inner) : inner_(inner) {}
+  explicit JournalingCrowd(CrowdPlatform* inner) : CrowdDecorator(inner) {}
 
   /// Replays the next journal entry if one is pending (verifying the caller
   /// asked the recorded question), otherwise forwards to the wrapped
   /// platform and appends a new entry.
   Result<LabelResult> LabelBatch(const LabelRequest& request) override;
 
-  /// Quorum semantics are the wrapped platform's.
-  bool QuorumReached(VoteScheme scheme, uint32_t yes,
-                     uint32_t no) const override {
-    return inner_->QuorumReached(scheme, yes, no);
-  }
-  uint32_t MinAnswersToQuorum(VoteScheme scheme, uint32_t yes,
-                              uint32_t no) const override {
-    return inner_->MinAnswersToQuorum(scheme, yes, no);
-  }
-
   const CrowdJournal& journal() const { return journal_; }
-  CrowdPlatform* inner() const { return inner_; }
 
   /// Entries consumed or produced so far (== journal size except while
   /// replaying a loaded journal).
@@ -89,13 +80,12 @@ class JournalingCrowd : public CrowdPlatform {
 
  protected:
   uint32_t StateKind() const override { return 3; }
-  /// Derived state = wrapped-platform blob + the full journal + cursor, so
-  /// SaveState()/RestoreState() round-trips the whole decorator.
-  void SaveDerivedState(BinaryWriter* w) const override;
-  Status RestoreDerivedState(BinaryReader* r) override;
+  /// Own state = the full journal + cursor, so SaveState()/RestoreState()
+  /// round-trips the whole decorator.
+  void SaveOwnState(BinaryWriter* w) const override;
+  Status RestoreOwnState(BinaryReader* r) override;
 
  private:
-  CrowdPlatform* inner_;
   CrowdJournal journal_;
   size_t cursor_ = 0;
   size_t replayed_ = 0;

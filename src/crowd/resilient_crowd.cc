@@ -23,41 +23,34 @@ Status ValidateResilientCrowdConfig(const ResilientCrowdConfig& config) {
 
 ResilientCrowd::ResilientCrowd(ResilientCrowdConfig config,
                                CrowdPlatform* inner)
-    : config_(config),
-      init_status_(ValidateResilientCrowdConfig(config)),
-      inner_(inner) {}
+    : CrowdDecorator(inner),
+      config_(config),
+      init_status_(ValidateResilientCrowdConfig(config)) {}
 
 Result<LabelResult> ResilientCrowd::LabelBatch(const LabelRequest& request) {
   FALCON_RETURN_NOT_OK(init_status_);
+  FALCON_RETURN_NOT_OK(request.CheckShape());
   const size_t n = request.pairs.size();
-  if (!request.prior.empty() && request.prior.size() != n) {
-    return Status::InvalidArgument("resilient crowd: prior/pairs mismatch");
-  }
-  if (!request.max_new_answers.empty() &&
-      request.max_new_answers.size() != n) {
-    return Status::InvalidArgument("resilient crowd: caps/pairs mismatch");
-  }
 
   // Cumulative per-question vote state and remaining caller-imposed caps.
   std::vector<PriorVotes> votes(n);
-  std::vector<uint32_t> cap_left(n, kNoAnswerCap);
+  std::vector<uint32_t> cap_left(n);
   for (size_t i = 0; i < n; ++i) {
-    if (!request.prior.empty()) votes[i] = request.prior[i];
-    if (!request.max_new_answers.empty()) {
-      cap_left[i] = request.max_new_answers[i];
-    }
+    votes[i] = request.PriorFor(i);
+    cap_left[i] = request.CapFor(i);
   }
   std::vector<char> got_answer(n, 0);
+  auto open = [&](size_t i) {
+    return cap_left[i] > 0 &&
+           !inner_->QuorumReached(request.scheme, votes[i].yes, votes[i].no);
+  };
 
   LabelResult result;
 
   // Questions still needing answers, in request order.
   std::vector<size_t> pending;
   for (size_t i = 0; i < n; ++i) {
-    if (!inner_->QuorumReached(request.scheme, votes[i].yes, votes[i].no) &&
-        cap_left[i] > 0) {
-      pending.push_back(i);
-    }
+    if (open(i)) pending.push_back(i);
   }
 
   int retries_left = config_.max_retries;
@@ -79,20 +72,15 @@ Result<LabelResult> ResilientCrowd::LabelBatch(const LabelRequest& request) {
     }
     LabelRequest attempt;
     attempt.scheme = request.scheme;
-    bool any_prior = false;
-    bool any_cap = false;
     for (size_t k = 0; k < post_count; ++k) {
       size_t i = pending[k];
       attempt.pairs.push_back(request.pairs[i]);
       attempt.prior.push_back(votes[i]);
       attempt.max_new_answers.push_back(cap_left[i]);
-      if (votes[i].total() > 0) any_prior = true;
-      if (cap_left[i] != kNoAnswerCap) any_cap = true;
     }
-    if (!any_prior) attempt.prior.clear();
-    if (!any_cap) attempt.max_new_answers.clear();
+    attempt.DropDefaults();
 
-    auto attempted = inner_->LabelBatch(attempt);
+    auto attempted = LabelInner(attempt);
     if (!attempted.ok()) {
       if (attempted.status().code() == StatusCode::kIoError &&
           retries_left > 0) {
@@ -120,15 +108,9 @@ Result<LabelResult> ResilientCrowd::LabelBatch(const LabelRequest& request) {
     // Merge: the platform reports cumulative counts (priors included).
     for (size_t k = 0; k < post_count; ++k) {
       size_t i = pending[k];
-      uint32_t before = votes[i].total();
-      uint32_t total = got.answers_per_question.empty()
-                           ? before + 1
-                           : got.answers_per_question[k];
-      uint32_t yes = got.yes_votes.empty()
-                         ? (got.labels[k] ? total : 0)
-                         : got.yes_votes[k];
-      votes[i].yes = yes;
-      votes[i].no = total - yes;
+      const uint32_t before = votes[i].total();
+      votes[i] = got.VotesFor(k);
+      const uint32_t total = votes[i].total();
       if (total > before) {
         got_answer[i] = 1;
         if (cap_left[i] != kNoAnswerCap) {
@@ -139,20 +121,16 @@ Result<LabelResult> ResilientCrowd::LabelBatch(const LabelRequest& request) {
     }
 
     // Next round: unposted tail plus the posted questions still open.
-    std::vector<size_t> open;
+    std::vector<size_t> still_open;
     for (size_t k = 0; k < post_count; ++k) {
-      size_t i = pending[k];
-      if (!inner_->QuorumReached(request.scheme, votes[i].yes, votes[i].no) &&
-          cap_left[i] > 0) {
-        open.push_back(i);
-      }
+      if (open(pending[k])) still_open.push_back(pending[k]);
     }
     std::vector<size_t> next;
-    if (!open.empty()) {
+    if (!still_open.empty()) {
       if (requeues_left > 0) {
         --requeues_left;
-        total_requeued_questions_ += open.size();
-        next = open;
+        total_requeued_questions_ += still_open.size();
+        next = std::move(still_open);
       }
       // else: requeue budget exhausted; the open questions keep their
       // provisional prior-majority labels (counted below).
@@ -161,37 +139,26 @@ Result<LabelResult> ResilientCrowd::LabelBatch(const LabelRequest& request) {
     pending = std::move(next);
   }
 
-  result.labels.resize(n);
-  result.answers_per_question.resize(n);
-  result.yes_votes.resize(n);
-  size_t answered_questions = 0;
   for (size_t i = 0; i < n; ++i) {
-    result.labels[i] = votes[i].yes > votes[i].no;
-    result.answers_per_question[i] = votes[i].total();
-    result.yes_votes[i] = votes[i].yes;
-    if (got_answer[i]) ++answered_questions;
+    result.Append(votes[i]);
+    if (got_answer[i]) ++result.num_questions;
     if (votes[i].total() > 0 &&
         !inner_->QuorumReached(request.scheme, votes[i].yes, votes[i].no)) {
       ++under_quorum_questions_;
     }
   }
-  result.num_questions = answered_questions;
   Record(result);
   return result;
 }
 
-void ResilientCrowd::SaveDerivedState(BinaryWriter* w) const {
-  w->Str(inner_->SaveState());
+void ResilientCrowd::SaveOwnState(BinaryWriter* w) const {
   w->U64(total_retries_);
   w->U64(total_requeued_questions_);
   w->U64(truncated_batches_);
   w->U64(under_quorum_questions_);
 }
 
-Status ResilientCrowd::RestoreDerivedState(BinaryReader* r) {
-  std::string inner_blob = r->Str();
-  if (!r->ok()) return Status::IoError("truncated resilient-crowd state");
-  FALCON_RETURN_NOT_OK(inner_->RestoreState(inner_blob));
+Status ResilientCrowd::RestoreOwnState(BinaryReader* r) {
   total_retries_ = r->U64();
   total_requeued_questions_ = r->U64();
   truncated_batches_ = r->U64();

@@ -18,7 +18,7 @@
 //
 // The decorator holds no RNG; its retry loop is a deterministic function of
 // the wrapped platform's behavior, so a decorated run snapshots/resumes
-// exactly like a bare one (counters ride in SaveDerivedState).
+// exactly like a bare one (counters ride in its saved state).
 #ifndef FALCON_CROWD_RESILIENT_CROWD_H_
 #define FALCON_CROWD_RESILIENT_CROWD_H_
 
@@ -46,22 +46,11 @@ Status ValidateResilientCrowdConfig(const ResilientCrowdConfig& config);
 /// CrowdPlatform decorator adding retry, partial-batch requeue with vote
 /// merging, and graceful budget degradation. `inner` must outlive the
 /// wrapper.
-class ResilientCrowd : public CrowdPlatform {
+class ResilientCrowd : public CrowdDecorator {
  public:
   ResilientCrowd(ResilientCrowdConfig config, CrowdPlatform* inner);
 
   Result<LabelResult> LabelBatch(const LabelRequest& request) override;
-
-  bool QuorumReached(VoteScheme scheme, uint32_t yes,
-                     uint32_t no) const override {
-    return inner_->QuorumReached(scheme, yes, no);
-  }
-  uint32_t MinAnswersToQuorum(VoteScheme scheme, uint32_t yes,
-                              uint32_t no) const override {
-    return inner_->MinAnswersToQuorum(scheme, yes, no);
-  }
-
-  CrowdPlatform* inner() const { return inner_; }
 
   /// Transient-error retries performed (lifetime).
   uint64_t total_retries() const { return total_retries_; }
@@ -77,13 +66,12 @@ class ResilientCrowd : public CrowdPlatform {
 
  protected:
   uint32_t StateKind() const override { return 5; }
-  void SaveDerivedState(BinaryWriter* w) const override;
-  Status RestoreDerivedState(BinaryReader* r) override;
+  void SaveOwnState(BinaryWriter* w) const override;
+  Status RestoreOwnState(BinaryReader* r) override;
 
  private:
   ResilientCrowdConfig config_;
   Status init_status_;
-  CrowdPlatform* inner_;
   uint64_t total_retries_ = 0;
   uint64_t total_requeued_questions_ = 0;
   uint64_t truncated_batches_ = 0;

@@ -82,6 +82,7 @@ double TenantLedger::remaining() const {
 // ---------------------------------------------------------------------------
 
 Result<LabelResult> LedgeredCrowd::LabelBatch(const LabelRequest& request) {
+  FALCON_RETURN_NOT_OK(request.CheckShape());
   const size_t n = request.pairs.size();
 
   // Worst-case dollars per question, in posting order. A question whose
@@ -92,20 +93,18 @@ Result<LabelResult> LedgeredCrowd::LabelBatch(const LabelRequest& request) {
   std::vector<double> bounds(n, 0.0);
   const uint32_t scheme_max = SchemeMaxAnswers(request.scheme);
   for (size_t i = 0; i < n; ++i) {
-    PriorVotes prior;
-    if (!request.prior.empty()) prior = request.prior[i];
+    const PriorVotes prior = request.PriorFor(i);
     if (inner_->QuorumReached(request.scheme, prior.yes, prior.no)) continue;
     uint32_t worst = scheme_max > prior.total() ? scheme_max - prior.total()
                                                 : uint32_t{1};
-    if (!request.max_new_answers.empty()) {
-      worst = std::min(worst, request.max_new_answers[i]);
-    }
+    worst = std::min(worst, request.CapFor(i));
     bounds[i] = static_cast<double>(worst) * cost_per_answer_;
   }
 
   TenantLedger::Reservation reservation = ledger_->ReservePrefix(bounds);
+  const size_t posted = reservation.questions;
 
-  if (reservation.questions == 0 && n > 0) {
+  if (posted == 0 && n > 0) {
     ledger_->Release(reservation);
     ++refused_batches_;
     return Status::BudgetExhausted(
@@ -115,25 +114,12 @@ Result<LabelResult> LedgeredCrowd::LabelBatch(const LabelRequest& request) {
   }
 
   // Forward the affordable prefix (the whole batch in the common case).
-  LabelRequest sub;
-  sub.scheme = request.scheme;
-  if (reservation.questions == n) {
-    sub = request;
-  } else {
-    sub.pairs.assign(request.pairs.begin(),
-                     request.pairs.begin() + reservation.questions);
-    if (!request.prior.empty()) {
-      sub.prior.assign(request.prior.begin(),
-                       request.prior.begin() + reservation.questions);
-    }
-    if (!request.max_new_answers.empty()) {
-      sub.max_new_answers.assign(
-          request.max_new_answers.begin(),
-          request.max_new_answers.begin() + reservation.questions);
-    }
-  }
+  LabelRequest sub = request;
+  sub.pairs.resize(posted);
+  if (!sub.prior.empty()) sub.prior.resize(posted);
+  if (!sub.max_new_answers.empty()) sub.max_new_answers.resize(posted);
 
-  Result<LabelResult> forwarded = inner_->LabelBatch(sub);
+  Result<LabelResult> forwarded = LabelInner(sub);
   if (!forwarded.ok()) {
     ledger_->Release(reservation);
     return forwarded.status();
@@ -141,47 +127,25 @@ Result<LabelResult> LedgeredCrowd::LabelBatch(const LabelRequest& request) {
   LabelResult result = std::move(forwarded).value();
   ledger_->Commit(reservation, result.cost);
 
-  if (reservation.questions < n) {
-    // Stretch the prefix result over the full batch: the unposted tail keeps
-    // its prior-majority labels and zero new answers, and the batch is
-    // flagged truncated so crowd loops wind down (the C_max contract).
+  if (posted < n) {
+    // The unposted tail keeps its prior-majority labels and zero new
+    // answers, and the batch is flagged truncated so crowd loops wind down
+    // (the C_max contract).
     ++truncated_batches_;
     result.truncated = true;
-    result.labels.resize(n);
-    if (result.answers_per_question.empty() && reservation.questions > 0) {
-      // The inner platform reported no counts ("every question reached its
-      // quorum"); materialize that so the tail can be marked unanswered.
-      result.answers_per_question.assign(reservation.questions, scheme_max);
-      result.yes_votes.resize(reservation.questions);
-      for (size_t i = 0; i < reservation.questions; ++i) {
-        result.yes_votes[i] = result.labels[i] ? scheme_max : 0;
-      }
-    }
-    result.answers_per_question.resize(n);
-    result.yes_votes.resize(n);
-    for (size_t i = reservation.questions; i < n; ++i) {
-      PriorVotes prior;
-      if (!request.prior.empty()) prior = request.prior[i];
-      result.labels[i] = prior.yes > prior.no;
-      result.answers_per_question[i] = prior.total();
-      result.yes_votes[i] = prior.yes;
-    }
+    for (size_t i = posted; i < n; ++i) result.Append(request.PriorFor(i));
   }
 
   Record(result);
   return result;
 }
 
-void LedgeredCrowd::SaveDerivedState(BinaryWriter* w) const {
-  w->Str(inner_->SaveState());
+void LedgeredCrowd::SaveOwnState(BinaryWriter* w) const {
   w->U64(truncated_batches_);
   w->U64(refused_batches_);
 }
 
-Status LedgeredCrowd::RestoreDerivedState(BinaryReader* r) {
-  std::string inner_blob = r->Str();
-  if (!r->ok()) return Status::IoError("truncated ledgered-crowd state");
-  FALCON_RETURN_NOT_OK(inner_->RestoreState(inner_blob));
+Status LedgeredCrowd::RestoreOwnState(BinaryReader* r) {
   truncated_batches_ = r->U64();
   refused_batches_ = r->U64();
   // Deliberately no ledger restore: budget already spent stays spent even if

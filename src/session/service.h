@@ -133,37 +133,28 @@ class TenantLedger {
 /// keep the labels already paid for). `inner` and `ledger` must outlive the
 /// wrapper; the ledger is service-owned and deliberately NOT part of the
 /// saved state (restoring an old snapshot must not resurrect spent budget).
-class LedgeredCrowd : public CrowdPlatform {
+class LedgeredCrowd : public CrowdDecorator {
  public:
   LedgeredCrowd(CrowdPlatform* inner, TenantLedger* ledger,
                 double cost_per_answer)
-      : inner_(inner), ledger_(ledger), cost_per_answer_(cost_per_answer) {}
+      : CrowdDecorator(inner),
+        ledger_(ledger),
+        cost_per_answer_(cost_per_answer) {}
 
   Result<LabelResult> LabelBatch(const LabelRequest& request) override;
 
-  bool QuorumReached(VoteScheme scheme, uint32_t yes,
-                     uint32_t no) const override {
-    return inner_->QuorumReached(scheme, yes, no);
-  }
-  uint32_t MinAnswersToQuorum(VoteScheme scheme, uint32_t yes,
-                              uint32_t no) const override {
-    return inner_->MinAnswersToQuorum(scheme, yes, no);
-  }
-
-  CrowdPlatform* inner() const { return inner_; }
   /// Batches cut short (prefix posted) or refused outright at the cap.
   uint64_t truncated_batches() const { return truncated_batches_; }
   uint64_t refused_batches() const { return refused_batches_; }
 
  protected:
   uint32_t StateKind() const override { return 6; }
-  /// Saved state is the wrapped platform's blob plus the enforcement
-  /// counters; the tenant ledger itself lives with the service.
-  void SaveDerivedState(BinaryWriter* w) const override;
-  Status RestoreDerivedState(BinaryReader* r) override;
+  /// Own state is the enforcement counters; the tenant ledger itself lives
+  /// with the service.
+  void SaveOwnState(BinaryWriter* w) const override;
+  Status RestoreOwnState(BinaryReader* r) override;
 
  private:
-  CrowdPlatform* inner_;
   TenantLedger* ledger_;
   double cost_per_answer_;
   uint64_t truncated_batches_ = 0;

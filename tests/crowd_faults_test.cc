@@ -394,19 +394,60 @@ CrowdChain PerfectChain(uint64_t seed, TruthOracle oracle) {
   return chain;
 }
 
-/// sim(error_rate = 0) -> FaultyCrowd(all fault classes) -> ResilientCrowd.
+/// Passes every call through and checks the result's shape on its own,
+/// apart from the library's checks: one label, answer count and yes count
+/// per pair, and never more yes votes than answers.
+class ShapeCheckedCrowd : public CrowdDecorator {
+ public:
+  explicit ShapeCheckedCrowd(CrowdPlatform* inner) : CrowdDecorator(inner) {}
+
+  Result<LabelResult> LabelBatch(const LabelRequest& request) override {
+    Result<LabelResult> r = inner_->LabelBatch(request);
+    if (!r.ok()) return r;
+    ++checked_;
+    const size_t n = request.pairs.size();
+    EXPECT_EQ(r->labels.size(), n);
+    EXPECT_EQ(r->answers_per_question.size(), n);
+    EXPECT_EQ(r->yes_votes.size(), n);
+    if (r->answers_per_question.size() == n && r->yes_votes.size() == n) {
+      for (size_t i = 0; i < n; ++i) {
+        EXPECT_LE(r->yes_votes[i], r->answers_per_question[i]) << i;
+      }
+    }
+    Record(*r);
+    return r;
+  }
+
+  size_t checked() const { return checked_; }
+
+ protected:
+  uint32_t StateKind() const override { return 100; }
+  void SaveOwnState(BinaryWriter* w) const override { (void)w; }
+  Status RestoreOwnState(BinaryReader* r) override {
+    (void)r;
+    return Status::OK();
+  }
+
+ private:
+  size_t checked_ = 0;
+};
+
+/// sim(error_rate = 0) -> FaultyCrowd(all fault classes) -> ResilientCrowd,
+/// each layer's results checked by a ShapeCheckedCrowd right above it.
 CrowdChain PerfectFaultyChain(uint64_t seed, TruthOracle oracle) {
   CrowdChain chain;
+  auto push = [&chain](std::unique_ptr<CrowdPlatform> layer) {
+    chain.owned.push_back(std::move(layer));
+    chain.owned.push_back(
+        std::make_unique<ShapeCheckedCrowd>(chain.owned.back().get()));
+    chain.top = chain.owned.back().get();
+  };
   auto sim =
       std::make_unique<SimulatedCrowd>(PerfectConfig(seed), std::move(oracle));
-  auto faulty = std::make_unique<FaultyCrowd>(SweepFaults(seed), sim.get());
-  auto resilient =
-      std::make_unique<ResilientCrowd>(SweepResilience(), faulty.get());
   chain.sim = sim.get();
-  chain.top = resilient.get();
-  chain.owned.push_back(std::move(sim));
-  chain.owned.push_back(std::move(faulty));
-  chain.owned.push_back(std::move(resilient));
+  push(std::move(sim));
+  push(std::make_unique<FaultyCrowd>(SweepFaults(seed), chain.top));
+  push(std::make_unique<ResilientCrowd>(SweepResilience(), chain.top));
   return chain;
 }
 
@@ -437,10 +478,14 @@ MatchResult RunPipeline(const FalconConfig& cfg, const ClusterConfig& ccfg,
   WorkflowSession session("sweep", &data.a, &data.b, chain.top, &cluster, cfg);
   Status st = session.RunToCompletion();
   EXPECT_TRUE(st.ok()) << st.ToString();
-  if (under_quorum) {
-    auto* resilient = dynamic_cast<ResilientCrowd*>(chain.top);
-    *under_quorum =
-        resilient == nullptr ? 0 : resilient->under_quorum_questions();
+  for (const auto& layer : chain.owned) {
+    auto* resilient = dynamic_cast<ResilientCrowd*>(layer.get());
+    if (resilient != nullptr && under_quorum != nullptr) {
+      *under_quorum = resilient->under_quorum_questions();
+    }
+    if (auto* check = dynamic_cast<ShapeCheckedCrowd*>(layer.get())) {
+      EXPECT_GT(check->checked(), 0u) << "a layer's results went unchecked";
+    }
   }
   auto r = session.TakeResult();
   EXPECT_TRUE(r.ok()) << r.status().ToString();

@@ -109,7 +109,7 @@ TEST(LedgeredCrowdTest, TruncatesBatchToAffordablePrefix) {
   }
   for (size_t i = 3; i < 5; ++i) {
     EXPECT_FALSE(res->labels[i]) << i;  // no prior votes: provisional false
-    EXPECT_EQ(res->AnswersFor(i), 0u) << i;
+    EXPECT_EQ(res->answers_per_question[i], 0u) << i;
   }
   EXPECT_EQ(crowd.truncated_batches(), 1u);
   EXPECT_EQ(sim.total_questions(), 3u);

@@ -247,6 +247,55 @@ TEST(SessionJournalTest, SerializedJournalRejectsCorruption) {
   EXPECT_NE(st.ToString().find("newer"), std::string::npos);
 }
 
+// A journal entry whose result vectors are not one per pair, or whose
+// request vectors are neither empty nor one per pair, is hostile input: it
+// must fail to decode from a journal file and from a snapshot's crowd state
+// alike, instead of replaying into an out-of-bounds read.
+TEST(SessionJournalTest, RejectsEntryNotParallelToItsPairs) {
+  CrowdJournalEntry good;
+  good.request.pairs = {{0, 1}, {1, 2}, {2, 3}, {3, 4}};
+  good.result.labels = {true, false, true, false};
+  good.result.num_questions = 4;
+  good.result.num_answers = 12;
+  good.result.answers_per_question = {3, 3, 3, 3};
+  good.result.yes_votes = {3, 0, 2, 1};
+  CrowdJournal ok_journal;
+  ok_journal.entries = {good};
+  ASSERT_TRUE(CrowdJournal::Parse(ok_journal.Serialize()).ok());
+
+  std::vector<std::pair<std::string, CrowdJournalEntry>> bad;
+  bad.emplace_back("one answer count for four pairs", good);
+  bad.back().second.result.answers_per_question = {3};
+  bad.emplace_back("no answer counts", good);
+  bad.back().second.result.answers_per_question.clear();
+  bad.emplace_back("three yes votes", good);
+  bad.back().second.result.yes_votes = {3, 0, 2};
+  bad.emplace_back("more yes votes than answers", good);
+  bad.back().second.result.yes_votes = {3, 4, 2, 1};
+  bad.emplace_back("two priors", good);
+  bad.back().second.request.prior = {{1, 0}, {0, 1}};
+  bad.emplace_back("five caps", good);
+  bad.back().second.request.max_new_answers = {1, 1, 1, 1, 1};
+  for (const auto& [what, entry] : bad) {
+    SCOPED_TRACE(what);
+    CrowdJournal journal;
+    journal.entries = {entry};
+    auto parsed = CrowdJournal::Parse(journal.Serialize());
+    ASSERT_FALSE(parsed.ok());
+    EXPECT_EQ(parsed.status().code(), StatusCode::kIoError);
+
+    // The same entry inside a snapshot's crowd state blob.
+    SimulatedCrowd sim(CrowdConfig(), [](RowId, RowId) { return true; });
+    JournalingCrowd writer(&sim);
+    ASSERT_TRUE(writer.LoadJournal(journal, 0).ok());
+    SimulatedCrowd sim2(CrowdConfig(), [](RowId, RowId) { return true; });
+    JournalingCrowd reader(&sim2);
+    Status restored = reader.RestoreState(writer.SaveState());
+    ASSERT_FALSE(restored.ok());
+    EXPECT_EQ(restored.code(), StatusCode::kIoError);
+  }
+}
+
 // Two sessions sharing one cluster (and its thread pool) must each produce
 // exactly what they produce alone — no cross-session leakage through the
 // shared execution substrate, whether the service interleaves them step by
