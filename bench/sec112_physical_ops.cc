@@ -117,7 +117,11 @@ int main(int argc, char** argv) {
         std::string cands = "-";
         std::string examined = "-";
         if (res.ok()) {
-          time = res->time.ToString();
+          // To the millisecond: VDuration::ToString rounds to whole
+          // seconds above one, where every operator here reads "2s".
+          char seconds[32];
+          std::snprintf(seconds, sizeof(seconds), "%.3fs", res->time.seconds);
+          time = seconds;
           cands = std::to_string(res->pairs.size());
           examined = std::to_string(res->candidates_examined);
           std::string base = std::string(name) + "/" +

@@ -508,21 +508,52 @@ size_t PredicateMemory(const Predicate& pred, const FeatureSet& fs,
   return catalog.MemoryUsageFor({ClassifyPredicate(pred, fs)});
 }
 
-Result<ApplyResult> RunMapSide(const Table& a, const Table& b,
-                               const RuleSequence& seq, const FeatureSet& fs,
-                               Cluster* cluster) {
-  // Smaller table must fit in mapper memory.
-  const Table& small = a.MemoryUsage() <= b.MemoryUsage() ? a : b;
-  if (small.MemoryUsage() > cluster->config().mapper_memory_bytes) {
-    return Status::OutOfMemory("MapSide: smaller table does not fit");
+/// What one mapper of `method` holds in memory: all of Q's indexes
+/// (apply_all), the most selective clause's (apply_greedy), the largest
+/// clause's (apply_conjunct), the largest predicate's (apply_predicate), the
+/// smaller table (MapSide), or nothing (ReduceSplit). The index operators
+/// need a non-empty `filterable`.
+size_t OperatorMemory(ApplyMethod method, const Table& a, const Table& b,
+                      const CnfRule& q,
+                      const std::vector<const CnfClause*>& filterable,
+                      const FeatureSet& fs, const IndexCatalog& catalog) {
+  size_t mem = 0;
+  switch (method) {
+    case ApplyMethod::kApplyAll:
+      return catalog.MemoryUsageFor(IndexBuilder::NeedsOfCnf(q, fs));
+    case ApplyMethod::kApplyGreedy:
+      return ClauseMemory(*MostSelectiveClause(filterable), fs, catalog);
+    case ApplyMethod::kApplyConjunct:
+      for (const CnfClause* c : filterable) {
+        mem = std::max(mem, ClauseMemory(*c, fs, catalog));
+      }
+      return mem;
+    case ApplyMethod::kApplyPredicate:
+      for (const CnfClause* c : filterable) {
+        for (const auto& pred : c->predicates) {
+          mem = std::max(mem, PredicateMemory(pred, fs, catalog));
+        }
+      }
+      return mem;
+    case ApplyMethod::kMapSide:
+      return std::min(a.MemoryUsage(), b.MemoryUsage());
+    case ApplyMethod::kReduceSplit:
+      return 0;
   }
+  return mem;
+}
+
+ApplyResult RunMapSide(const Table& a, const Table& b,
+                       const RuleSequence& seq, const FeatureSet& fs,
+                       Cluster* cluster, double setup) {
+  // The smaller table sits in mapper memory.
+  const Table& small = a.MemoryUsage() <= b.MemoryUsage() ? a : b;
   RuleApplier applier(seq, &fs, &a, &b);
   // Iterate the larger table as input; inner-loop the in-memory table.
   bool iterate_b = &small == &a;
   std::vector<RowId> input(iterate_b ? b.num_rows() : a.num_rows());
   for (RowId r = 0; r < input.size(); ++r) input[r] = r;
   ApplyResult result;
-  double setup = IndexLoadSeconds(small.MemoryUsage());
   auto job = RunMapOnly<RowId, CandidatePair>(
       cluster, input, {.name = "MapSide", .map_setup_seconds = setup},
       [&](const RowId& outer, TaskVector<CandidatePair>* out) {
@@ -602,90 +633,57 @@ Result<ApplyResult> ApplyBlockingRules(const Table& a, const Table& b,
   }
   if (method != ApplyMethod::kMapSide && method != ApplyMethod::kReduceSplit) {
     FALCON_RETURN_NOT_OK(CheckProbeViews(filterable, fs, catalog, b));
+    if (filterable.empty()) {
+      return Status::InvalidArgument(std::string(ApplyMethodName(method)) +
+                                     ": no filterable clause");
+    }
   }
+  const size_t mem = OperatorMemory(method, a, b, q, filterable, fs, catalog);
+  if (mem > mapper_mem) {
+    return Status::OutOfMemory(
+        std::string(ApplyMethodName(method)) + ": needs " +
+        std::to_string(mem) + " B in each mapper, more than its " +
+        std::to_string(mapper_mem) + " B");
+  }
+  const double setup = IndexLoadSeconds(mem);
 
   switch (method) {
-    case ApplyMethod::kApplyAll: {
-      if (filterable.empty()) {
-        return Status::InvalidArgument("apply_all: no filterable clause");
-      }
-      auto needs = IndexBuilder::NeedsOfCnf(q, fs);
-      size_t mem = catalog.MemoryUsageFor(needs);
-      if (mem > mapper_mem) {
-        return Status::OutOfMemory(
-            "apply_all: indexes (" + std::to_string(mem) +
-            " B) exceed mapper memory (" + std::to_string(mapper_mem) +
-            " B)");
-      }
+    case ApplyMethod::kApplyAll:
       return RunKeyedByA(
           a, b, seq, fs, catalog, cluster, "apply_all",
           [&q](const ClauseProber& prober, const Table& b_table,
                RowId b_row) { return prober.ProbeRule(q, b_table, b_row); },
-          IndexLoadSeconds(mem));
-    }
+          setup);
     case ApplyMethod::kApplyGreedy: {
       const CnfClause* best = MostSelectiveClause(filterable);
-      if (best == nullptr) {
-        return Status::InvalidArgument("apply_greedy: no filterable clause");
-      }
-      size_t mem = ClauseMemory(*best, fs, catalog);
-      if (mem > mapper_mem) {
-        return Status::OutOfMemory(
-            "apply_greedy: most selective conjunct's indexes do not fit");
-      }
       return RunKeyedByA(
           a, b, seq, fs, catalog, cluster, "apply_greedy",
           [best](const ClauseProber& prober, const Table& b_table,
                  RowId b_row) {
             return prober.ProbeClause(*best, b_table, b_row);
           },
-          IndexLoadSeconds(mem));
+          setup);
     }
     case ApplyMethod::kApplyConjunct: {
-      if (filterable.empty()) {
-        return Status::InvalidArgument(
-            "apply_conjunct: no filterable clause");
-      }
-      size_t max_mem = 0;
       std::vector<Unit> units;
       for (size_t i = 0; i < filterable.size(); ++i) {
-        max_mem =
-            std::max(max_mem, ClauseMemory(*filterable[i], fs, catalog));
-        units.push_back(
-            Unit{static_cast<int>(i), filterable[i], nullptr});
-      }
-      if (max_mem > mapper_mem) {
-        return Status::OutOfMemory(
-            "apply_conjunct: largest conjunct's indexes do not fit");
+        units.push_back(Unit{static_cast<int>(i), filterable[i], nullptr});
       }
       return RunKeyedByPair(a, b, seq, fs, catalog, cluster,
-                            "apply_conjunct", units, filterable,
-                            IndexLoadSeconds(max_mem));
+                            "apply_conjunct", units, filterable, setup);
     }
     case ApplyMethod::kApplyPredicate: {
-      if (filterable.empty()) {
-        return Status::InvalidArgument(
-            "apply_predicate: no filterable clause");
-      }
-      size_t max_mem = 0;
       std::vector<Unit> units;
       for (size_t i = 0; i < filterable.size(); ++i) {
         for (const auto& pred : filterable[i]->predicates) {
-          max_mem = std::max(max_mem, PredicateMemory(pred, fs, catalog));
-          units.push_back(
-              Unit{static_cast<int>(i), filterable[i], &pred});
+          units.push_back(Unit{static_cast<int>(i), filterable[i], &pred});
         }
       }
-      if (max_mem > mapper_mem) {
-        return Status::OutOfMemory(
-            "apply_predicate: largest predicate's indexes do not fit");
-      }
       return RunKeyedByPair(a, b, seq, fs, catalog, cluster,
-                            "apply_predicate", units, filterable,
-                            IndexLoadSeconds(max_mem));
+                            "apply_predicate", units, filterable, setup);
     }
     case ApplyMethod::kMapSide:
-      return RunMapSide(a, b, seq, fs, cluster);
+      return RunMapSide(a, b, seq, fs, cluster, setup);
     case ApplyMethod::kReduceSplit:
       return RunReduceSplit(a, b, seq, fs, cluster);
   }
@@ -706,44 +704,27 @@ ApplyMethod SelectApplyMethod(const Table& a, const Table& b,
     if (ClauseFilterable(clause, fs, catalog)) filterable.push_back(&clause);
   }
 
+  // The operator picked is one whose memory requirement fits, so it runs.
+  auto fits = [&](ApplyMethod m) {
+    return OperatorMemory(m, a, b, q, filterable, fs, catalog) <= mapper_mem;
+  };
   if (!filterable.empty()) {
     // Rule 1 (Section 10.1): if the most selective conjunct is almost as
     // selective as Q itself, apply_greedy wins.
     const CnfClause* best = MostSelectiveClause(filterable);
-    double sel_q = seq.selectivity;
-    if (best->selectivity > 0.0 && sel_q / best->selectivity > 0.8 &&
-        ClauseMemory(*best, fs, catalog) <= mapper_mem) {
+    if (best->selectivity > 0.0 && seq.selectivity / best->selectivity > 0.8 &&
+        fits(ApplyMethod::kApplyGreedy)) {
       return ApplyMethod::kApplyGreedy;
     }
     // Rule 2: prefer apply_all, then apply_conjunct, then apply_predicate,
     // depending on what fits in a mapper.
-    auto needs = IndexBuilder::NeedsOfCnf(q, fs);
-    if (catalog.MemoryUsageFor(needs) <= mapper_mem) {
-      return ApplyMethod::kApplyAll;
+    for (ApplyMethod m : {ApplyMethod::kApplyAll, ApplyMethod::kApplyConjunct,
+                          ApplyMethod::kApplyPredicate}) {
+      if (fits(m)) return m;
     }
-    bool any_clause_fits = false;
-    bool all_clauses_fit = true;
-    for (const CnfClause* c : filterable) {
-      bool fits = ClauseMemory(*c, fs, catalog) <= mapper_mem;
-      any_clause_fits |= fits;
-      all_clauses_fit &= fits;
-    }
-    if (all_clauses_fit && any_clause_fits) {
-      return ApplyMethod::kApplyConjunct;
-    }
-    bool all_predicates_fit = true;
-    for (const CnfClause* c : filterable) {
-      for (const auto& pred : c->predicates) {
-        all_predicates_fit &=
-            PredicateMemory(pred, fs, catalog) <= mapper_mem;
-      }
-    }
-    if (all_predicates_fit) return ApplyMethod::kApplyPredicate;
   }
-  if (std::min(a.MemoryUsage(), b.MemoryUsage()) <= mapper_mem) {
-    return ApplyMethod::kMapSide;
-  }
-  return ApplyMethod::kReduceSplit;
+  return fits(ApplyMethod::kMapSide) ? ApplyMethod::kMapSide
+                                     : ApplyMethod::kReduceSplit;
 }
 
 }  // namespace falcon

@@ -2,6 +2,8 @@
 
 #include <cstring>
 
+#include "common/crc32.h"
+
 namespace falcon {
 
 void BinaryWriter::U32(uint32_t v) {
@@ -30,6 +32,12 @@ void BinaryWriter::Str(std::string_view s) {
 
 void BinaryWriter::Raw(const void* data, size_t len) {
   out_.append(static_cast<const char*>(data), len);
+}
+
+void BinaryWriter::Framed(std::string_view payload) {
+  U64(payload.size());
+  U32(Crc32(payload));
+  Raw(payload.data(), payload.size());
 }
 
 bool BinaryReader::Take(size_t n, const char** p) {
@@ -80,6 +88,31 @@ std::string BinaryReader::Str() {
   const char* p;
   if (!Take(static_cast<size_t>(n), &p)) return {};
   return std::string(p, static_cast<size_t>(n));
+}
+
+uint64_t BinaryReader::Count(size_t min_bytes) {
+  const uint64_t n = U64();
+  if (n > remaining() / min_bytes) {
+    ok_ = false;
+    return 0;
+  }
+  return n;
+}
+
+Result<std::string_view> BinaryReader::Framed(std::string_view what) {
+  const uint64_t len = U64();
+  const uint32_t crc = U32();
+  const char* p;
+  if (len > remaining() || !Take(static_cast<size_t>(len), &p)) {
+    ok_ = false;
+    return Status::IoError(std::string(what) + " is truncated");
+  }
+  std::string_view payload(p, static_cast<size_t>(len));
+  if (Crc32(payload) != crc) {
+    return Status::IoError(std::string(what) +
+                           " failed its CRC32 check (corrupted)");
+  }
+  return payload;
 }
 
 }  // namespace falcon

@@ -212,16 +212,54 @@ Status FalconPipeline::StageSamplePairs() {
   return Status::OK();
 }
 
-// --- (2) gen_fvs over S (blocking features) ---------------------------------
-Status FalconPipeline::StageGenFvsSample() {
+// --- rebuildable work, shared by the stages and Rehydrate -------------------
+VDuration FalconPipeline::GenSampleFvs(const char* name) {
   VDuration prep = PrepareFeatures(features_.blocking_ids());
   GenFvsResult sfvs = GenFvs(*a_, *b_, state_.sample, features_,
-                             features_.blocking_ids(), cluster_,
-                             "gen_fvs(S)");
+                             features_.blocking_ids(), cluster_, name);
   state_.sample_fvs = std::move(sfvs.fvs);
-  state_.sample_fvs_ready = true;
   RecordAllocs(sfvs.counters, &state_.out.metrics);
-  AddMachine("gen_fvs", prep + sfvs.time, prep + sfvs.time);
+  return prep + sfvs.time;
+}
+
+VDuration FalconPipeline::GenCandidateFvs(const char* name) {
+  VDuration prep = PrepareFeatures(features_.all_ids());
+  GenFvsResult cfvs = GenFvs(*a_, *b_, state_.out.candidates, features_,
+                             features_.all_ids(), cluster_, name);
+  state_.cand_fvs = std::move(cfvs.fvs);
+  RecordAllocs(cfvs.counters, &state_.out.metrics);
+  return prep + cfvs.time;
+}
+
+VDuration FalconPipeline::BuildGenericIndexes() {
+  // Token stores come first: gen_fvs(S) already built the views its set
+  // features read, so this interns only the remaining q-gram views the
+  // Levenshtein filters probe.
+  VDuration dur = builder_.EnsureTokenStores(*b_, features_, &catalog_);
+  return dur + builder_.Ensure(IndexBuilder::GenericNeeds(features_),
+                               &catalog_);
+}
+
+VDuration FalconPipeline::BuildCandidateRuleIndexes() {
+  std::vector<IndexNeed> all_needs;
+  for (const auto& r : state_.candidate_rules) {
+    auto needs = IndexBuilder::NeedsOfRule(r, features_);
+    all_needs.insert(all_needs.end(), needs.begin(), needs.end());
+  }
+  return builder_.Ensure(all_needs, &catalog_);
+}
+
+VDuration FalconPipeline::BuildSequenceIndexes() {
+  CnfRule q = ToCnf(SimplifySequence(state_.out.sequence));
+  VDuration dur = builder_.EnsureTokenStores(*b_, features_, &catalog_);
+  return dur + builder_.Ensure(IndexBuilder::NeedsOfCnf(q, features_),
+                               &catalog_);
+}
+
+// --- (2) gen_fvs over S (blocking features) ---------------------------------
+Status FalconPipeline::StageGenFvsSample() {
+  VDuration time = GenSampleFvs("gen_fvs(S)");
+  AddMachine("gen_fvs", time, time);
   state_.next = PipelineStage::kBlockerAl;
   return Status::OK();
 }
@@ -254,12 +292,8 @@ Status FalconPipeline::StageBlockerAl() {
   state_.blocker_labels = std::move(blocker.labels);
 
   // O1a: while the blocker crowdsources, build rule-independent indexes.
-  // Token stores come first: gen_fvs(S) already built the views its set
-  // features read, so this interns only the remaining q-gram views the
-  // Levenshtein filters probe.
   if (config_.enable_masking && config_.mask_index_building) {
-    VDuration dur = builder_.EnsureTokenStores(*b_, features_, &catalog_);
-    dur += builder_.Ensure(IndexBuilder::GenericNeeds(features_), &catalog_);
+    VDuration dur = BuildGenericIndexes();
     VDuration unmasked = MaskRun(dur);
     AddMachine("index_build(generic,masked)", dur, unmasked);
   }
@@ -322,12 +356,7 @@ Status FalconPipeline::StageEvalRules() {
   // O1b: while eval_rules crowdsources, build the indexes of ALL candidate
   // rules (some may go unused — that is the nature of masking).
   if (config_.enable_masking && config_.mask_index_building) {
-    std::vector<IndexNeed> all_needs;
-    for (const auto& r : state_.candidate_rules) {
-      auto needs = IndexBuilder::NeedsOfRule(r, features_);
-      all_needs.insert(all_needs.end(), needs.begin(), needs.end());
-    }
-    VDuration dur = builder_.Ensure(all_needs, &catalog_);
+    VDuration dur = BuildCandidateRuleIndexes();
     VDuration unmasked = MaskRun(dur);
     AddMachine("index_build(rules,masked)", dur, unmasked);
   }
@@ -395,11 +424,8 @@ Status FalconPipeline::StageApplyRules() {
   MatchResult& out = state_.out;
   const RuleSequence& sequence = out.sequence;
   // Any index the selected sequence still needs is built now, unmasked.
-  {
-    CnfRule q = ToCnf(SimplifySequence(sequence));
-    VDuration dur = builder_.EnsureTokenStores(*b_, features_, &catalog_);
-    dur += builder_.Ensure(IndexBuilder::NeedsOfCnf(q, features_), &catalog_);
-    if (dur.seconds > 0.0) AddMachine("index_build(unmasked)", dur, dur);
+  if (VDuration dur = BuildSequenceIndexes(); dur.seconds > 0.0) {
+    AddMachine("index_build(unmasked)", dur, dur);
   }
   ApplyMethod selected = SelectApplyMethod(*a_, *b_, sequence, features_,
                                            catalog_, *cluster_);
@@ -530,13 +556,8 @@ Status FalconPipeline::StageGenFvsCand() {
     }
     out.metrics.candidate_size = out.candidates.size();
   }
-  VDuration prep = PrepareFeatures(features_.all_ids());
-  GenFvsResult cfvs = GenFvs(*a_, *b_, out.candidates, features_,
-                             features_.all_ids(), cluster_, "gen_fvs(C)");
-  state_.cand_fvs = std::move(cfvs.fvs);
-  state_.cand_fvs_ready = true;
-  RecordAllocs(cfvs.counters, &out.metrics);
-  AddMachine("gen_fvs(C)", prep + cfvs.time, prep + cfvs.time);
+  VDuration time = GenCandidateFvs("gen_fvs(C)");
+  AddMachine("gen_fvs(C)", time, time);
   state_.next = PipelineStage::kMatcherAl;
   return Status::OK();
 }
@@ -628,111 +649,27 @@ Status FalconPipeline::StageEstimateAccuracy() {
   return Status::OK();
 }
 
-Status FalconPipeline::Rehydrate(VDuration* rebuild_time) {
+VDuration FalconPipeline::Rehydrate() {
+  const PipelineStage next = state_.next;
+  const bool blocking = state_.out.metrics.used_blocking;
   VDuration total;
-  if (started() && !done()) {
-    const bool blocking = state_.out.metrics.used_blocking;
-    const PipelineStage next = state_.next;
-    auto at_least = [&](PipelineStage s) {
-      return static_cast<uint32_t>(next) >= static_cast<uint32_t>(s);
-    };
-
-    // Durable-state invariants the next stage depends on. The snapshot
-    // loader validates structure; this validates stage preconditions.
-    if (blocking) {
-      if (at_least(PipelineStage::kGenFvsSample) &&
-          next <= PipelineStage::kEvalRules && state_.sample.empty()) {
-        return Status::InvalidArgument(
-            "resumable state has no sample S before rule evaluation ended");
-      }
-      if (next == PipelineStage::kGetRules &&
-          state_.blocker.num_trees() == 0) {
-        return Status::InvalidArgument(
-            "resumable state is missing the blocker forest");
-      }
-      if (next == PipelineStage::kEvalRules &&
-          state_.candidate_rules.empty()) {
-        return Status::InvalidArgument(
-            "resumable state is missing the candidate rules");
-      }
-      if (next == PipelineStage::kSelectSeq && state_.retained_rules.empty()) {
-        return Status::InvalidArgument(
-            "resumable state is missing the retained rules");
-      }
-      if (next == PipelineStage::kApplyRules &&
-          state_.out.sequence.rules.empty()) {
-        return Status::InvalidArgument(
-            "resumable state is missing the selected rule sequence");
-      }
-    }
-    if (at_least(PipelineStage::kMatcherAl) && state_.out.candidates.empty() &&
-        blocking) {
-      return Status::InvalidArgument(
-          "resumable state is missing the candidate set");
-    }
-    if (at_least(PipelineStage::kApplyMatcher) &&
-        state_.out.matcher.num_trees() == 0) {
-      return Status::InvalidArgument(
-          "resumable state is missing the matcher forest");
-    }
-    if (next == PipelineStage::kEstimateAccuracy &&
-        state_.predictions.size() != state_.out.candidates.size()) {
-      return Status::InvalidArgument(
-          "resumable state predictions do not match its candidates");
-    }
-
-    // gen_fvs caches.
-    if (blocking &&
-        (next == PipelineStage::kBlockerAl ||
-         next == PipelineStage::kGetRules) &&
-        !state_.sample_fvs_ready) {
-      total += PrepareFeatures(features_.blocking_ids());
-      GenFvsResult sfvs = GenFvs(*a_, *b_, state_.sample, features_,
-                                 features_.blocking_ids(), cluster_,
-                                 "gen_fvs(S,rehydrate)");
-      state_.sample_fvs = std::move(sfvs.fvs);
-      state_.sample_fvs_ready = true;
-      RecordAllocs(sfvs.counters, &state_.out.metrics);
-      total += sfvs.time;
-    }
-    if (next == PipelineStage::kMatcherAl && !state_.cand_fvs_ready) {
-      total += PrepareFeatures(features_.all_ids());
-      GenFvsResult cfvs = GenFvs(*a_, *b_, state_.out.candidates, features_,
-                                 features_.all_ids(), cluster_,
-                                 "gen_fvs(C,rehydrate)");
-      state_.cand_fvs = std::move(cfvs.fvs);
-      state_.cand_fvs_ready = true;
-      RecordAllocs(cfvs.counters, &state_.out.metrics);
-      total += cfvs.time;
-    }
-
-    // Token stores and indexes: the original run built these inside the O1
-    // masking windows; a resumed run rebuilds them deterministically on
-    // load instead of persisting them (they are pure functions of the
-    // tables and the learned rules).
-    if (blocking && config_.enable_masking && config_.mask_index_building &&
-        at_least(PipelineStage::kGetRules)) {
-      total += builder_.EnsureTokenStores(*b_, features_, &catalog_);
-      total += builder_.Ensure(IndexBuilder::GenericNeeds(features_),
-                               &catalog_);
-      if (at_least(PipelineStage::kSelectSeq)) {
-        std::vector<IndexNeed> all_needs;
-        for (const auto& r : state_.candidate_rules) {
-          auto needs = IndexBuilder::NeedsOfRule(r, features_);
-          all_needs.insert(all_needs.end(), needs.begin(), needs.end());
-        }
-        total += builder_.Ensure(all_needs, &catalog_);
-      }
-      if (at_least(PipelineStage::kApplyRules) &&
-          !state_.out.sequence.rules.empty()) {
-        CnfRule q = ToCnf(SimplifySequence(state_.out.sequence));
-        total += builder_.Ensure(IndexBuilder::NeedsOfCnf(q, features_),
-                                 &catalog_);
-      }
-    }
+  if (!started() || done()) return total;
+  if (blocking &&
+      (next == PipelineStage::kBlockerAl || next == PipelineStage::kGetRules)) {
+    total += GenSampleFvs("gen_fvs(S,rehydrate)");
   }
-  if (rebuild_time != nullptr) *rebuild_time = total;
-  return Status::OK();
+  if (next == PipelineStage::kMatcherAl) {
+    total += GenCandidateFvs("gen_fvs(C,rehydrate)");
+  }
+  // The original run built token stores and indexes inside the O1 masking
+  // windows, in this order.
+  if (blocking && config_.enable_masking && config_.mask_index_building &&
+      next >= PipelineStage::kGetRules) {
+    total += BuildGenericIndexes();
+    if (next >= PipelineStage::kSelectSeq) total += BuildCandidateRuleIndexes();
+    if (next >= PipelineStage::kApplyRules) total += BuildSequenceIndexes();
+  }
+  return total;
 }
 
 }  // namespace falcon

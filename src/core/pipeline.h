@@ -185,10 +185,8 @@ struct PipelineState {
   // --- transient (rebuilt, never serialized) -----------------------------
   /// Blocking-feature vectors of S (gen_fvs(S) output).
   std::vector<FeatureVec> sample_fvs;
-  bool sample_fvs_ready = false;
   /// All-feature vectors of the candidates (gen_fvs(C) output).
   std::vector<FeatureVec> cand_fvs;
-  bool cand_fvs_ready = false;
 };
 
 /// End-to-end hands-off crowdsourced EM.
@@ -224,18 +222,19 @@ class FalconPipeline {
   Result<MatchResult> TakeResult();
 
   /// The live cross-stage state (mutable so a snapshot loader can install
-  /// imported state; call Rehydrate() afterwards).
+  /// imported state, which it validates; call Rehydrate() afterwards).
   PipelineState& state() { return state_; }
   const PipelineState& state() const { return state_; }
 
   /// Rebuilds the transient caches an imported state needs before its next
-  /// stage can run: feature vectors via gen_fvs, and — mirroring masking
-  /// optimization O1, whose index builds the original run hid inside crowd
-  /// windows — token stores and indexes. The rebuild work is deliberately
-  /// NOT charged to the run's metrics (the original run already accounted
-  /// it); it is reported through `rebuild_time` as session-level recovery
-  /// cost instead.
-  Status Rehydrate(VDuration* rebuild_time);
+  /// stage can run, with the stages' own builders: feature vectors via
+  /// gen_fvs, and — mirroring masking optimization O1, whose index builds
+  /// the original run hid inside crowd windows — token stores and indexes.
+  /// It validates nothing: LoadSnapshot already checked everything the
+  /// next stage reads. The rebuild work is deliberately NOT charged to the
+  /// run's metrics (the original run already accounted it); the returned
+  /// time is session-level recovery cost instead.
+  VDuration Rehydrate();
 
   /// The auto-generated feature set (valid after construction).
   const FeatureSet& features() const { return features_; }
@@ -266,6 +265,19 @@ class FalconPipeline {
   Status StageMatcherAl();
   Status StageApplyMatcher();
   Status StageEstimateAccuracy();
+
+  // Work a stage does that Rehydrate repeats on resume; each returns the
+  // time it took, which a stage charges and Rehydrate does not.
+  /// gen_fvs(S) (job `name`) with its feature preparation, into sample_fvs.
+  VDuration GenSampleFvs(const char* name);
+  /// gen_fvs(C) (job `name`) with its feature preparation, into cand_fvs.
+  VDuration GenCandidateFvs(const char* name);
+  /// O1a: token stores and the rule-independent indexes.
+  VDuration BuildGenericIndexes();
+  /// O1b: the indexes of every candidate rule.
+  VDuration BuildCandidateRuleIndexes();
+  /// Token stores and the indexes of the selected sequence.
+  VDuration BuildSequenceIndexes();
 
   /// Prepares the per-row inputs of the features in `ids` on A and B
   /// (FeatureSet::Prepare) and returns the measured seconds that took

@@ -1,6 +1,6 @@
 #include "crowd/journal.h"
 
-#include "common/crc32.h"
+#include "common/serde.h"
 
 namespace falcon {
 namespace {
@@ -11,123 +11,73 @@ constexpr uint32_t kJournalMagic = 0x464A524Eu;  // "FJRN"
 // truncation marker) introduced by the crowd robustness layer.
 constexpr uint32_t kJournalVersion = 2;
 
+// The smallest encoding of one entry, which bounds the entry count
+// (BinaryReader::Count): nine u64s (six element counts, the question and
+// answer tallies, the length of the platform state), two f64s (cost,
+// latency) and two u8s (scheme, truncation).
+constexpr size_t kEntryBytes = 9 * 8 + 2 * 8 + 2;
+
 void WriteEntry(const CrowdJournalEntry& e, BinaryWriter* w) {
-  w->U64(e.request.pairs.size());
-  for (const auto& [a, b] : e.request.pairs) {
-    w->U32(a);
-    w->U32(b);
-  }
+  w->Seq(e.request.pairs, PutU32Pair);
   w->U8(static_cast<uint8_t>(e.request.scheme));
-  w->U64(e.request.prior.size());
-  for (const PriorVotes& p : e.request.prior) {
+  w->Seq(e.request.prior, [](const PriorVotes& p, BinaryWriter* w) {
     w->U32(p.yes);
     w->U32(p.no);
-  }
-  w->U64(e.request.max_new_answers.size());
-  for (uint32_t cap : e.request.max_new_answers) w->U32(cap);
-  w->U64(e.result.labels.size());
-  for (bool label : e.result.labels) w->U8(label ? 1 : 0);
+  });
+  w->Seq(e.request.max_new_answers, PutU32);
+  w->Seq(e.result.labels,
+         [](bool label, BinaryWriter* w) { w->U8(label ? 1 : 0); });
   w->U64(e.result.num_questions);
   w->U64(e.result.num_answers);
   w->F64(e.result.cost);
   w->F64(e.result.latency.seconds);
-  w->U64(e.result.answers_per_question.size());
-  for (uint32_t c : e.result.answers_per_question) w->U32(c);
-  w->U64(e.result.yes_votes.size());
-  for (uint32_t c : e.result.yes_votes) w->U32(c);
+  w->Seq(e.result.answers_per_question, PutU32);
+  w->Seq(e.result.yes_votes, PutU32);
   w->U8(e.result.truncated ? 1 : 0);
   w->Str(e.inner_state_after);
 }
 
-Result<CrowdJournalEntry> ReadEntry(BinaryReader* r) {
+/// Latches failure on a truncated entry, an unknown vote scheme, or request
+/// or result vectors not parallel to the entry's pairs: replay hands the
+/// result to the operators, which index it by question.
+CrowdJournalEntry ReadEntry(BinaryReader* r) {
   CrowdJournalEntry e;
-  uint64_t npairs = r->U64();
-  if (!r->ok() || npairs > r->remaining()) {
-    return Status::IoError("journal entry pair count out of range");
-  }
-  e.request.pairs.reserve(static_cast<size_t>(npairs));
-  for (uint64_t i = 0; i < npairs; ++i) {
-    uint32_t a = r->U32();
-    uint32_t b = r->U32();
-    e.request.pairs.emplace_back(a, b);
-  }
-  uint8_t scheme = r->U8();
+  r->Seq(8, &e.request.pairs, GetU32Pair);
+  const uint8_t scheme = r->U8();
   if (scheme > static_cast<uint8_t>(VoteScheme::kStrongMajority7)) {
-    return Status::IoError("journal entry has unknown vote scheme");
+    r->Fail();
+  } else {
+    e.request.scheme = static_cast<VoteScheme>(scheme);
   }
-  e.request.scheme = static_cast<VoteScheme>(scheme);
-  uint64_t nprior = r->U64();
-  if (!r->ok() || nprior > r->remaining()) {
-    return Status::IoError("journal entry prior count out of range");
-  }
-  e.request.prior.reserve(static_cast<size_t>(nprior));
-  for (uint64_t i = 0; i < nprior; ++i) {
+  r->Seq(8, &e.request.prior, [](BinaryReader* r) {
     PriorVotes p;
     p.yes = r->U32();
     p.no = r->U32();
-    e.request.prior.push_back(p);
-  }
-  uint64_t ncaps = r->U64();
-  if (!r->ok() || ncaps > r->remaining()) {
-    return Status::IoError("journal entry cap count out of range");
-  }
-  e.request.max_new_answers.reserve(static_cast<size_t>(ncaps));
-  for (uint64_t i = 0; i < ncaps; ++i) {
-    e.request.max_new_answers.push_back(r->U32());
-  }
-  uint64_t nlabels = r->U64();
-  if (!r->ok() || nlabels > r->remaining()) {
-    return Status::IoError("journal entry label count out of range");
-  }
-  e.result.labels.reserve(static_cast<size_t>(nlabels));
-  for (uint64_t i = 0; i < nlabels; ++i) e.result.labels.push_back(r->U8() != 0);
+    return p;
+  });
+  r->Seq(4, &e.request.max_new_answers, GetU32);
+  r->Seq(1, &e.result.labels, [](BinaryReader* r) { return r->U8() != 0; });
   e.result.num_questions = static_cast<size_t>(r->U64());
   e.result.num_answers = static_cast<size_t>(r->U64());
   e.result.cost = r->F64();
   e.result.latency = VDuration::Seconds(r->F64());
-  uint64_t ncounts = r->U64();
-  if (!r->ok() || ncounts > r->remaining()) {
-    return Status::IoError("journal entry answer-count size out of range");
-  }
-  e.result.answers_per_question.reserve(static_cast<size_t>(ncounts));
-  for (uint64_t i = 0; i < ncounts; ++i) {
-    e.result.answers_per_question.push_back(r->U32());
-  }
-  uint64_t nyes = r->U64();
-  if (!r->ok() || nyes > r->remaining()) {
-    return Status::IoError("journal entry yes-vote size out of range");
-  }
-  e.result.yes_votes.reserve(static_cast<size_t>(nyes));
-  for (uint64_t i = 0; i < nyes; ++i) e.result.yes_votes.push_back(r->U32());
+  r->Seq(4, &e.result.answers_per_question, GetU32);
+  r->Seq(4, &e.result.yes_votes, GetU32);
   e.result.truncated = r->U8() != 0;
   e.inner_state_after = r->Str();
-  if (!r->ok()) return Status::IoError("truncated journal entry");
-  // Replay hands the result to the operators, which index it by question.
   if (!e.request.CheckShape().ok() ||
       !e.result.ParallelTo(e.request.pairs.size())) {
-    return Status::IoError(
-        "journal entry's priors, caps, labels or vote counts are not "
-        "parallel to its pairs");
+    r->Fail();
   }
   return e;
 }
 
-void WriteEntries(const std::vector<CrowdJournalEntry>& entries,
-                  BinaryWriter* w) {
-  w->U64(entries.size());
-  for (const auto& e : entries) WriteEntry(e, w);
-}
-
 Result<std::vector<CrowdJournalEntry>> ReadEntries(BinaryReader* r) {
-  uint64_t n = r->U64();
-  if (!r->ok() || n > r->remaining()) {
-    return Status::IoError("journal entry count out of range");
-  }
   std::vector<CrowdJournalEntry> entries;
-  entries.reserve(static_cast<size_t>(n));
-  for (uint64_t i = 0; i < n; ++i) {
-    FALCON_ASSIGN_OR_RETURN(CrowdJournalEntry e, ReadEntry(r));
-    entries.push_back(std::move(e));
+  if (!r->Seq(kEntryBytes, &entries, ReadEntry)) {
+    return Status::IoError(
+        "crowd journal entries are truncated, or an entry's priors, caps, "
+        "labels or vote counts are not parallel to its pairs");
   }
   return entries;
 }
@@ -136,13 +86,11 @@ Result<std::vector<CrowdJournalEntry>> ReadEntries(BinaryReader* r) {
 
 std::string CrowdJournal::Serialize() const {
   BinaryWriter payload;
-  WriteEntries(entries, &payload);
+  payload.Seq(entries, WriteEntry);
   BinaryWriter w;
   w.U32(kJournalMagic);
   w.U32(kJournalVersion);
-  w.U64(payload.data().size());
-  w.U32(Crc32(payload.data()));
-  w.Raw(payload.data().data(), payload.data().size());
+  w.Framed(payload.data());
   return w.Take();
 }
 
@@ -158,19 +106,12 @@ Result<CrowdJournal> CrowdJournal::Parse(std::string_view data) {
                            " is newer than this build supports (" +
                            std::to_string(kJournalVersion) + ")");
   }
-  uint64_t len = r.U64();
-  uint32_t crc = r.U32();
-  if (!r.ok() || len != r.remaining()) {
-    return Status::IoError("crowd journal is truncated");
-  }
-  std::string_view payload = data.substr(data.size() - r.remaining());
-  if (Crc32(payload) != crc) {
-    return Status::IoError("crowd journal payload failed its CRC check");
-  }
+  FALCON_ASSIGN_OR_RETURN(std::string_view payload,
+                          r.Framed("crowd journal payload"));
   BinaryReader pr(payload);
   CrowdJournal journal;
   FALCON_ASSIGN_OR_RETURN(journal.entries, ReadEntries(&pr));
-  if (!pr.exhausted()) {
+  if (!r.exhausted() || !pr.exhausted()) {
     return Status::IoError("crowd journal has trailing bytes");
   }
   return journal;
@@ -222,7 +163,7 @@ Status JournalingCrowd::LoadJournal(CrowdJournal journal, size_t position) {
 }
 
 void JournalingCrowd::SaveOwnState(BinaryWriter* w) const {
-  WriteEntries(journal_.entries, w);
+  w->Seq(journal_.entries, WriteEntry);
   w->U64(cursor_);
 }
 

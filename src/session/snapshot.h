@@ -11,10 +11,19 @@
 // on load, mirroring the O1 masking windows the original run built them in.
 //
 // Format: a fixed header (magic "FSNP", format version) followed by tagged
-// sections, each `tag u32 | payload_len u64 | crc32 u32 | payload`.
-// Everything is little-endian. Readers refuse snapshots written by a NEWER
-// format version and refuse any section whose CRC32 does not match — a
-// corrupted checkpoint must fail loudly, not resume wrongly.
+// sections, each `tag u32` and then a CRC frame (`payload_len u64 | crc32
+// u32 | payload`, BinaryWriter::Framed). Everything is little-endian.
+// Readers refuse snapshots written by a NEWER format version and refuse any
+// section whose CRC32 does not match — a corrupted checkpoint must fail
+// loudly, not resume wrongly.
+//
+// Resume is decode, validate, rebuild, each in one place. LoadSnapshot
+// decodes every sequence through BinaryReader::Seq, whose count is bounded
+// by the bytes left, then runs one validator over the decoded state before
+// anything reads it: rows inside the tables, label and coverage indices
+// inside the sample, rule coverage equal to its bitmap's count, finite rule
+// times, forests over the pipeline's feature layout, and whatever the next
+// operator reads. Rehydrate then only rebuilds.
 #ifndef FALCON_SESSION_SNAPSHOT_H_
 #define FALCON_SESSION_SNAPSHOT_H_
 
@@ -65,8 +74,9 @@ Result<SnapshotMeta> ReadSnapshotMeta(std::string_view blob);
 
 /// Restores `pipeline` (freshly constructed over the same tables/config and
 /// not yet started) and `crowd` from a snapshot. Refuses future format
-/// versions, CRC mismatches, truncation, config-fingerprint drift, and
-/// table-identity drift (row count + content hash). Callers should run
+/// versions, CRC mismatches, truncation, config-fingerprint drift,
+/// table-identity drift (row count + content hash), and any state a later
+/// stage could not run on (see the format note above). Callers should run
 /// pipeline->Rehydrate() afterwards to rebuild transient caches.
 Status LoadSnapshot(std::string_view blob, const Table& a, const Table& b,
                     CrowdPlatform* crowd, FalconPipeline* pipeline,

@@ -20,8 +20,7 @@ Result<std::unique_ptr<WorkflowSession>> WorkflowSession::Resume(
       "", a, b, crowd, cluster, std::move(config));
   FALCON_RETURN_NOT_OK(LoadSnapshot(snapshot, *a, *b, &session->journal_,
                                     &session->pipeline_, &session->id_));
-  FALCON_RETURN_NOT_OK(
-      session->pipeline_.Rehydrate(&session->resume_rebuild_time_));
+  session->resume_rebuild_time_ = session->pipeline_.Rehydrate();
   return session;
 }
 

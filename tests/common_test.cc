@@ -227,6 +227,83 @@ TEST(SerdeTest, PrimitivesRoundTripAndLatchShortReads) {
   EXPECT_FALSE(short_r.exhausted());
 }
 
+// A count must fit what is left of the input: above remaining() / min_bytes
+// it fails before any element is read or reserved, while the largest count
+// the input can hold still parses.
+TEST(SerdeTest, CountIsBoundedByTheRemainingBytes) {
+  const std::vector<uint32_t> three = {7, 8, 9};
+  BinaryWriter w;
+  w.Seq(three, PutU32);
+  {  // 12 bytes of 4-byte elements: 3 is the largest legal count.
+    BinaryReader r(w.data());
+    std::vector<uint32_t> got;
+    EXPECT_TRUE(r.Seq(4, &got, GetU32));
+    EXPECT_EQ(got, three);
+    EXPECT_TRUE(r.exhausted());
+  }
+  BinaryWriter lie;
+  lie.U64(4);  // one element more than the 12 bytes that follow hold
+  for (uint32_t v : three) lie.U32(v);
+  {
+    BinaryReader r(lie.data());
+    size_t element_reads = 0;
+    std::vector<uint32_t> got = {1};
+    EXPECT_FALSE(r.Seq(4, &got, [&](BinaryReader* in) {
+      ++element_reads;
+      return in->U32();
+    }));
+    EXPECT_EQ(element_reads, 0u);
+    EXPECT_TRUE(got.empty());
+    EXPECT_EQ(got.capacity(), 1u);  // nothing reserved beyond what it held
+    EXPECT_EQ(r.remaining(), 12u);  // no element was consumed
+  }
+  {  // The same 12 bytes hold one element of 12 bytes, not two.
+    BinaryReader r(lie.data());
+    EXPECT_EQ(r.Count(12), 0u);
+    EXPECT_FALSE(r.ok());
+    BinaryWriter one;
+    one.U64(1);
+    one.Raw("twelve bytes", 12);
+    BinaryReader r1(one.data());
+    EXPECT_EQ(r1.Count(12), 1u);
+    EXPECT_TRUE(r1.ok());
+  }
+  BinaryWriter huge;
+  huge.U64(UINT64_MAX);
+  BinaryReader r(huge.data());
+  EXPECT_EQ(r.Count(1), 0u);
+  EXPECT_FALSE(r.ok());
+}
+
+// The CRC frame hands back a view of its payload and refuses a truncated
+// frame or a payload whose bytes changed.
+TEST(SerdeTest, CrcFrameReturnsItsPayloadAndRejectsDamage) {
+  BinaryWriter w;
+  w.Framed("payload");
+  w.U8(0x42);
+  {
+    BinaryReader r(w.data());
+    auto payload = r.Framed("test frame");
+    ASSERT_TRUE(payload.ok()) << payload.status().ToString();
+    EXPECT_EQ(*payload, "payload");
+    EXPECT_EQ(payload->data(), w.data().data() + 12);  // a view, not a copy
+    EXPECT_EQ(r.U8(), 0x42);
+    EXPECT_TRUE(r.exhausted());
+  }
+  {
+    BinaryReader r(std::string_view(w.data()).substr(0, 15));
+    Status st = r.Framed("test frame").status();
+    EXPECT_EQ(st.code(), StatusCode::kIoError);
+    EXPECT_NE(st.ToString().find("truncated"), std::string::npos);
+  }
+  std::string flipped = w.data();
+  flipped[13] ^= 0x01;
+  BinaryReader r(flipped);
+  Status st = r.Framed("test frame").status();
+  EXPECT_EQ(st.code(), StatusCode::kIoError);
+  EXPECT_NE(st.ToString().find("CRC"), std::string::npos);
+}
+
 TEST(Crc32Test, KnownVectorAndSensitivity) {
   // IEEE 802.3 check value for "123456789".
   EXPECT_EQ(Crc32("123456789"), 0xCBF43926u);

@@ -364,25 +364,6 @@ TEST(ResilientCrowdTest, StateRoundTripsAcrossTheDecoratorStack) {
 // Pipeline integration: fault sweep, budget cap, decorated resume
 // ---------------------------------------------------------------------------
 
-FaultyCrowdConfig SweepFaults(uint64_t seed) {
-  FaultyCrowdConfig f;
-  f.transient_error_rate = 0.08;
-  f.hit_expiry_rate = 0.12;
-  f.abandon_rate = 0.20;
-  f.spammer_rate = 0.08;
-  f.straggler_rate = 0.10;
-  f.straggler_multiplier = 4.0;
-  f.seed = seed * 0x9E3779B97F4A7C15ull + 1;
-  return f;
-}
-
-ResilientCrowdConfig SweepResilience() {
-  ResilientCrowdConfig r;
-  r.max_retries = 12;
-  r.max_requeues = 20;
-  return r;
-}
-
 /// sim(error_rate = 0) only: the fault-free baseline of the sweep.
 CrowdChain PerfectChain(uint64_t seed, TruthOracle oracle) {
   CrowdChain chain;
@@ -448,23 +429,6 @@ CrowdChain PerfectFaultyChain(uint64_t seed, TruthOracle oracle) {
   push(std::move(sim));
   push(std::make_unique<FaultyCrowd>(SweepFaults(seed), chain.top));
   push(std::make_unique<ResilientCrowd>(SweepResilience(), chain.top));
-  return chain;
-}
-
-/// Noisy variant (workers err at the harness default rate) for the resume
-/// sweeps: same decorator stack over the shared CrowdConfig() platform.
-CrowdChain NoisyFaultyChain(uint64_t seed, TruthOracle oracle) {
-  CrowdChain chain;
-  auto sim =
-      std::make_unique<SimulatedCrowd>(CrowdConfig(seed), std::move(oracle));
-  auto faulty = std::make_unique<FaultyCrowd>(SweepFaults(seed), sim.get());
-  auto resilient =
-      std::make_unique<ResilientCrowd>(SweepResilience(), faulty.get());
-  chain.sim = sim.get();
-  chain.top = resilient.get();
-  chain.owned.push_back(std::move(sim));
-  chain.owned.push_back(std::move(faulty));
-  chain.owned.push_back(std::move(resilient));
   return chain;
 }
 

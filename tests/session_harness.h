@@ -3,18 +3,21 @@
 // templates' configurations, reference runs that snapshot at every operator
 // boundary, and the kill-and-resume sweep. The crowd platform a run uses is
 // pluggable (a CrowdFactory), so the same sweep drives both the plain
-// SimulatedCrowd and the fault-injecting decorator stacks.
+// SimulatedCrowd and the fault-injecting decorator stack (NoisyFaultyChain).
 #ifndef FALCON_TESTS_SESSION_HARNESS_H_
 #define FALCON_TESTS_SESSION_HARNESS_H_
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <functional>
 #include <memory>
 #include <string>
 #include <utility>
 #include <vector>
 
+#include "crowd/faulty_crowd.h"
+#include "crowd/resilient_crowd.h"
 #include "session/snapshot.h"
 #include "session/workflow_session.h"
 #include "workload/generator.h"
@@ -104,6 +107,43 @@ inline CrowdChain PlainCrowd(uint64_t seed, TruthOracle oracle) {
   return chain;
 }
 
+/// Every fault class at once, seeded per run.
+inline FaultyCrowdConfig SweepFaults(uint64_t seed) {
+  FaultyCrowdConfig f;
+  f.transient_error_rate = 0.08;
+  f.hit_expiry_rate = 0.12;
+  f.abandon_rate = 0.20;
+  f.spammer_rate = 0.08;
+  f.straggler_rate = 0.10;
+  f.straggler_multiplier = 4.0;
+  f.seed = seed * 0x9E3779B97F4A7C15ull + 1;
+  return f;
+}
+
+inline ResilientCrowdConfig SweepResilience() {
+  ResilientCrowdConfig r;
+  r.max_retries = 12;
+  r.max_requeues = 20;
+  return r;
+}
+
+/// ResilientCrowd over FaultyCrowd over a SimulatedCrowd whose workers err
+/// at the harness default rate: the decorated stack of the resume sweeps.
+inline CrowdChain NoisyFaultyChain(uint64_t seed, TruthOracle oracle) {
+  CrowdChain chain;
+  auto sim =
+      std::make_unique<SimulatedCrowd>(CrowdConfig(seed), std::move(oracle));
+  auto faulty = std::make_unique<FaultyCrowd>(SweepFaults(seed), sim.get());
+  auto resilient =
+      std::make_unique<ResilientCrowd>(SweepResilience(), faulty.get());
+  chain.sim = sim.get();
+  chain.top = resilient.get();
+  chain.owned.push_back(std::move(sim));
+  chain.owned.push_back(std::move(faulty));
+  chain.owned.push_back(std::move(resilient));
+  return chain;
+}
+
 /// The reference run: execute to completion, snapshotting at EVERY operator
 /// boundary — before Start(), before each Step(), and after the last one.
 struct ReferenceRun {
@@ -173,17 +213,17 @@ inline void ExpectSameOutcome(const MatchResult& ref, const MatchResult& got,
 
 /// Kills-and-resumes at every boundary: each snapshot is loaded into a fresh
 /// world (fresh copies of the tables regenerated from the workload seed,
-/// fresh crowd chain whose state comes from the snapshot) and run to
-/// completion.
-inline void SweepAllBoundaries(const FalconConfig& cfg,
-                               const ClusterConfig& ccfg,
-                               GeneratedDataset (*make_data)(uint64_t),
-                               uint64_t data_seed, size_t expect_boundaries,
-                               const CrowdFactory& make_crowd = PlainCrowd) {
+/// fresh crowd chain whose state comes from the snapshot) and handed to
+/// `check`. A run of the wrong plan template fails the boundary count:
+/// kInit + one per executed operator + kDone.
+inline void ResumeEveryBoundary(
+    const FalconConfig& cfg, const ClusterConfig& ccfg,
+    GeneratedDataset (*make_data)(uint64_t), uint64_t data_seed,
+    size_t expect_boundaries, const CrowdFactory& make_crowd,
+    const std::function<void(const ReferenceRun&, const std::string& blob,
+                             WorkflowSession*, const CrowdChain&)>& check) {
   GeneratedDataset data = make_data(data_seed);
   ReferenceRun ref = RunWithCheckpoints(data, ccfg, cfg, make_crowd);
-  // kInit + one per executed operator + kDone; a mismatch means the run
-  // took the wrong plan template.
   ASSERT_EQ(ref.snapshots.size(), expect_boundaries);
 
   for (const auto& [stage, blob] : ref.snapshots) {
@@ -194,18 +234,53 @@ inline void SweepAllBoundaries(const FalconConfig& cfg,
     auto resumed = WorkflowSession::Resume(blob, &fresh.a, &fresh.b,
                                            chain.top, &cluster, cfg);
     ASSERT_TRUE(resumed.ok()) << resumed.status().ToString();
-    WorkflowSession& session = **resumed;
-    EXPECT_EQ(session.id(), "ref");
-    Status st = session.RunToCompletion();
-    ASSERT_TRUE(st.ok()) << st.ToString();
-    auto r = session.TakeResult();
-    ASSERT_TRUE(r.ok()) << r.status().ToString();
-    ExpectSameOutcome(ref.result, r.value(),
-                      std::string("resumed at ") + PipelineStageName(stage));
-    // The resumed platform's total question count equals the uninterrupted
-    // run's: nothing was re-asked, nothing was skipped.
-    EXPECT_EQ(chain.sim->total_questions(), ref.platform_questions);
+    check(ref, blob, resumed->get(), chain);
   }
+}
+
+/// Every resumed session runs to the uninterrupted run's outcome.
+inline void SweepAllBoundaries(const FalconConfig& cfg,
+                               const ClusterConfig& ccfg,
+                               GeneratedDataset (*make_data)(uint64_t),
+                               uint64_t data_seed, size_t expect_boundaries,
+                               const CrowdFactory& make_crowd = PlainCrowd) {
+  ResumeEveryBoundary(
+      cfg, ccfg, make_data, data_seed, expect_boundaries, make_crowd,
+      [](const ReferenceRun& ref, const std::string&,
+         WorkflowSession* session, const CrowdChain& chain) {
+        EXPECT_EQ(session->id(), "ref");
+        Status st = session->RunToCompletion();
+        ASSERT_TRUE(st.ok()) << st.ToString();
+        auto r = session->TakeResult();
+        ASSERT_TRUE(r.ok()) << r.status().ToString();
+        ExpectSameOutcome(ref.result, r.value(), "resumed run");
+        // The resumed platform's total question count equals the
+        // uninterrupted run's: nothing was re-asked, nothing was skipped.
+        EXPECT_EQ(chain.sim->total_questions(), ref.platform_questions);
+      });
+}
+
+/// Every resumed session saves back the very bytes it resumed from, so the
+/// decoder reads every durable field the writer wrote.
+inline void ExpectResaveByteIdentical(const FalconConfig& cfg,
+                                      const ClusterConfig& ccfg,
+                                      GeneratedDataset (*make_data)(uint64_t),
+                                      uint64_t data_seed,
+                                      size_t expect_boundaries,
+                                      const CrowdFactory& make_crowd) {
+  ResumeEveryBoundary(
+      cfg, ccfg, make_data, data_seed, expect_boundaries, make_crowd,
+      [](const ReferenceRun&, const std::string& blob,
+         WorkflowSession* resumed, const CrowdChain&) {
+        const std::string resaved = resumed->SaveSnapshot();
+        // Not EXPECT_EQ: a failure would print two snapshots in full.
+        auto diff = std::mismatch(blob.begin(), blob.end(), resaved.begin(),
+                                  resaved.end());
+        EXPECT_TRUE(resaved == blob)
+            << "first differing byte " << (diff.first - blob.begin())
+            << " of " << blob.size() << " (re-saved " << resaved.size()
+            << ")";
+      });
 }
 
 }  // namespace falcon

@@ -10,11 +10,11 @@
 
 #include <cstdint>
 #include <functional>
+#include <limits>
 #include <string>
 #include <utility>
 #include <vector>
 
-#include "common/crc32.h"
 #include "common/serde.h"
 #include "session/service.h"
 #include "session_harness.h"
@@ -175,6 +175,20 @@ TEST(SessionSnapshotTest, RejectsCorruptionTruncationAndFutureVersions) {
   // Garbage is not a snapshot.
   EXPECT_FALSE(try_load("definitely not a snapshot").ok());
   EXPECT_FALSE(try_load("").ok());
+}
+
+// Saving a resumed session gives back the snapshot it resumed from, byte for
+// byte, at every boundary of both plan templates and under both crowd stacks.
+TEST(SessionSnapshotTest, ResaveOfResumedSnapshotIsByteIdentical) {
+  const std::pair<const char*, CrowdFactory> stacks[] = {
+      {"plain", PlainCrowd}, {"resilient over faulty", NoisyFaultyChain}};
+  for (const auto& [name, make_crowd] : stacks) {
+    SCOPED_TRACE(name);
+    ExpectResaveByteIdentical(BlockingConfig(), FastCluster(1), &BlockingData,
+                              7, 13, make_crowd);
+    ExpectResaveByteIdentical(MatcherOnlyConfig(), FastCluster(1),
+                              &MatcherOnlyData, 11, 6, make_crowd);
+  }
 }
 
 // The crowd journal as a write-ahead log: resume from an EARLY snapshot but
@@ -339,16 +353,16 @@ TEST(SharedClusterTest, ConcurrentSessionsMatchSoloRuns) {
   }
 }
 
-// --- snapshot index validation ----------------------------------------------
+// --- snapshot state validation ----------------------------------------------
 //
 // Section CRCs prove only that the bytes are the ones written. Each test
-// mutates one index of a real state, writes it (CRCs stay valid) and
-// requires the loader to refuse it, since later stages dereference these
-// indices unchecked.
+// mutates one field of a real state, writes it (CRCs stay valid) and
+// requires the loader to refuse it, since a later stage indexes or sizes an
+// allocation with that field unchecked.
 
-/// A blocking-plan pipeline stepped to the gen_fvs(C) boundary, where the
-/// sample, blocker labels, rules with coverage, the selected sequence and
-/// the candidates are all populated.
+/// A blocking-plan pipeline stepped to the boundary `stop`. At the default,
+/// gen_fvs(C), the sample, blocker labels, rules with coverage, the selected
+/// sequence and the candidates are all populated.
 struct ValidationFixture {
   GeneratedDataset data = BlockingData(7);
   FalconConfig cfg = BlockingConfig();
@@ -356,19 +370,22 @@ struct ValidationFixture {
   SimulatedCrowd crowd{CrowdConfig(cfg.seed), data.truth.MakeOracle()};
   FalconPipeline pipeline{&data.a, &data.b, &crowd, &cluster, cfg};
 
-  ValidationFixture() {
+  explicit ValidationFixture(PipelineStage stop = PipelineStage::kGenFvsCand) {
     EXPECT_TRUE(pipeline.Start().ok());
-    while (pipeline.state().next != PipelineStage::kGenFvsCand) {
+    while (pipeline.state().next != stop) {
       Status st = pipeline.Step();
       EXPECT_TRUE(st.ok()) << st.ToString();
       if (!st.ok() || pipeline.done()) break;
     }
     const PipelineState& s = pipeline.state();
+    EXPECT_EQ(s.next, stop);
     EXPECT_FALSE(s.sample.empty());
     EXPECT_FALSE(s.blocker_labeled_indices.empty());
     EXPECT_FALSE(s.candidate_rules.empty());
-    EXPECT_FALSE(s.out.sequence.rules.empty());
-    EXPECT_FALSE(s.out.candidates.empty());
+    if (stop > PipelineStage::kApplyRules) {
+      EXPECT_FALSE(s.out.sequence.rules.empty());
+      EXPECT_FALSE(s.out.candidates.empty());
+    }
   }
 
   PipelineState& state() { return pipeline.state(); }
@@ -440,6 +457,49 @@ TEST(SnapshotValidationTest, RejectsCoverageWidthOtherThanSample) {
   EXPECT_FALSE(fx.Reload().ok());
 }
 
+// The next three states each crashed a stage after the loader accepted them.
+// Each test steps to the boundary of the stage that crashed.
+
+// eval_rules reserves a rule's `coverage` slots for the sample pairs it
+// drops: 2^62 of them threw std::length_error.
+TEST(SnapshotValidationTest, RejectsCoverageOtherThanItsBitmapCount) {
+  ValidationFixture fx(PipelineStage::kEvalRules);
+  fx.state().candidate_rules[0].coverage = size_t{1} << 62;
+  Status st = fx.Reload();
+  EXPECT_EQ(st.code(), StatusCode::kInvalidArgument) << st.ToString();
+}
+
+// sel_opt_seq's greedy order divides by each rule's time per pair: with NaN
+// times no gain beat the initial one, no rule was picked, and the order
+// wrote past its bookkeeping (a heap-buffer-overflow under ASan).
+TEST(SnapshotValidationTest, RejectsRuleTimeThatIsNotAFiniteNonNegative) {
+  ValidationFixture fx(PipelineStage::kSelectSeq);
+  for (Rule& rule : fx.state().retained_rules) {
+    rule.time_per_pair = std::numeric_limits<double>::quiet_NaN();
+  }
+  Status st = fx.Reload();
+  EXPECT_EQ(st.code(), StatusCode::kInvalidArgument) << st.ToString();
+}
+
+// The same overflow from an empty sample: every selectivity is 0/0. The
+// state is otherwise consistent (zero-width coverage, no blocker labels),
+// so only the sample check stands between it and sel_opt_seq.
+TEST(SnapshotValidationTest, RejectsEmptySampleBeforeSequenceSelection) {
+  ValidationFixture fx(PipelineStage::kSelectSeq);
+  PipelineState& s = fx.state();
+  s.sample.clear();
+  s.blocker_labeled_indices.clear();
+  s.blocker_labels.clear();
+  for (auto* coverage : {&s.candidate_coverage, &s.retained_coverage}) {
+    for (Bitmap& cov : *coverage) cov = Bitmap(0);
+  }
+  for (auto* rules : {&s.candidate_rules, &s.retained_rules}) {
+    for (Rule& rule : *rules) rule.coverage = 0;
+  }
+  Status st = fx.Reload();
+  EXPECT_EQ(st.code(), StatusCode::kInvalidArgument) << st.ToString();
+}
+
 /// Replaces the payload of section `tag` (snapshot.cc's SectionTag) with
 /// `edit(payload)` and recomputes its CRC, so only the loader's semantic
 /// checks stand between the edit and the pipeline.
@@ -453,20 +513,18 @@ std::string RewriteSection(
   bool rewrote = false;
   while (r.ok() && r.remaining() > 0) {
     const uint32_t section = r.U32();
-    const uint64_t len = r.U64();
-    r.U32();  // CRC, recomputed below
-    std::string payload;
-    for (uint64_t i = 0; i < len && r.ok(); ++i) {
-      payload.push_back(static_cast<char>(r.U8()));
+    auto framed = r.Framed("section");
+    if (!framed.ok()) {
+      ADD_FAILURE() << framed.status().ToString();
+      break;
     }
+    std::string payload(*framed);
     if (section == tag) {
       payload = edit(payload);
       rewrote = true;
     }
     out.U32(section);
-    out.U64(payload.size());
-    out.U32(Crc32(payload));
-    out.Raw(payload.data(), payload.size());
+    out.Framed(payload);
   }
   EXPECT_TRUE(r.exhausted());
   EXPECT_TRUE(rewrote);
@@ -519,6 +577,27 @@ TEST(SnapshotValidationTest, RejectsForestLayoutOtherThanFeatureSet) {
         return pw.Take();
       });
   EXPECT_FALSE(fx.Load(blob).ok());
+}
+
+// Format version 1 ends METRICS before the two budget flags version 2
+// appended. ReadSnapshotMeta reports the version the header names, and the
+// loader still accepts the shorter section.
+TEST(SessionSnapshotTest, ReadsVersionOneHeaderAndMetrics) {
+  ValidationFixture fx;
+  const std::string v2 = fx.Write();
+  auto meta = ReadSnapshotMeta(v2);
+  ASSERT_TRUE(meta.ok()) << meta.status().ToString();
+  EXPECT_EQ(meta->format_version, 2u);
+
+  std::string v1 = RewriteSection(v2, 3, [](const std::string& payload) {
+    return payload.substr(0, payload.size() - 2);
+  });
+  v1[4] = 1;  // version u32, little-endian
+  meta = ReadSnapshotMeta(v1);
+  ASSERT_TRUE(meta.ok()) << meta.status().ToString();
+  EXPECT_EQ(meta->format_version, 1u);
+  Status st = fx.Load(v1);
+  EXPECT_TRUE(st.ok()) << st.ToString();
 }
 
 }  // namespace
