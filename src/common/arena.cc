@@ -154,10 +154,10 @@ Arena* ArenaPool::Acquire() {
   return arenas_.back().get();
 }
 
-void ArenaPool::Release(Arena* arena, size_t max_retained_bytes) {
+void ArenaPool::Release(Arena* arena) {
   if (arena == nullptr) return;
   arena->Reset();
-  arena->Trim(max_retained_bytes);
+  arena->Trim(kMaxRetainedBytes);
   std::lock_guard<std::mutex> lock(mu_);
   free_.push_back(arena);
 }

@@ -13,7 +13,8 @@
 //   ArenaAllocator  — std-allocator adapter: arena-backed when given an
 //                     Arena, plain heap when default-constructed.
 //   ArenaPool       — mutex-guarded pool of reusable task arenas; arenas are
-//                     reset (not freed) on release, per-task reset discipline.
+//                     reset (not freed) and trimmed to 64 KB on release,
+//                     per-task reset discipline.
 //   ScratchArena    — per-thread arena with a generation counter, replacing
 //                     ad-hoc `thread_local std::vector` scratch that retains
 //                     peak capacity forever.
@@ -197,11 +198,11 @@ using ArenaVector = std::vector<T, ArenaAllocator<T>>;
 
 /// Pool of reusable task arenas for the MapReduce engine: each map/reduce
 /// task leases one arena for its buffers and returns it at task end, where
-/// it is reset — not freed — so pages warm up once and are recycled across
-/// every subsequent job. The pool owns every arena it creates (at most as
-/// many as tasks leased at once). Acquire/Release are mutex-guarded (the
-/// engine leases arenas from the coordinating thread, but Cluster is
-/// shared).
+/// it is reset — not freed — and trimmed to kMaxRetainedBytes, so the pages
+/// a typical task needs warm up once and are recycled across every later
+/// job. The pool owns every arena it creates (at most as many as tasks
+/// leased at once). Acquire/Release are mutex-guarded (the engine leases
+/// arenas from the coordinating thread, but Cluster is shared).
 class ArenaPool {
  public:
   explicit ArenaPool(PageProvider* provider = nullptr);
@@ -211,14 +212,15 @@ class ArenaPool {
 
   /// Leases an arena (warm if available, fresh otherwise).
   Arena* Acquire();
-  /// Resets `arena` (pages retained, bounded by `max_retained_bytes`) and
-  /// returns it to the pool.
-  void Release(Arena* arena, size_t max_retained_bytes = kMaxRetainedBytes);
+  /// Resets `arena`, trims it to kMaxRetainedBytes and returns it to the
+  /// pool.
+  void Release(Arena* arena);
 
-  /// Retention bound per pooled arena: generous enough to keep a typical
-  /// task's working set warm, small enough that a one-off giant job does not
-  /// pin its peak forever.
-  static constexpr size_t kMaxRetainedBytes = size_t{4} << 20;  // 4 MB
+  /// Retention bound per pooled arena: it keeps the first two pages (16 KB
+  /// and 32 KB), which hold most tasks' buffers, so idle memory follows what
+  /// a typical task uses, not the largest job the arena ever served
+  /// (DESIGN.md §4h has the measurements).
+  static constexpr size_t kMaxRetainedBytes = size_t{64} << 10;  // 64 KB
 
   size_t arenas_created() const;
   size_t arenas_free() const;

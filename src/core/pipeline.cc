@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <unordered_map>
+#include <unordered_set>
 
 #include "core/al_matcher.h"
 #include "core/apply_matcher.h"
@@ -75,6 +76,17 @@ FilterOut FilterPairs(const std::vector<CandidatePair>& pairs,
   out.time = job.stats.Total();
   out.stats = std::move(job.stats);
   return out;
+}
+
+/// select_opt_seq (Section 6) over eval_rules' survivors. It reads nothing
+/// speculation produces, so eval_rules can call it before speculating.
+Result<SelectSeqResult> SelectSequence(const PipelineState& state,
+                                       const FalconConfig& config) {
+  SelectSeqOptions ss_opts;
+  ss_opts.gamma = config.score_gamma;
+  ss_opts.max_rules_exhaustive = config.max_rules_exhaustive;
+  return SelectOptSeq(state.retained_rules, state.retained_coverage,
+                      state.sample.size(), ss_opts);
 }
 
 }  // namespace
@@ -366,6 +378,16 @@ Status FalconPipeline::StageEvalRules() {
   // Speculation state is transient: a resumed run simply re-applies the
   // selected sequence fresh, and the candidate SET is path-independent.
   if (config_.enable_masking && config_.mask_speculative_execution) {
+    // Algorithm 2 reads only outputs of rules in the sequence sel_opt_seq
+    // selects, and that sequence depends only on the retained rules and
+    // their coverage, so it is known now. Every other job keeps its key,
+    // flag and times but not its pairs.
+    std::unordered_set<std::string> readable;
+    if (auto planned = SelectSequence(state_, config_); planned.ok()) {
+      for (const auto& rule : planned->sequence.rules) {
+        readable.insert(CanonicalKey(rule));
+      }
+    }
     for (const auto& rule : state_.candidate_rules) {
       if (state_.bank_credit.seconds <= 0.0) break;  // job would never start
       RuleSequence single;
@@ -393,6 +415,9 @@ Status FalconPipeline::StageEvalRules() {
       VDuration leftover = MaskRun(job.result.time);
       job.completed = leftover.seconds <= 0.0;
       job.remaining = leftover;
+      if (!readable.contains(job.key)) {
+        job.result.pairs = std::vector<CandidatePair>();
+      }
       if (job.completed) ++m.speculated_rules;
       bool in_flight = !job.completed;
       spec_.push_back(std::move(job));
@@ -405,13 +430,8 @@ Status FalconPipeline::StageEvalRules() {
 
 // --- (6) select_opt_seq -----------------------------------------------------
 Status FalconPipeline::StageSelectSeq() {
-  SelectSeqOptions ss_opts;
-  ss_opts.gamma = config_.score_gamma;
-  ss_opts.max_rules_exhaustive = config_.max_rules_exhaustive;
-  FALCON_ASSIGN_OR_RETURN(
-      SelectSeqResult selected,
-      SelectOptSeq(state_.retained_rules, state_.retained_coverage,
-                   state_.sample.size(), ss_opts));
+  FALCON_ASSIGN_OR_RETURN(SelectSeqResult selected,
+                          SelectSequence(state_, config_));
   state_.out.sequence = selected.sequence;
   AddMachine("sel_opt_seq", selected.time, selected.time);
   state_.next = PipelineStage::kApplyRules;
@@ -518,6 +538,7 @@ Status FalconPipeline::StageApplyRules() {
   } else {
     apply_fresh = true;
   }
+  spec_.clear();  // Algorithm 2 has read all it reads
   if (apply_fresh) {
     FALCON_ASSIGN_OR_RETURN(
         ApplyResult applied,
@@ -662,9 +683,10 @@ VDuration FalconPipeline::Rehydrate() {
     total += GenCandidateFvs("gen_fvs(C,rehydrate)");
   }
   // The original run built token stores and indexes inside the O1 masking
-  // windows, in this order.
+  // windows, in this order. Only blocking stages probe them: from gen_fvs(C)
+  // on, FeatureSet::Prepare builds the token views features read.
   if (blocking && config_.enable_masking && config_.mask_index_building &&
-      next >= PipelineStage::kGetRules) {
+      next >= PipelineStage::kGetRules && next <= PipelineStage::kApplyRules) {
     total += BuildGenericIndexes();
     if (next >= PipelineStage::kSelectSeq) total += BuildCandidateRuleIndexes();
     if (next >= PipelineStage::kApplyRules) total += BuildSequenceIndexes();

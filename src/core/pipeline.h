@@ -229,7 +229,9 @@ class FalconPipeline {
   /// Rebuilds the transient caches an imported state needs before its next
   /// stage can run, with the stages' own builders: feature vectors via
   /// gen_fvs, and — mirroring masking optimization O1, whose index builds
-  /// the original run hid inside crowd windows — token stores and indexes.
+  /// the original run hid inside crowd windows — token stores and indexes,
+  /// but only when the next stage is a blocking one (get_block_rules
+  /// through apply_block_rules) that probes them.
   /// It validates nothing: LoadSnapshot already checked everything the
   /// next stage reads. The rebuild work is deliberately NOT charged to the
   /// run's metrics (the original run already accounted it); the returned
@@ -244,9 +246,10 @@ class FalconPipeline {
   /// True if the Blocker+Matcher template (Figure 3.a) was/would be chosen.
   bool NeedsBlocking() const;
 
- private:
   /// A speculatively executed candidate blocking rule (optimization O2a).
-  /// Transient by design: losing it on resume only costs masked time.
+  /// Transient by design: losing it on resume only costs masked time. Its
+  /// `result.pairs` are kept only if its rule is in the sequence
+  /// sel_opt_seq selects, the only outputs Algorithm 2 reads.
   struct SpecJob {
     std::string key;
     ApplyResult result;
@@ -254,6 +257,12 @@ class FalconPipeline {
     VDuration remaining;  ///< > 0 only for the in-flight job at the barrier
   };
 
+  /// eval_rules' speculative jobs in execution order (only the last may be
+  /// in flight); empty before eval_rules and once apply_block_rules has
+  /// read them.
+  const std::vector<SpecJob>& speculative_jobs() const { return spec_; }
+
+ private:
   Status StageSamplePairs();
   Status StageGenFvsSample();
   Status StageBlockerAl();

@@ -175,6 +175,33 @@ TEST(ArenaPoolTest, ReusesWarmArenasAndBoundsRetention) {
   pool.Release(b);
 }
 
+// A large job's tasks grow their arenas far past what a typical task uses.
+// Once they return, each idle arena keeps at most 64 KB: enough to stay
+// warm for a small task, not the largest job it ever served.
+TEST(ArenaPoolTest, IdleArenasKeepATypicalTasksPagesNotTheLargestJobs) {
+  CountingPageProvider provider;
+  ArenaPool pool(&provider);
+  constexpr size_t kTasks = 16;
+  constexpr size_t kTaskBytes = size_t{2} << 20;
+  std::vector<Arena*> leased;
+  for (size_t i = 0; i < kTasks; ++i) {
+    Arena* a = pool.Acquire();
+    while (a->bytes_used() < kTaskBytes) a->Allocate(4096);
+    leased.push_back(a);
+  }
+  for (Arena* a : leased) pool.Release(a);
+  EXPECT_EQ(pool.arenas_free(), kTasks);
+  const uint64_t idle = provider.acquired_bytes() - provider.released_bytes();
+  EXPECT_GT(idle, 0u);
+  EXPECT_LE(idle, kTasks * (size_t{64} << 10));
+  // A 32 KB task on a returned arena touches no new page.
+  const uint64_t acquires = provider.acquires();
+  Arena* warm = pool.Acquire();
+  for (int i = 0; i < 8; ++i) warm->Allocate(4096);
+  EXPECT_EQ(provider.acquires(), acquires);
+  pool.Release(warm);
+}
+
 // --- ScratchArena ------------------------------------------------------------
 
 TEST(ScratchArenaTest, GenerationBumpInvalidatesCachedCarves) {

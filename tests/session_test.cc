@@ -62,6 +62,38 @@ TEST(SessionResumeTest, ResumeRebuildTimeIsReportedNotCharged) {
   ExpectSameOutcome(ref.result, r.value(), "apply boundary");
 }
 
+// From gen_fvs(C) on no stage probes a blocking index, and
+// FeatureSet::Prepare builds the token views features read, so a session
+// resumed at those boundaries rebuilds nothing and still finishes with the
+// uninterrupted run's outcome.
+TEST(SessionRehydrateTest, NothingIsRebuiltAfterBlocking) {
+  GeneratedDataset data = BlockingData(7);
+  FalconConfig cfg = BlockingConfig();
+  ReferenceRun ref = RunWithCheckpoints(data, FastCluster(1), cfg);
+  size_t resumed_at = 0;
+  for (const auto& [stage, blob] : ref.snapshots) {
+    if (stage != PipelineStage::kGenFvsCand &&
+        stage != PipelineStage::kApplyMatcher &&
+        stage != PipelineStage::kEstimateAccuracy) {
+      continue;
+    }
+    SCOPED_TRACE(PipelineStageName(stage));
+    ++resumed_at;
+    GeneratedDataset fresh = BlockingData(7);
+    Cluster cluster{FastCluster(1)};
+    SimulatedCrowd crowd(CrowdConfig(cfg.seed), fresh.truth.MakeOracle());
+    auto resumed = WorkflowSession::Resume(blob, &fresh.a, &fresh.b, &crowd,
+                                           &cluster, cfg);
+    ASSERT_TRUE(resumed.ok()) << resumed.status().ToString();
+    EXPECT_EQ((*resumed)->resume_rebuild_time().seconds, 0.0);
+    ASSERT_TRUE((*resumed)->RunToCompletion().ok());
+    auto r = (*resumed)->TakeResult();
+    ASSERT_TRUE(r.ok());
+    ExpectSameOutcome(ref.result, r.value(), "resumed run");
+  }
+  EXPECT_EQ(resumed_at, 3u);
+}
+
 TEST(SessionSnapshotTest, MetaReadbackAndIdentityChecks) {
   GeneratedDataset data = MatcherOnlyData(11);
   FalconConfig cfg = MatcherOnlyConfig();
